@@ -4,64 +4,25 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import data, evaluate, graph as graph_mod, nn, viz
-from .errors import IngestionError
-from .transforms import (EdgeLogits, Schedule, harden, transforms_from_json,
-                         transforms_to_json)
-
-DEFAULTS = {
-    "seed": 0,
-    "out_dir": "out",
-    "dataset": "ring",
-    "graph": "auto",
-    "edge_list": None,
-    "data_dir": None,
-    "content": None,
-    "cites": None,
-    "k": 5,
-    "t_init": 10.0,
-    "t_final": 0.01,
-    "steps": 2000,
-    "epochs": None,
-    "lr": None,
-    "logit_lr": None,
-    "batch_size": 32,
-    "optimizer": "adam",
-    "layers": None,
-    "knn": 5,
-    "height": None,
-    "width": None,
-    "downscale": True,
-    "max_train": None,
-    "ring_n": 16,
-    "ring_classes": 4,
-    "ring_samples": 200,
-    "ring_noise": 0.05,
-    "repeats": 1,
-    "sweep_axis": None,
-    "sweep_values": None,
-    "split": "val",
-}
+from .errors import IngestionError, TrainingDivergedError
+from .transforms import Schedule, transforms_from_json, transforms_to_json
 
 LAYER_DEFAULTS = {"cifar10": "32,64", "webkb": "64,64", "ring": "16,16,16"}
 LR_DEFAULTS = {"ring": 5e-4}
 # the transform logits move on a coarser loss surface than the weights and
 # need a larger step to saturate the softmax before the anneal sharpens it
 LOGIT_LR_DEFAULTS = {"ring": 0.05, "cifar10": 0.02, "webkb": 0.02}
-
-# keys whose built-in default is None still need a numeric type when they
-# come from a config file
-FLOAT_KEYS = {"lr", "logit_lr"}
-INT_KEYS = {"epochs", "max_train", "height", "width"}
+TRUE_WORDS = ("1", "true", "yes", "on")
 
 
-def _read_config_file(path) -> dict:
-    """Flat 'key = value' format; '#' starts a comment."""
-    out = {}
+def _read_config_file(path) -> list[tuple[int, str, str]]:
+    """Flat 'key = value' format; '#' starts a comment. Returns
+    (line number, key, value) in file order."""
+    out = []
     for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -69,121 +30,101 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{ln}: expected 'key = value', got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        out[key.replace("-", "_")] = value
+        out.append((ln, key, value))
     return out
 
 
-def _coerce(key, value):
-    if value is None or not isinstance(value, str):
-        return value
-    if key in FLOAT_KEYS:
-        return float(value)
-    if key in INT_KEYS:
-        return int(value)
-    default = DEFAULTS.get(key)
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return value
-
-
-def _resolve(args) -> SimpleNamespace:
-    """Merge precedence: CLI flag > config file > built-in default."""
-    cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    for key, default in DEFAULTS.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-        elif key in cfg:
-            merged[key] = _coerce(key, cfg[key])
+def _with_config(args, argv: list[str]) -> list[str]:
+    """argv with the config file's entries spliced in as flags right after
+    the subcommand, so argparse types and checks them like flags typed on
+    the command line, and a flag typed there wins over the file."""
+    flags = []
+    for ln, key, value in _read_config_file(args.config):
+        dest = key.replace("-", "_")
+        if dest in ("config", "command", "func") or not hasattr(args, dest):
+            raise ValueError(f"{args.config}:{ln}: unknown key {key!r} "
+                             f"for '{args.command}'")
+        if dest == "downscale":
+            if value.lower() not in TRUE_WORDS:
+                flags.append("--no-downscale")
         else:
-            merged[key] = default
-    for key in ("config", "transforms", "image", "checkpoint", "out"):
-        if hasattr(args, key):
-            merged[key] = getattr(args, key)
-    return SimpleNamespace(**merged)
+            flags.append(f"--{dest.replace('_', '-')}={value}")
+    i = argv.index(args.command)
+    return argv[:i + 1] + flags + argv[i + 1:]
 
 
-def _parse_layers(opts) -> tuple[int, ...]:
-    text = opts.layers or LAYER_DEFAULTS.get(opts.dataset, "16,16")
+def _parse_layers(args) -> tuple[int, ...]:
+    text = args.layers or LAYER_DEFAULTS.get(args.dataset, "16,16")
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
-def _load_dataset(opts):
+def _load_dataset(args):
     """Returns (dataset, graph, grid_dims or None)."""
-    if opts.dataset == "ring":
-        ds, g = data.make_ring_task(opts.ring_n, opts.ring_classes,
-                                    opts.ring_samples, opts.ring_noise, opts.seed)
+    if args.dataset == "ring":
+        ds, g = data.make_ring_task(args.ring_n, args.ring_classes,
+                                    args.ring_samples, args.ring_noise, args.seed)
         grid = None
-    elif opts.dataset == "cifar10":
-        if not opts.data_dir or not Path(opts.data_dir).is_dir():
+    elif args.dataset == "cifar10":
+        if not args.data_dir or not Path(args.data_dir).is_dir():
             raise FileNotFoundError(
-                f"--data-dir {opts.data_dir!r} does not exist or is not a directory")
-        ds = data.load_cifar10(opts.data_dir)
-        if opts.downscale:
+                f"--data-dir {args.data_dir!r} does not exist or is not a directory")
+        ds = data.load_cifar10(args.data_dir)
+        if args.downscale:
             ds = data.downscale_cifar(ds)
             grid = (16, 16)
         else:
             grid = (32, 32)
         g = None
-    elif opts.dataset == "webkb":
-        for p in (opts.content, opts.cites):
+    else:  # webkb
+        for p in (args.content, args.cites):
             if not p or not Path(p).is_file():
                 raise FileNotFoundError(f"WebKB input file {p!r} not found")
-        ds, g = data.load_webkb(opts.content, opts.cites)
+        ds, g = data.load_webkb(args.content, args.cites)
         grid = None
-    else:
-        raise ValueError(f"unknown dataset {opts.dataset!r}")
 
-    if opts.max_train is not None:
-        ds.splits["train"] = ds.splits["train"][:opts.max_train]
+    if args.max_train is not None:
+        ds.splits["train"] = ds.splits["train"][:args.max_train]
 
-    height = opts.height or (grid[0] if grid else None)
-    width = opts.width or (grid[1] if grid else None)
+    height = args.height or (grid[0] if grid else None)
+    width = args.width or (grid[1] if grid else None)
     n = ds.signals[0].shape[0]
 
-    if opts.graph == "auto":
+    if args.graph == "auto":
         if g is None:
             g = graph_mod.build_grid_graph(height, width, True)
-    elif opts.graph == "grid":
+    elif args.graph == "grid":
         if height is None or width is None or height * width != n:
             raise ValueError("grid graph needs --height/--width with h*w = n")
         g = graph_mod.build_grid_graph(height, width, True)
-    elif opts.graph == "ring":
+    elif args.graph == "ring":
         g = graph_mod.build_ring_graph(n, True)
-    elif opts.graph == "knn-covariance":
+    elif args.graph == "knn-covariance":
         train_idx = ds.splits["train"]
         samples = np.stack([ds.signals[i].mean(axis=1) for i in train_idx])
-        g = graph_mod.build_knn_covariance_graph(samples, opts.knn)
-    elif opts.graph == "edge-list":
-        if not opts.edge_list or not Path(opts.edge_list).is_file():
-            raise FileNotFoundError(f"edge list file {opts.edge_list!r} not found")
-        g = graph_mod.read_edge_list(Path(opts.edge_list).read_text(), n)
-    else:
-        raise ValueError(f"unknown graph selector {opts.graph!r}")
+        g = graph_mod.build_knn_covariance_graph(samples, args.knn)
+    else:  # edge-list
+        if not args.edge_list or not Path(args.edge_list).is_file():
+            raise FileNotFoundError(f"edge list file {args.edge_list!r} not found")
+        g = graph_mod.read_edge_list(Path(args.edge_list).read_text(), n)
     if g.n != n:
         raise ValueError(f"graph has {g.n} vertices but signals have {n}")
     grid_dims = (height, width) if height and width and height * width == n else None
     return ds, g, grid_dims
 
 
-def _train_config(opts, ds) -> nn.TrainConfig:
-    steps = opts.steps
-    if opts.epochs is not None:
+def _train_config(args, ds) -> nn.TrainConfig:
+    steps = args.steps
+    if args.epochs is not None:
         per_epoch = (1 if ds.mode == "vertex" else
-                     max(1, -(-len(ds.splits["train"]) // opts.batch_size)))
-        steps = opts.epochs * per_epoch
-    lr = opts.lr if opts.lr is not None else LR_DEFAULTS.get(opts.dataset, 1e-3)
+                     max(1, -(-len(ds.splits["train"]) // args.batch_size)))
+        steps = args.epochs * per_epoch
+    lr = args.lr if args.lr is not None else LR_DEFAULTS.get(args.dataset, 1e-3)
     return nn.TrainConfig(
-        schedule=Schedule(opts.t_init, opts.t_final, steps),
-        lr=lr, batch_size=opts.batch_size, optimizer=opts.optimizer,
-        logit_lr=(opts.logit_lr if opts.logit_lr is not None
-                  else LOGIT_LR_DEFAULTS.get(opts.dataset)),
-        seed=opts.seed, k=opts.k, hidden=_parse_layers(opts))
+        schedule=Schedule(args.t_init, args.t_final, steps),
+        lr=lr, batch_size=args.batch_size, optimizer=args.optimizer,
+        logit_lr=(args.logit_lr if args.logit_lr is not None
+                  else LOGIT_LR_DEFAULTS.get(args.dataset)),
+        seed=args.seed, k=args.k, hidden=_parse_layers(args))
 
 
 def _write_metrics(path, history):
@@ -195,17 +136,15 @@ def _write_metrics(path, history):
 
 
 def cmd_train(args) -> int:
-    opts = _resolve(args)
-    ds, g, grid_dims = _load_dataset(opts)
-    config = _train_config(opts, ds)
+    ds, g, grid_dims = _load_dataset(args)
+    config = _train_config(args, ds)
     model, params, hard, history = nn.train(ds, g, config)
-    out = Path(opts.out_dir)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    nn.save_checkpoint(out / "checkpoint.npz", model, params, g,
-                       config.schedule.s_total, config.schedule)
+    nn.save_checkpoint(out / "checkpoint.npz", model, params, g, config.schedule)
     _write_metrics(out / "metrics.csv", history)
     (out / "transforms.json").write_text(transforms_to_json(hard))
-    acc = evaluate.evaluate_accuracy(model, params, ds, "val", opts.t_final)
+    acc = evaluate.evaluate_accuracy(model, params, ds, "val", args.t_final)
     print(f"final val accuracy: {acc:.4f}")
     if grid_dims is not None:
         report = evaluate.transform_report(hard, *grid_dims)
@@ -218,22 +157,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    opts = _resolve(args)
-    if not opts.sweep_axis or not opts.sweep_values:
+    if not args.sweep_axis or not args.sweep_values:
         raise ValueError("sweep needs --sweep-axis and --sweep-values")
-    values = [float(v) for v in str(opts.sweep_values).split(",") if v.strip()]
+    values = [float(v) for v in args.sweep_values.split(",") if v.strip()]
     if not values:
         raise ValueError("empty sweep grid")
-    ds, g, grid_dims = _load_dataset(opts)
-    out = Path(opts.out_dir)
+    ds, g, grid_dims = _load_dataset(args)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for v in values:
-        point = SimpleNamespace(**vars(opts))
-        setattr(point, opts.sweep_axis.replace("-", "_"), v)
+        point = argparse.Namespace(**vars(args))
+        setattr(point, args.sweep_axis.replace("-", "_"), v)
         accs, reports = [], []
-        for r in range(opts.repeats):
-            point.seed = opts.seed + r
+        for r in range(args.repeats):
+            point.seed = args.seed + r
             config = _train_config(point, ds)
             model, params, hard, _ = nn.train(ds, g, config)
             accs.append(evaluate.evaluate_accuracy(model, params, ds, "val",
@@ -265,30 +203,29 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_viz(args) -> int:
-    opts = _resolve(args)
-    if opts.height is None or opts.width is None:
+    if args.height is None or args.width is None:
         raise ValueError("viz needs --height and --width")
     try:
-        hard = transforms_from_json(Path(opts.transforms).read_text())
+        hard = transforms_from_json(Path(args.transforms).read_text())
     except FileNotFoundError:
         raise
     except Exception as exc:
-        raise ValueError(f"malformed transforms file {opts.transforms}: {exc}") from exc
-    if hard.n != opts.height * opts.width:
+        raise ValueError(f"malformed transforms file {args.transforms}: {exc}") from exc
+    if hard.n != args.height * args.width:
         raise ValueError(f"transforms cover {hard.n} vertices, "
-                         f"grid is {opts.height}x{opts.width}")
-    out = Path(opts.out_dir)
+                         f"grid is {args.height}x{args.width}")
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     image = None
-    if getattr(opts, "image", None):
-        image, h, w = viz.read_ppm(Path(opts.image).read_bytes())
-        if (h, w) != (opts.height, opts.width):
-            raise ValueError(f"image is {h}x{w}, grid is {opts.height}x{opts.width}")
+    if args.image:
+        image, h, w = viz.read_ppm(Path(args.image).read_bytes())
+        if (h, w) != (args.height, args.width):
+            raise ValueError(f"image is {h}x{w}, grid is {args.height}x{args.width}")
     for k in range(hard.k):
-        svg = viz.arrow_field_svg(hard.slice(k), opts.height, opts.width)
+        svg = viz.arrow_field_svg(hard.slice(k), args.height, args.width)
         (out / f"T{k}.svg").write_text(svg)
         if image is not None:
-            ppm = viz.translated_image_ppm(hard, k, image, opts.height, opts.width)
+            ppm = viz.translated_image_ppm(hard, k, image, args.height, args.width)
             (out / f"T{k}.ppm").write_bytes(ppm)
     n_files = hard.k * (2 if image is not None else 1)
     print(f"wrote {n_files} files to {out}")
@@ -296,53 +233,58 @@ def cmd_viz(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    opts = _resolve(args)
-    ds, g, _ = _load_dataset(opts)
-    model, params, _, sched = nn.load_checkpoint(opts.checkpoint, g)
-    acc = evaluate.evaluate_accuracy(model, params, ds, opts.split, sched.t_final)
-    print(f"{opts.split} accuracy: {acc:.4f}")
+    ds, g, _ = _load_dataset(args)
+    model, params, sched = nn.load_checkpoint(args.checkpoint, g)
+    acc = evaluate.evaluate_accuracy(model, params, ds, args.split, sched.t_final)
+    print(f"{args.split} accuracy: {acc:.4f}")
     return 0
 
 
 def cmd_export_graph(args) -> int:
-    opts = _resolve(args)
-    ds, g, _ = _load_dataset(opts)
-    Path(opts.out).write_text(graph_mod.write_edge_list(g))
-    print(f"wrote {g.n} vertices, {g.num_entries()} support entries to {opts.out}")
+    ds, g, _ = _load_dataset(args)
+    Path(args.out).write_text(graph_mod.write_edge_list(g))
+    print(f"wrote {g.n} vertices, {g.num_entries()} support entries to {args.out}")
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--dataset", choices=["ring", "cifar10", "webkb"])
-    p.add_argument("--graph",
-                   choices=["auto", "grid", "ring", "knn-covariance", "edge-list"])
-    p.add_argument("--edge-list", dest="edge_list")
-    p.add_argument("--data-dir", dest="data_dir", help="CIFAR-10 binary batch dir")
-    p.add_argument("--content", help="WebKB content file")
-    p.add_argument("--cites", help="WebKB cites file")
-    p.add_argument("--k", type=int, help="number of transformation slices")
-    p.add_argument("--t-init", dest="t_init", type=float)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--logit-lr", dest="logit_lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
-    p.add_argument("--layers", help="comma-separated GSL channel widths")
-    p.add_argument("--knn", type=int, help="neighbors for the covariance graph")
+def _add_shared(p):
+    """Options of every subcommand."""
+    p.add_argument("--config", help="flat 'key = value' file of flag values; "
+                                    "a key is a flag name without the dashes")
+    p.add_argument("--out-dir", default="out")
     p.add_argument("--height", type=int)
     p.add_argument("--width", type=int)
-    p.add_argument("--no-downscale", dest="downscale", action="store_false",
-                   default=None)
-    p.add_argument("--max-train", dest="max_train", type=int)
-    p.add_argument("--ring-n", dest="ring_n", type=int)
-    p.add_argument("--ring-classes", dest="ring_classes", type=int)
-    p.add_argument("--ring-samples", dest="ring_samples", type=int)
-    p.add_argument("--ring-noise", dest="ring_noise", type=float)
+
+
+def _add_common(p):
+    """Options of the subcommands that load a dataset."""
+    _add_shared(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dataset", choices=["ring", "cifar10", "webkb"], default="ring")
+    p.add_argument("--graph", default="auto",
+                   choices=["auto", "grid", "ring", "knn-covariance", "edge-list"])
+    p.add_argument("--edge-list")
+    p.add_argument("--data-dir", help="CIFAR-10 binary batch dir")
+    p.add_argument("--content", help="WebKB content file")
+    p.add_argument("--cites", help="WebKB cites file")
+    p.add_argument("--k", type=int, default=5, help="number of transformation slices")
+    p.add_argument("--t-init", type=float, default=10.0)
+    p.add_argument("--t-final", type=float, default=0.01)
+    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--logit-lr", type=float)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
+    p.add_argument("--layers", help="comma-separated GSL channel widths")
+    p.add_argument("--knn", type=int, default=5,
+                   help="neighbors for the covariance graph")
+    p.add_argument("--no-downscale", dest="downscale", action="store_false")
+    p.add_argument("--max-train", type=int)
+    p.add_argument("--ring-n", type=int, default=16)
+    p.add_argument("--ring-classes", type=int, default=4)
+    p.add_argument("--ring-samples", type=int, default=200)
+    p.add_argument("--ring-noise", type=float, default=0.05)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,25 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="one training run per temperature grid point")
     _add_common(p)
-    p.add_argument("--sweep-axis", dest="sweep_axis", choices=["t-init", "t-final"])
-    p.add_argument("--sweep-values", dest="sweep_values",
-                   help="comma-separated grid values")
-    p.add_argument("--repeats", type=int)
+    p.add_argument("--sweep-axis", choices=["t-init", "t-final"])
+    p.add_argument("--sweep-values", help="comma-separated grid values")
+    p.add_argument("--repeats", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("viz", help="render hardened transforms as SVG/PPM")
+    _add_shared(p)
     p.add_argument("--transforms", required=True, help="transforms JSON file")
     p.add_argument("--image", help="P6 PPM image to transform")
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_viz)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=["train", "val", "test"])
+    p.add_argument("--split", choices=["train", "val", "test"], default="val")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export-graph", help="write the graph as an edge list")
@@ -388,9 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand. Exit codes: 0 success, 2 bad input (argparse's
+    own usage errors included), 3 training diverged."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            args = parser.parse_args(_with_config(args, argv))
         return args.func(args)
+    except TrainingDivergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (FileNotFoundError, IngestionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -199,18 +199,6 @@ def _has_rotation_collision(waves: np.ndarray) -> bool:
     return False
 
 
-def nearest_rotation_class(sample: np.ndarray, waves: np.ndarray) -> int:
-    """Brute-force oracle: class whose rotated waveform is closest in L2."""
-    sample = np.asarray(sample, dtype=float).ravel()
-    best, best_c = np.inf, -1
-    for c in range(waves.shape[0]):
-        for shift in range(waves.shape[1]):
-            d = float(np.sum((sample - np.roll(waves[c], shift)) ** 2))
-            if d < best:
-                best, best_c = d, c
-    return best_c
-
-
 def make_splits(dataset: Dataset, ratios: tuple[float, float, float],
                 num_splits: int, seed: int) -> list[dict[str, np.ndarray]]:
     """Stratified-by-class random train/val/test assignments."""
@@ -235,17 +223,3 @@ def make_splits(dataset: Dataset, ratios: tuple[float, float, float],
             parts["test"].append(perm[bounds[1]:])
         out.append({k: np.sort(np.concatenate(v)) for k, v in parts.items()})
     return out
-
-
-def export_dataset_csv(dataset: Dataset, signals_path, labels_path):
-    """Write (sample_id, vertex, channel, value) rows plus a labels CSV."""
-    with open(signals_path, "w") as f:
-        f.write("sample_id,vertex,channel,value\n")
-        for s, sig in enumerate(dataset.signals):
-            for v in range(sig.shape[0]):
-                for c in range(sig.shape[1]):
-                    f.write(f"{s},{v},{c},{sig[v, c]:.10g}\n")
-    with open(labels_path, "w") as f:
-        f.write("sample_id,label\n")
-        for s, y in enumerate(dataset.labels):
-            f.write(f"{s},{int(y)}\n")

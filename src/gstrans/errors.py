@@ -10,8 +10,9 @@ class IngestionError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during training."""
+    """A loss, activation, gradient or logit became non-finite in training."""
 
-    def __init__(self, step: int, message: str | None = None):
-        self.step = step
-        super().__init__(message or f"training diverged at step {step}")
+    def __init__(self, step: int, temperature: float, stage: str, detail: str):
+        self.step, self.temperature, self.stage = step, temperature, stage
+        super().__init__(f"training diverged at step {step} (temperature "
+                         f"{temperature:.6g}, {stage}): {detail}")

@@ -43,9 +43,6 @@ class Graph:
         """Total number of (i, j) support entries, self-loops included."""
         return sum(len(nbrs) for nbrs in self.neighbors)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.neighbors[i]
-
     def adjacency(self) -> np.ndarray:
         """Dense binary adjacency matrix (diagonal included iff self-looped)."""
         a = np.zeros((self.n, self.n))

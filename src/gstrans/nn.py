@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TrainingDivergedError
 from .graph import Graph, write_edge_list
-from .transforms import (EdgeLogits, HardTransforms, Schedule, SoftTransforms,
+from .transforms import (EdgeLogits, Schedule, SoftTransforms, edge_index,
                          harden, soften, soften_backward, temperature_at)
 
 EPS_LOG = 1e-12
@@ -178,21 +178,12 @@ def cross_entropy(probs: np.ndarray, y: int) -> float:
     return float(-np.log(max(probs[y], EPS_LOG)))
 
 
-def _loss_grad_output(probs: np.ndarray, yb: np.ndarray, mode: str):
+def _loss_grad_output(probs: np.ndarray, yb: np.ndarray):
     """Mean cross-entropy and its gradient w.r.t. the fc logits.
 
     Signal mode: yb is (B,) class indices. Vertex mode: yb is (B, N) with -1
     marking vertices excluded from the loss.
     """
-    if mode == "signal":
-        b = len(yb)
-        picked = probs[np.arange(b), yb]
-        loss = float(-np.log(np.maximum(picked, EPS_LOG)).mean())
-        dlogits = probs.copy()
-        dlogits[np.arange(b), yb] -= 1.0
-        dlogits /= b
-        correct = (probs.argmax(axis=1) == yb).mean()
-        return loss, dlogits, float(correct)
     mask = yb >= 0
     count = int(mask.sum())
     if count == 0:
@@ -209,7 +200,7 @@ def _loss_grad_output(probs: np.ndarray, yb: np.ndarray, mode: str):
 
 def _backward_batch(xb, yb, soft, model, params, cache):
     """Exact gradients of the mean cross-entropy over the batch."""
-    loss, dlogits, acc = _loss_grad_output(cache["probs"], yb, model.mode)
+    loss, dlogits, acc = _loss_grad_output(cache["probs"], yb)
     if model.mode == "signal":
         dfc_w = cache["pooled"].T @ dlogits
         dfc_b = dlogits.sum(axis=0)
@@ -268,9 +259,6 @@ class SGD:
         for p, g in zip(params, grads):
             p -= self.lr * g
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {}
-
 
 class Adam:
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -293,13 +281,6 @@ class Adam:
             v_hat = self.v[i] / (1 - b2 ** self.t)
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"adam_t": np.asarray(self.t)}
-        for i, (m, v) in enumerate(zip(self.m or [], self.v or [])):
-            out[f"adam_m{i}"] = m
-            out[f"adam_v{i}"] = v
-        return out
-
 
 @dataclass
 class TrainConfig:
@@ -308,13 +289,9 @@ class TrainConfig:
     logit_lr: float | None = None  # transform logits; defaults to lr
     batch_size: int = 32
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     k: int = 5
     hidden: tuple[int, ...] = (32, 64)
-    logit_scale: float = 0.01
 
     def __post_init__(self):
         if self.lr < 0:
@@ -334,33 +311,42 @@ class HistoryRow:
     val_acc: float
 
 
+def _batches(dataset, idx, batch_size, rng=None):
+    """(xb, yb) batches over the samples idx, in a fresh shuffle when rng is
+    given. Vertex mode yields the whole graph once, with every label outside
+    idx set to -1 so that the loss and the accuracy skip it."""
+    if dataset.mode == "vertex":
+        y = np.full(len(dataset.labels), -1, dtype=np.int64)
+        y[idx] = dataset.labels[idx]
+        yield dataset.signals[0][None], y[None]
+        return
+    order = idx if rng is None else rng.permutation(idx)
+    for lo in range(0, len(order), batch_size):
+        chunk = order[lo:lo + batch_size]
+        yield np.stack([dataset.signals[i] for i in chunk]), dataset.labels[chunk]
+
+
 def _eval_split(model, params, dataset, idx, t, batch_size=256):
     """Mean loss and accuracy over the given sample/vertex indices."""
     soft = soften(params, t)
-    if model.mode == "vertex":
-        xb = dataset.signals[0][None]
+    losses, correct, count = [], 0, 0
+    for xb, yb in _batches(dataset, idx, batch_size):
         probs, _ = _forward_batch(xb, soft, model)
-        labels = dataset.labels[idx]
-        p = probs[0][idx]
-        picked = np.maximum(p[np.arange(len(idx)), labels], EPS_LOG)
-        return float(-np.log(picked).mean()), float((p.argmax(axis=1) == labels).mean())
-    losses, correct = [], 0
-    for lo in range(0, len(idx), batch_size):
-        chunk = idx[lo:lo + batch_size]
-        xb = np.stack([dataset.signals[i] for i in chunk])
-        yb = dataset.labels[chunk]
-        probs, _ = _forward_batch(xb, soft, model)
-        picked = np.maximum(probs[np.arange(len(chunk)), yb], EPS_LOG)
+        mask = yb >= 0
+        p, y = probs[mask], yb[mask]
+        picked = np.maximum(p[np.arange(len(y)), y], EPS_LOG)
         losses.append(-np.log(picked).sum())
-        correct += int((probs.argmax(axis=1) == yb).sum())
-    return float(np.sum(losses) / len(idx)), correct / len(idx)
+        correct += int((p.argmax(axis=1) == y).sum())
+        count += len(y)
+    return float(np.sum(losses) / count), correct / count
 
 
 def train(dataset, graph: Graph, config: TrainConfig):
     """Anneal the shared temperature over s_total optimizer steps.
 
     Returns (model, edge_logits, hard_transforms, history). Deterministic
-    for a fixed config (seed included).
+    for a fixed config (seed included). A non-finite value anywhere in a
+    step or an evaluation raises TrainingDivergedError.
     """
     if not dataset.splits["train"].size:
         raise ValueError("empty training split")
@@ -368,68 +354,54 @@ def train(dataset, graph: Graph, config: TrainConfig):
     in_channels = dataset.signals[0].shape[1]
     model = build_model(in_channels, tuple(config.hidden), dataset.num_classes,
                         config.k, dataset.mode, rng)
-    params = EdgeLogits.init(graph, config.k, rng, scale=config.logit_scale)
+    params = EdgeLogits.init(graph, config.k, rng)
     logit_lr = config.lr if config.logit_lr is None else config.logit_lr
     if config.optimizer == "adam":
-        opt = Adam(config.lr, config.beta1, config.beta2, config.adam_eps)
-        opt_logits = Adam(logit_lr, config.beta1, config.beta2, config.adam_eps)
+        opt, opt_logits = Adam(config.lr), Adam(logit_lr)
     else:
-        opt = SGD(config.lr)
-        opt_logits = SGD(logit_lr)
+        opt, opt_logits = SGD(config.lr), SGD(logit_lr)
     sched = config.schedule
     train_idx = dataset.splits["train"]
     val_idx = dataset.splits.get("val", train_idx)
     model_arrays = model.param_arrays()
+    # an epoch is one pass over train_idx: a whole-graph step in vertex mode,
+    # which records about twenty times a run; both modes record the last step
+    record_every = max(1, sched.s_total // 20) if dataset.mode == "vertex" else 1
 
     history: list[HistoryRow] = []
+    step, epoch, stage = 0, 0, "evaluation"
 
-    def record(step):
+    def record():
         t = temperature_at(step, sched)
         tl, ta = _eval_split(model, params, dataset, train_idx, t)
         _, va = _eval_split(model, params, dataset, val_idx, t)
         history.append(HistoryRow(step, t, tl, ta, va))
 
-    record(0)
-    step = 0
-    if dataset.mode == "vertex":
-        x_full = dataset.signals[0]
-        y_full = np.full(x_full.shape[0], -1, dtype=np.int64)
-        y_full[train_idx] = dataset.labels[train_idx]
-        eval_every = max(1, sched.s_total // 20)
+    try:
+        record()
         while step < sched.s_total:
-            t = temperature_at(step, sched)
-            soft = soften(params, t)
-            xb = x_full[None]
-            _, cache = _forward_batch(xb, soft, model)
-            loss, _, grads = _backward_batch(xb, y_full[None], soft, model, params, cache)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(step)
-            arrs = grads.arrays()
-            opt.step(model_arrays, arrs[:-1])
-            opt_logits.step([params.logits], [arrs[-1]])
-            step += 1
-            if step % eval_every == 0 or step == sched.s_total:
-                record(step)
-    else:
-        while step < sched.s_total:
-            order = rng.permutation(train_idx)
-            for lo in range(0, len(order), config.batch_size):
-                if step >= sched.s_total:
-                    break
-                chunk = order[lo:lo + config.batch_size]
-                xb = np.stack([dataset.signals[i] for i in chunk])
-                yb = dataset.labels[chunk]
-                t = temperature_at(step, sched)
-                soft = soften(params, t)
+            for xb, yb in _batches(dataset, train_idx, config.batch_size, rng):
+                stage = "soften"
+                soft = soften(params, temperature_at(step, sched))
+                stage = "forward"
                 _, cache = _forward_batch(xb, soft, model)
+                stage = "backward"
                 loss, _, grads = _backward_batch(xb, yb, soft, model, params, cache)
                 if not np.isfinite(loss):
-                    raise TrainingDivergedError(step)
+                    raise FloatingPointError("non-finite loss")
                 arrs = grads.arrays()
                 opt.step(model_arrays, arrs[:-1])
                 opt_logits.step([params.logits], [arrs[-1]])
                 step += 1
-            record(step)
+                if step == sched.s_total:
+                    break
+            epoch += 1
+            if epoch % record_every == 0 or step == sched.s_total:
+                stage = "evaluation"
+                record()
+    except FloatingPointError as exc:
+        raise TrainingDivergedError(step, temperature_at(step, sched), stage,
+                                    str(exc)) from exc
     hard = harden(params)
     return model, params, hard, history
 
@@ -442,14 +414,13 @@ def graph_hash(graph: Graph) -> str:
 
 
 def save_checkpoint(path, model: Model, params: EdgeLogits, graph: Graph,
-                    step: int, sched: Schedule, opt=None):
+                    sched: Schedule):
     meta = {
         "version": CHECKPOINT_VERSION,
         "mode": model.mode,
         "k": params.k,
         "num_layers": len(model.gsl_layers),
         "graph_hash": graph_hash(graph),
-        "step": step,
         "t_init": sched.t_init,
         "t_final": sched.t_final,
         "s_total": sched.s_total,
@@ -461,25 +432,36 @@ def save_checkpoint(path, model: Model, params: EdgeLogits, graph: Graph,
     arrays["fc_weight"] = model.fc_weight
     arrays["fc_bias"] = model.fc_bias
     arrays["logits"] = params.logits
-    if opt is not None:
-        arrays.update(opt.state_arrays())
     np.savez(path, **arrays)
 
 
 def load_checkpoint(path, graph: Graph):
-    """Returns (model, edge_logits, step, schedule); the graph must match the hash."""
+    """Returns (model, edge_logits, schedule). Raises ValueError if the file
+    lacks an array, was trained on another graph, or its logits do not fit
+    the graph's support."""
     with np.load(path) as data:
+        if "meta" not in data.files:
+            raise ValueError(f"{path}: not a gstrans checkpoint (no 'meta' array)")
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
         if meta["graph_hash"] != graph_hash(graph):
             raise ValueError("checkpoint was trained on a different graph")
+        num_layers = meta["num_layers"]
+        needed = [f"{p}{i}" for i in range(num_layers) for p in "wb"]
+        missing = [name for name in needed + ["fc_weight", "fc_bias", "logits"]
+                   if name not in data.files]
+        if missing:
+            raise ValueError(f"{path}: checkpoint lacks arrays {', '.join(missing)}")
+        idx = edge_index(graph)
+        logits = data["logits"]
+        if logits.shape != (meta["k"], idx.num_entries):
+            raise ValueError(f"{path}: logits have shape {logits.shape}, expected "
+                             f"({meta['k']}, {idx.num_entries}) for this graph")
         layers = [GSLayerParams(data[f"w{i}"].copy(), data[f"b{i}"].copy())
-                  for i in range(meta["num_layers"])]
+                  for i in range(num_layers)]
         model = Model(layers, data["fc_weight"].copy(), data["fc_bias"].copy(),
                       meta["mode"])
-        from .transforms import edge_index
-        idx = edge_index(graph)
-        params = EdgeLogits(graph, meta["k"], data["logits"].copy(), idx)
+        params = EdgeLogits(graph, meta["k"], logits.copy(), idx)
         sched = Schedule(meta["t_init"], meta["t_final"], meta["s_total"])
-        return model, params, meta["step"], sched
+        return model, params, sched

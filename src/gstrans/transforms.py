@@ -80,10 +80,6 @@ class EdgeLogits:
                 logits[s, lo:hi] = row
         return cls(graph, k, logits, idx)
 
-    def row(self, k: int, i: int) -> np.ndarray:
-        lo, hi = self.index.indptr[i], self.index.indptr[i + 1]
-        return self.logits[k, lo:hi]
-
 
 def _segment_softmax(values: np.ndarray, idx: EdgeIndex, t: float) -> np.ndarray:
     counts = idx.counts

@@ -6,12 +6,21 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from gstrans import cli
 from gstrans.cli import main
 from gstrans.transforms import transforms_to_json, HardTransforms
 from gstrans.viz import read_ppm
 
 FAST = ["--ring-n", "8", "--ring-classes", "2", "--ring-samples", "10",
         "--steps", "8", "--k", "2", "--layers", "4", "--batch-size", "8"]
+
+
+def exit_code(argv):
+    """main's return value, or the exit code of an argparse usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def run_train(tmp_path, name="out", extra=()):
@@ -82,6 +91,36 @@ class TestTrainCommand:
         assert lines[-1].split(",")[0] == "4"
 
 
+class TestConfigFile:
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stpes = 3\n")
+        out = tmp_path / "o"
+        rc = exit_code(["train", "--config", str(cfg), "--out-dir", str(out)] + FAST)
+        assert rc == 2
+        assert "stpes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_choice_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sweep-axis = t_bogus\nsweep-values = 2,1\n")
+        out = tmp_path / "o"
+        rc = exit_code(["sweep", "--config", str(cfg), "--out-dir", str(out)] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sweep-axis" in err and "t_bogus" in err
+        assert not (out / "sweep.csv").exists()
+
+    def test_key_spellings_and_downscale(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ring_n = 9\nbatch-size = 4\ndownscale = false\n")
+        argv = ["train", "--config", str(cfg), "--ring-n", "8"]
+        parser = cli.build_parser()
+        args = parser.parse_args(cli._with_config(parser.parse_args(argv), argv))
+        assert (args.ring_n, args.batch_size, args.downscale) == (8, 4, False)
+        assert args.steps == 2000
+
+
 class TestEvalCommand:
     def test_checkpoint_roundtrip(self, tmp_path, capsys):
         out = run_train(tmp_path)
@@ -89,6 +128,13 @@ class TestEvalCommand:
                    "--split", "val"] + FAST)
         assert rc == 0
         assert "val accuracy:" in capsys.readouterr().out
+
+    def test_not_a_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "other.npz"
+        np.savez(path, x=np.zeros(3))
+        rc = main(["eval", "--checkpoint", str(path)] + FAST)
+        assert rc == 2
+        assert "meta" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         rc = main(["eval", "--checkpoint", str(tmp_path / "nope.npz")] + FAST)
@@ -180,6 +226,19 @@ class TestErrors:
                    str(tmp_path / "o")] + FAST)
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        rc = main(["train", "--ring-n", "8", "--ring-classes", "2",
+                   "--ring-samples", "10", "--k", "2", "--layers", "4",
+                   "--batch-size", "8", "--steps", "40", "--optimizer", "sgd",
+                   "--lr", "1e6", "--logit-lr", "1e6", "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "training diverged at step" in errors[0]
+        assert "Traceback" not in err
 
     def test_missing_cifar_dir(self, tmp_path, capsys):
         rc = main(["train", "--dataset", "cifar10", "--data-dir",

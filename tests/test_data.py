@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
-from gstrans.data import (Dataset, downscale_2x, downscale_cifar,
-                          export_dataset_csv, load_cifar10, load_webkb,
-                          make_ring_task, make_splits, nearest_rotation_class)
+from gstrans.data import (Dataset, downscale_2x, downscale_cifar, load_cifar10,
+                          load_webkb, make_ring_task, make_splits)
 from gstrans.errors import IngestionError
+
+
+def nearest_rotation_class(sample: np.ndarray, waves: np.ndarray) -> int:
+    """Brute-force oracle: class whose rotated waveform is closest in L2."""
+    sample = np.asarray(sample, dtype=float).ravel()
+    best, best_c = np.inf, -1
+    for c in range(waves.shape[0]):
+        for shift in range(waves.shape[1]):
+            d = float(np.sum((sample - np.roll(waves[c], shift)) ** 2))
+            if d < best:
+                best, best_c = d, c
+    return best_c
 
 
 def write_cifar_batch(path, labels, images):
@@ -250,19 +261,3 @@ class TestDatasetValidation:
     def test_label_range(self):
         with pytest.raises(ValueError):
             Dataset("signal", [np.zeros((2, 1))], np.array([5]), 2)
-
-
-class TestExportCsv:
-    def test_roundtrip_values(self, tmp_path):
-        ds, _ = make_ring_task(6, 2, 10, 0.05, seed=0)
-        sp, lp = tmp_path / "signals.csv", tmp_path / "labels.csv"
-        export_dataset_csv(ds, sp, lp)
-        lines = sp.read_text().splitlines()
-        assert lines[0] == "sample_id,vertex,channel,value"
-        assert len(lines) == 1 + len(ds.signals) * 6
-        s, v, c, val = lines[1].split(",")
-        assert (s, v, c) == ("0", "0", "0")
-        assert float(val) == pytest.approx(ds.signals[0][0, 0])
-        label_lines = lp.read_text().splitlines()
-        assert label_lines[0] == "sample_id,label"
-        assert label_lines[1] == f"0,{ds.labels[0]}"

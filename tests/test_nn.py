@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from gstrans.data import Dataset, make_ring_task
+from gstrans.errors import TrainingDivergedError
 from gstrans.graph import build_grid_graph, build_ring_graph
 from gstrans.nn import (Adam, Model, SGD, TrainConfig, backward, build_model,
                         cross_entropy, global_average_pool, graph_hash,
                         gsl_forward, load_checkpoint, model_forward,
                         save_checkpoint, train)
-from gstrans.transforms import (EdgeLogits, Schedule, one_hot_soft, soften)
+from gstrans.transforms import (EdgeLogits, Schedule, one_hot_soft, soften,
+                                temperature_at)
 
 
 def identity_soft(graph):
@@ -226,7 +228,7 @@ class TestTrain:
                           batch_size=8, k=2, hidden=(4,), seed=5)
         rng = np.random.default_rng(5)
         init_model = build_model(1, (4,), ds.num_classes, 2, "signal", rng)
-        init_logits = EdgeLogits.init(g, 2, rng, scale=cfg.logit_scale)
+        init_logits = EdgeLogits.init(g, 2, rng)
         model, params, _, _ = train(ds, g, cfg)
         for a, b in zip(model.param_arrays(), init_model.param_arrays()):
             assert np.array_equal(a, b)
@@ -274,6 +276,38 @@ class TestTrain:
         assert history[-1].train_acc == 1.0
 
 
+    def test_signal_records_at_epoch_ends(self):
+        ds, g = tiny_ring_dataset()
+        assert len(ds.splits["train"]) == 20  # 3 batches of 8 per epoch
+        for s_total, steps in ((6, [0, 3, 6]), (7, [0, 3, 6, 7])):
+            cfg = TrainConfig(Schedule(2.0, 0.5, s_total), batch_size=8, k=2,
+                              hidden=(4,), seed=1)
+            _, _, _, history = train(ds, g, cfg)
+            assert [row.step for row in history] == steps
+
+    def test_vertex_records_every_twentieth(self):
+        g = build_grid_graph(3, 3, True)
+        labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
+        x = np.zeros((9, 2))
+        x[np.arange(9), 0] = labels
+        ds = Dataset("vertex", [x], labels, 3,
+                     {"train": np.arange(6), "val": np.arange(6, 9)})
+        cfg = TrainConfig(Schedule(1.0, 0.5, 45), k=2, hidden=(4,), seed=0)
+        _, _, _, history = train(ds, g, cfg)
+        assert [row.step for row in history] == list(range(0, 45, 2)) + [45]
+
+    def test_divergence_carries_step_and_stage(self):
+        ds, g = make_ring_task(8, 2, 10, 0.05, 0)
+        cfg = TrainConfig(Schedule(10.0, 0.01, 40), lr=1e6, logit_lr=1e6,
+                          optimizer="sgd", batch_size=8, k=2, hidden=(4,))
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as info:
+            train(ds, g, cfg)
+        exc = info.value
+        assert 0 < exc.step < 40
+        assert exc.temperature == temperature_at(exc.step, cfg.schedule)
+        assert exc.stage in ("soften", "forward", "backward", "evaluation")
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         ds, g = tiny_ring_dataset()
@@ -281,9 +315,8 @@ class TestCheckpoint:
                           hidden=(4,), seed=2)
         model, params, _, _ = train(ds, g, cfg)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model, params, g, 6, cfg.schedule)
-        model2, params2, step, sched = load_checkpoint(path, g)
-        assert step == 6
+        save_checkpoint(path, model, params, g, cfg.schedule)
+        model2, params2, sched = load_checkpoint(path, g)
         assert sched == cfg.schedule
         assert model2.mode == "signal"
         for a, b in zip(model.param_arrays(), model2.param_arrays()):
@@ -296,9 +329,27 @@ class TestCheckpoint:
                           hidden=(4,), seed=2)
         model, params, _, _ = train(ds, g, cfg)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model, params, g, 4, cfg.schedule)
+        save_checkpoint(path, model, params, g, cfg.schedule)
         with pytest.raises(ValueError):
             load_checkpoint(path, build_ring_graph(9, True))
+
+    def test_malformed_rejected(self, tmp_path):
+        ds, g = tiny_ring_dataset()
+        cfg = TrainConfig(Schedule(2.0, 0.5, 2), batch_size=8, k=2,
+                          hidden=(4,), seed=2)
+        model, params, _, _ = train(ds, g, cfg)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, model, params, g, cfg.schedule)
+        with np.load(path) as f:
+            arrays = dict(f)
+        for name, edit in (("w0", lambda a: a.pop("w0")),
+                           ("logits", lambda a: a.update(logits=a["logits"][:, 1:]))):
+            broken = dict(arrays)
+            edit(broken)
+            bad = tmp_path / f"no_{name}.npz"
+            np.savez(bad, **broken)
+            with pytest.raises(ValueError, match=name):
+                load_checkpoint(bad, g)
 
     def test_graph_hash_sensitivity(self):
         assert graph_hash(build_ring_graph(8, True)) != graph_hash(
