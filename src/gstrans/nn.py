@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import TrainingDivergedError
 from .graph import Graph, write_edge_list
-from .transforms import (EdgeLogits, Schedule, SoftTransforms, edge_index,
-                         harden, soften, soften_backward, temperature_at)
+from .transforms import (EdgeLogits, Schedule, SoftTransforms, harden, soften,
+                         soften_backward, temperature_at)
 
 EPS_LOG = 1e-12
 
@@ -94,22 +94,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _slices_T(soft: SoftTransforms):
-    return [soft.sparse(k).T.tocsr() for k in range(soft.k)]
-
-
-def _slices(soft: SoftTransforms):
-    return [soft.sparse(k) for k in range(soft.k)]
-
-
-def _apply_stack(mats, x: np.ndarray) -> np.ndarray:
-    """Apply each sparse N x N matrix to a (B, N, C) batch; returns (K, B, N, C)."""
-    b, n, c = x.shape
-    flat = x.transpose(1, 0, 2).reshape(n, b * c)
-    out = np.empty((len(mats), b, n, c))
-    for k, m in enumerate(mats):
-        out[k] = (m @ flat).reshape(n, b, c).transpose(1, 0, 2)
-    return out
+def _gsl(m, h: np.ndarray, layer: GSLayerParams):
+    """One graph-signal layer on node-major h, shaped (N, B, C_in), where m
+    is the stacked operator of SoftTransforms.sparse(). Returns u, every
+    S_k^T h as (K, N*B, C_in), and z = sum_k (S_k^T h) W_k + b as (N, B, C_out)."""
+    n, b, c = h.shape
+    u = (m @ h.reshape(n, b * c)).reshape(len(layer.w), n * b, c)
+    z = u[0] @ layer.w[0]
+    for u_k, w_k in zip(u[1:], layer.w[1:]):
+        z += u_k @ w_k
+    z += layer.b
+    return u, z.reshape(n, b, -1)
 
 
 def gsl_forward(x: np.ndarray, s_soft: SoftTransforms, layer: GSLayerParams,
@@ -118,8 +113,7 @@ def gsl_forward(x: np.ndarray, s_soft: SoftTransforms, layer: GSLayerParams,
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != layer.w.shape[1]:
         raise ValueError(f"expected input of shape (N, {layer.w.shape[1]}), got {x.shape}")
-    u = _apply_stack(_slices_T(s_soft), x[None])
-    z = np.einsum("kbnc,kcd->bnd", u, layer.w)[0] + layer.b
+    z = _gsl(s_soft.sparse(), x[:, None, :], layer)[1][:, 0]
     if activation == "relu":
         return _relu(z)
     if activation == "identity":
@@ -135,30 +129,33 @@ def global_average_pool(x: np.ndarray) -> np.ndarray:
 
 
 def _forward_batch(xb: np.ndarray, soft: SoftTransforms, model: Model):
-    """Forward pass on a (B, N, C_in) batch; returns (probs, cache)."""
-    mats_t = _slices_T(soft)
-    h = xb
+    """Forward pass on a (B, N, C_in) batch; returns (probs, cache).
+
+    Activations are node-major, (N, B, C), so that the stacked operator
+    reads and writes them without copies; probs are (B, cls) in signal
+    mode and (B, N, cls) in vertex mode.
+    """
+    m = soft.sparse()
+    h = np.ascontiguousarray(xb.transpose(1, 0, 2), dtype=float)
     layer_cache = []
     last = len(model.gsl_layers) - 1
     for li, layer in enumerate(model.gsl_layers):
         if h.shape[2] != layer.w.shape[1]:
             raise ValueError(
                 f"layer {li}: input has {h.shape[2]} channels, expected {layer.w.shape[1]}")
-        u = _apply_stack(mats_t, h)
-        z = np.einsum("kbnc,kcd->bnd", u, layer.w) + layer.b
-        a = _relu(z) if li < last else z
+        u, z = _gsl(m, h, layer)
         layer_cache.append((h, u, z))
-        h = a
+        h = _relu(z) if li < last else z
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("non-finite activations after graph-signal layers")
-    if model.mode == "signal":
-        pooled = h.mean(axis=1)                      # (B, C)
-        logits = pooled @ model.fc_weight + model.fc_bias
-    else:
-        pooled = h                                   # (B, N, C)
-        logits = h @ model.fc_weight + model.fc_bias  # (B, N, cls)
+    pooled = h.mean(axis=0) if model.mode == "signal" else h   # (B, C) or (N, B, C)
+    logits = pooled @ model.fc_weight + model.fc_bias
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite logits of the fully-connected layer")
     probs = _softmax(logits)
-    cache = {"layers": layer_cache, "h": h, "pooled": pooled, "probs": probs}
+    if model.mode == "vertex":
+        probs = probs.transpose(1, 0, 2)
+    cache = {"m": m, "layers": layer_cache, "pooled": pooled, "probs": probs}
     return probs, cache
 
 
@@ -201,38 +198,32 @@ def _loss_grad_output(probs: np.ndarray, yb: np.ndarray):
 def _backward_batch(xb, yb, soft, model, params, cache):
     """Exact gradients of the mean cross-entropy over the batch."""
     loss, dlogits, acc = _loss_grad_output(cache["probs"], yb)
+    pooled = cache["pooled"]
+    if model.mode == "vertex":
+        dlogits = dlogits.transpose(1, 0, 2)           # node-major, like pooled
+    flat = dlogits.reshape(-1, model.num_classes)
+    dfc_w = pooled.reshape(-1, pooled.shape[-1]).T @ flat
+    dfc_b = flat.sum(axis=0)
+    dh = dlogits @ model.fc_weight.T
     if model.mode == "signal":
-        dfc_w = cache["pooled"].T @ dlogits
-        dfc_b = dlogits.sum(axis=0)
-        dpooled = dlogits @ model.fc_weight.T          # (B, C)
         n = xb.shape[1]
-        dh = np.repeat(dpooled[:, None, :], n, axis=1) / n
-    else:
-        h = cache["h"]
-        dfc_w = np.einsum("bnc,bnd->cd", h, dlogits)
-        dfc_b = dlogits.sum(axis=(0, 1))
-        dh = dlogits @ model.fc_weight.T               # (B, N, C)
+        dh = np.repeat(dh[None] / n, n, axis=0)        # through the vertex mean
 
-    mats = _slices(soft)
-    src, dst = soft.index.src, soft.index.dst
+    m = cache["m"]
     dprobs = np.zeros_like(soft.probs)
     layer_grads: list[tuple[np.ndarray, np.ndarray]] = []
     last = len(model.gsl_layers) - 1
     for li in range(last, -1, -1):
         layer = model.gsl_layers[li]
-        x_in, u, z = cache["layers"][li]
-        dz = dh if li == last else dh * (z > 0)
-        dw = np.einsum("kbnc,bnd->kcd", u, dz)
-        db = dz.sum(axis=(0, 1))
-        g = np.einsum("bnd,kcd->kbnc", dz, layer.w)    # (K, B, N, C_in)
-        for k in range(soft.k):
-            dprobs[k] += np.einsum("bec,bec->e", x_in[:, src, :], g[k][:, dst, :])
+        h, u, z = cache["layers"][li]
+        n, b, c = h.shape
+        dz = (dh if li == last else dh * (z > 0)).reshape(n * b, -1)
+        dw = u.transpose(0, 2, 1) @ dz
+        db = dz.sum(axis=0)
+        g = (dz @ layer.w.transpose(0, 2, 1)).reshape(-1, b * c)  # g_k = dz W_k^T
+        dprobs += soft.probs_grad(h.reshape(n, b * c), g)
         if li > 0:
-            dh = np.zeros_like(x_in)
-            b, n, c = x_in.shape
-            for k in range(soft.k):
-                flat = g[k].transpose(1, 0, 2).reshape(n, b * c)
-                dh += (mats[k] @ flat).reshape(n, b, c).transpose(1, 0, 2)
+            dh = (m.T @ g).reshape(n, b, c)
         layer_grads.append((dw, db))
         if not all(np.isfinite(a).all() for a in (dw, db)):
             raise FloatingPointError(f"non-finite gradient in graph-signal layer {li}")
@@ -341,6 +332,9 @@ def _eval_split(model, params, dataset, idx, t, batch_size=256):
     return float(np.sum(losses) / count), correct / count
 
 
+# non-finite values are detected and raised explicitly; numpy's warnings
+# about them would only repeat that
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset, graph: Graph, config: TrainConfig):
     """Anneal the shared temperature over s_total optimizer steps.
 
@@ -435,10 +429,19 @@ def save_checkpoint(path, model: Model, params: EdgeLogits, graph: Graph,
     np.savez(path, **arrays)
 
 
+def _check_shape(path, name: str, a: np.ndarray, expected: tuple):
+    """Raise ValueError unless a has the expected shape; None matches any size."""
+    if a.ndim != len(expected) or any(e not in (None, s) for s, e in zip(a.shape, expected)):
+        shown = str(tuple("*" if e is None else e for e in expected)).replace("'", "")
+        raise ValueError(f"{path}: {name} has shape {a.shape}, expected {shown}")
+
+
 def load_checkpoint(path, graph: Graph):
     """Returns (model, edge_logits, schedule). Raises ValueError if the file
-    lacks an array, was trained on another graph, or its logits do not fit
-    the graph's support."""
+    lacks an array, was trained on another graph, or an array's shape does
+    not fit the layer chain (w{i} is (k, c_{i-1}, c_i), b{i} is (c_i,),
+    fc_weight is (c_last, classes), fc_bias is (classes,)) or the logits do
+    not fit the graph's support."""
     with np.load(path) as data:
         if "meta" not in data.files:
             raise ValueError(f"{path}: not a gstrans checkpoint (no 'meta' array)")
@@ -453,15 +456,20 @@ def load_checkpoint(path, graph: Graph):
                    if name not in data.files]
         if missing:
             raise ValueError(f"{path}: checkpoint lacks arrays {', '.join(missing)}")
-        idx = edge_index(graph)
-        logits = data["logits"]
-        if logits.shape != (meta["k"], idx.num_entries):
-            raise ValueError(f"{path}: logits have shape {logits.shape}, expected "
-                             f"({meta['k']}, {idx.num_entries}) for this graph")
-        layers = [GSLayerParams(data[f"w{i}"].copy(), data[f"b{i}"].copy())
-                  for i in range(num_layers)]
-        model = Model(layers, data["fc_weight"].copy(), data["fc_bias"].copy(),
-                      meta["mode"])
-        params = EdgeLogits(graph, meta["k"], logits.copy(), idx)
+        k, c_in, layers = meta["k"], None, []
+        for i in range(num_layers):
+            w, b = data[f"w{i}"], data[f"b{i}"]
+            _check_shape(path, f"w{i}", w, (k, c_in, None))
+            _check_shape(path, f"b{i}", b, (w.shape[2],))
+            layers.append(GSLayerParams(w.copy(), b.copy()))
+            c_in = w.shape[2]
+        fc_w, fc_b = data["fc_weight"], data["fc_bias"]
+        _check_shape(path, "fc_weight", fc_w, (c_in, None))
+        _check_shape(path, "fc_bias", fc_b, (fc_w.shape[1],))
+        model = Model(layers, fc_w.copy(), fc_b.copy(), meta["mode"])
+        try:
+            params = EdgeLogits(graph, k, data["logits"].copy())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         sched = Schedule(meta["t_init"], meta["t_final"], meta["s_total"])
         return model, params, sched

@@ -1,8 +1,8 @@
 """The learnable edge-constrained transformation tensor.
 
-Rows are stored per vertex over the neighbor support only (CSR layout
-shared by all K slices), so the edge constraint is structural and the
-masked softmax needs no explicit mask.
+All K slices share one support, the graph's edges: they are stored as one
+(K, E) array over it and applied as one sparse operator, so the edge
+constraint is structural. No other module knows this layout.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ class EdgeIndex:
     indptr: np.ndarray  # (n + 1,)
     src: np.ndarray     # (e,) row index of each entry
     dst: np.ndarray     # (e,) column index (the neighbor), sorted within a row
+    by_dst: np.ndarray  # (e,) the entries sorted by (dst, src): a transposed slice's rows
 
     @property
     def num_entries(self) -> int:
@@ -33,16 +34,24 @@ class EdgeIndex:
 
 
 def edge_index(graph: Graph) -> EdgeIndex:
-    indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    dst = []
-    for i, nbrs in enumerate(graph.neighbors):
-        if not nbrs:
-            raise ValueError(f"vertex {i} has no neighbors; every row needs support")
-        indptr[i + 1] = indptr[i] + len(nbrs)
-        dst.extend(nbrs)
-    dst = np.asarray(dst, dtype=np.int64)
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(indptr))
-    return EdgeIndex(indptr, src, dst)
+    counts = np.array([len(nbrs) for nbrs in graph.neighbors], dtype=np.int64)
+    if not counts.all():
+        raise ValueError(f"vertex {int(np.argmin(counts))} has no neighbors; "
+                         "every row needs support")
+    dst = np.array([j for nbrs in graph.neighbors for j in nbrs], dtype=np.int64)
+    src = np.repeat(np.arange(graph.n, dtype=np.int64), counts)
+    # src is already sorted, so a stable sort on dst orders ties by src
+    return EdgeIndex(np.append(0, np.cumsum(counts)), src, dst,
+                     np.argsort(dst, kind="stable"))
+
+
+def _stacked_transpose(index: EdgeIndex, data: np.ndarray) -> sp.csr_matrix:
+    """(K*N x N) CSR whose k-th block of rows is the transpose of the N x N
+    matrix that holds data[k] on the support."""
+    k, n = len(data), len(index.indptr) - 1
+    cols = np.tile(index.src[index.by_dst], k)
+    indptr = np.append(0, np.cumsum(np.tile(np.bincount(index.dst, minlength=n), k)))
+    return sp.csr_matrix((data[:, index.by_dst].ravel(), cols, indptr), shape=(k * n, n))
 
 
 @dataclass
@@ -52,42 +61,20 @@ class EdgeLogits:
     graph: Graph
     k: int
     logits: np.ndarray  # (k, e), aligned with index.dst
-    index: EdgeIndex = field(repr=False)
+    index: EdgeIndex = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.index = edge_index(self.graph)
+        expected = (self.k, self.index.num_entries)
+        if self.logits.shape != expected:
+            raise ValueError(f"logits have shape {self.logits.shape}, expected "
+                             f"{expected} for this graph")
 
     @classmethod
     def init(cls, graph: Graph, k: int, rng: np.random.Generator,
              scale: float = 0.01) -> "EdgeLogits":
-        idx = edge_index(graph)
-        logits = rng.uniform(-scale, scale, size=(k, idx.num_entries))
-        return cls(graph, k, logits, idx)
-
-    @classmethod
-    def from_rows(cls, graph: Graph, rows: list[list[np.ndarray]]) -> "EdgeLogits":
-        """Build from per-slice, per-vertex logit vectors over the neighbor lists."""
-        idx = edge_index(graph)
-        k = len(rows)
-        logits = np.empty((k, idx.num_entries))
-        for s, slice_rows in enumerate(rows):
-            if len(slice_rows) != graph.n:
-                raise ValueError("one logit vector per vertex is required")
-            for i, row in enumerate(slice_rows):
-                row = np.asarray(row, dtype=float)
-                lo, hi = idx.indptr[i], idx.indptr[i + 1]
-                if len(row) != hi - lo:
-                    raise ValueError(
-                        f"slice {s} vertex {i}: {len(row)} logits for "
-                        f"{hi - lo} neighbors")
-                logits[s, lo:hi] = row
-        return cls(graph, k, logits, idx)
-
-
-def _segment_softmax(values: np.ndarray, idx: EdgeIndex, t: float) -> np.ndarray:
-    counts = idx.counts
-    starts = idx.indptr[:-1]
-    m = np.maximum.reduceat(values, starts)
-    z = np.exp((values - np.repeat(m, counts)) / t)
-    s = np.add.reduceat(z, starts)
-    return z / np.repeat(s, counts)
+        logits = rng.uniform(-scale, scale, size=(k, graph.num_entries()))
+        return cls(graph, k, logits)
 
 
 @dataclass
@@ -107,13 +94,26 @@ class SoftTransforms:
         lo, hi = self.index.indptr[i], self.index.indptr[i + 1]
         return self.probs[k, lo:hi]
 
-    def sparse(self, k: int) -> sp.csr_matrix:
-        n = self.graph.n
-        return sp.csr_matrix((self.probs[k], self.index.dst, self.index.indptr),
-                             shape=(n, n))
+    def sparse(self) -> sp.csr_matrix:
+        """The (K*N x N) operator M whose k-th block of rows is S_k^T.
+
+        For x of shape (N, F), M @ x stacks every S_k^T x; for g of shape
+        (K*N, F), M.T @ g is sum_k S_k g_k.
+        """
+        return _stacked_transpose(self.index, self.probs)
+
+    def probs_grad(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Gradient of sum(g * (M @ x)) w.r.t. probs, for x of shape (N, F)
+        and g of shape (K*N, F): entry (k, e) is x[src_e] . g_k[dst_e]."""
+        xs = x[self.index.src]
+        out = np.empty_like(self.probs)
+        for k, g_k in enumerate(g.reshape(self.k, -1, g.shape[1])):
+            out[k] = np.vecdot(xs, g_k[self.index.dst])
+        return out
 
     def dense(self, k: int) -> np.ndarray:
-        return self.sparse(k).toarray()
+        n = self.graph.n
+        return self.sparse()[k * n:(k + 1) * n].T.toarray()
 
 
 def soften(params: EdgeLogits, t: float) -> SoftTransforms:
@@ -122,22 +122,21 @@ def soften(params: EdgeLogits, t: float) -> SoftTransforms:
         raise ValueError(f"temperature must be positive, got {t}")
     if not np.all(np.isfinite(params.logits)):
         raise FloatingPointError("non-finite logits")
-    probs = np.vstack([_segment_softmax(params.logits[k], params.index, t)
-                       for k in range(params.k)])
-    return SoftTransforms(params.graph, probs, t, params.index)
+    idx = params.index
+    starts, counts = idx.indptr[:-1], idx.counts
+    top = np.maximum.reduceat(params.logits, starts, axis=1)
+    z = np.exp((params.logits - np.repeat(top, counts, axis=1)) / t)
+    total = np.add.reduceat(z, starts, axis=1)
+    return SoftTransforms(params.graph, z / np.repeat(total, counts, axis=1), t, idx)
 
 
 def soften_backward(params: EdgeLogits, soft: SoftTransforms,
                     dprobs: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. logits given the gradient w.r.t. the soft probabilities."""
     idx = params.index
-    counts, starts = idx.counts, idx.indptr[:-1]
-    out = np.empty_like(dprobs)
-    for k in range(params.k):
-        p, dp = soft.probs[k], dprobs[k]
-        dot = np.add.reduceat(dp * p, starts)
-        out[k] = p * (dp - np.repeat(dot, counts)) / soft.temperature
-    return out
+    p = soft.probs
+    dot = np.add.reduceat(dprobs * p, idx.indptr[:-1], axis=1)
+    return p * (dprobs - np.repeat(dot, idx.counts, axis=1)) / soft.temperature
 
 
 @dataclass(frozen=True)
@@ -157,15 +156,15 @@ class HardTransforms:
 
 def harden(params: EdgeLogits) -> HardTransforms:
     """Row-wise argmax of the logits; ties go to the smallest vertex index."""
+    if not np.all(np.isfinite(params.logits)):
+        raise FloatingPointError("non-finite logits")
     idx = params.index
-    n = params.graph.n
-    targets = np.empty((params.k, n), dtype=np.int64)
-    for k in range(params.k):
-        for i in range(n):
-            lo, hi = idx.indptr[i], idx.indptr[i + 1]
-            # neighbor lists are sorted, so the first argmax is the smallest index
-            targets[k, i] = idx.dst[lo + int(np.argmax(params.logits[k, lo:hi]))]
-    return HardTransforms(n, targets)
+    starts, counts = idx.indptr[:-1], idx.counts
+    top = np.repeat(np.maximum.reduceat(params.logits, starts, axis=1), counts, axis=1)
+    # neighbor lists are sorted, so the first maximal entry has the smallest index
+    entry = np.where(params.logits == top, np.arange(idx.num_entries), idx.num_entries)
+    return HardTransforms(params.graph.n,
+                          idx.dst[np.minimum.reduceat(entry, starts, axis=1)])
 
 
 def one_hot_soft(graph: Graph, targets: np.ndarray,
@@ -173,45 +172,36 @@ def one_hot_soft(graph: Graph, targets: np.ndarray,
     """Exact one-hot SoftTransforms from explicit vertex -> neighbor maps."""
     targets = np.asarray(targets, dtype=np.int64)
     idx = edge_index(graph)
-    k, n = targets.shape
+    _, n = targets.shape
     if n != graph.n:
         raise ValueError(f"targets cover {n} vertices, graph has {graph.n}")
-    probs = np.zeros((k, idx.num_entries))
-    for s in range(k):
-        for i in range(n):
-            lo, hi = idx.indptr[i], idx.indptr[i + 1]
-            pos = np.nonzero(idx.dst[lo:hi] == targets[s, i])[0]
-            if not pos.size:
-                raise ValueError(
-                    f"slice {s}: target {targets[s, i]} is not a neighbor of {i}")
-            probs[s, lo + pos[0]] = 1.0
+    probs = (idx.dst == targets[:, idx.src]).astype(float)
+    missing = np.argwhere(np.add.reduceat(probs, idx.indptr[:-1], axis=1) == 0)
+    if len(missing):
+        s, i = missing[0]
+        raise ValueError(f"slice {s}: target {targets[s, i]} is not a neighbor of {i}")
     return SoftTransforms(graph, probs, temperature, idx)
+
+
+def _weighted_transpose(s_soft: SoftTransforms, w: np.ndarray) -> sp.csr_matrix:
+    """(sum_k w[k] * S_k)^T: the shared pattern with data w @ probs."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (s_soft.k,):
+        raise ValueError(f"expected weight vector of length {s_soft.k}, got shape {w.shape}")
+    return _stacked_transpose(s_soft.index, (w @ s_soft.probs)[None])
 
 
 def mode3_product(s_soft: SoftTransforms, w: np.ndarray) -> np.ndarray:
     """Weighted sum of slices: the N x N matrix sum_k w[k] * S_k."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (s_soft.k,):
-        raise ValueError(f"expected weight vector of length {s_soft.k}, got shape {w.shape}")
-    n = s_soft.graph.n
-    out = np.zeros((n, n))
-    for k in range(s_soft.k):
-        np.add.at(out, (s_soft.index.src, s_soft.index.dst), w[k] * s_soft.probs[k])
-    return out
+    return _weighted_transpose(s_soft, w).T.toarray()
 
 
 def convolve(signal: np.ndarray, s_soft: SoftTransforms, w: np.ndarray) -> np.ndarray:
     """Pseudo-convolution s^T (S x_3 w), returned as a vector."""
     signal = np.asarray(signal, dtype=float)
-    w = np.asarray(w, dtype=float)
     if signal.shape != (s_soft.graph.n,):
         raise ValueError(f"expected signal of length {s_soft.graph.n}, got shape {signal.shape}")
-    if w.shape != (s_soft.k,):
-        raise ValueError(f"expected weight vector of length {s_soft.k}, got shape {w.shape}")
-    out = np.zeros(s_soft.graph.n)
-    for k in range(s_soft.k):
-        out += w[k] * (s_soft.sparse(k).T @ signal)
-    return out
+    return _weighted_transpose(s_soft, w) @ signal
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,12 @@ import pytest
 from gstrans.data import Dataset, make_ring_task
 from gstrans.errors import TrainingDivergedError
 from gstrans.graph import build_grid_graph, build_ring_graph
-from gstrans.nn import (Adam, Model, SGD, TrainConfig, backward, build_model,
-                        cross_entropy, global_average_pool, graph_hash,
-                        gsl_forward, load_checkpoint, model_forward,
-                        save_checkpoint, train)
+from gstrans.nn import (Adam, Model, SGD, TrainConfig, _backward_batch,
+                        _forward_batch, backward, build_model, cross_entropy,
+                        global_average_pool, graph_hash, gsl_forward,
+                        load_checkpoint, model_forward, save_checkpoint, train)
 from gstrans.transforms import (EdgeLogits, Schedule, one_hot_soft, soften,
-                                temperature_at)
+                                soften_backward, temperature_at)
 
 
 def identity_soft(graph):
@@ -343,10 +343,15 @@ class TestCheckpoint:
         with np.load(path) as f:
             arrays = dict(f)
         for name, edit in (("w0", lambda a: a.pop("w0")),
-                           ("logits", lambda a: a.update(logits=a["logits"][:, 1:]))):
+                           ("logits", lambda a: a.update(logits=a["logits"][:, 1:])),
+                           # one slice more than the checkpoint's k
+                           ("w0", lambda a: a.update(w0=np.concatenate([a["w0"], a["w0"][:1]]))),
+                           ("b0", lambda a: a.update(b0=a["b0"][1:])),
+                           ("fc_weight", lambda a: a.update(fc_weight=a["fc_weight"][1:])),
+                           ("fc_bias", lambda a: a.update(fc_bias=np.append(a["fc_bias"], 0.0)))):
             broken = dict(arrays)
             edit(broken)
-            bad = tmp_path / f"no_{name}.npz"
+            bad = tmp_path / "broken.npz"
             np.savez(bad, **broken)
             with pytest.raises(ValueError, match=name):
                 load_checkpoint(bad, g)
@@ -364,3 +369,74 @@ class TestTrainConfigValidation:
     def test_bad_optimizer(self):
         with pytest.raises(ValueError):
             TrainConfig(Schedule(1.0, 0.5, 5), optimizer="rmsprop")
+
+
+def dense_oracle(xb, yb, soft, model, params):
+    """Probabilities, loss and gradients from dense per-sample passes: layer
+    z = sum_k S_k^T x W_k + b with S_k = soft.dense(k), backpropagated by
+    hand, one sample at a time."""
+    s = [soft.dense(k) for k in range(soft.k)]
+    layers, last = model.gsl_layers, len(model.gsl_layers) - 1
+    count = int((yb >= 0).sum())
+    dws = [np.zeros_like(layer.w) for layer in layers]
+    dbs = [np.zeros_like(layer.b) for layer in layers]
+    dfc_w, dfc_b = np.zeros_like(model.fc_weight), np.zeros_like(model.fc_bias)
+    ds = np.zeros((soft.k,) + s[0].shape)
+    probs, loss = [], 0.0
+    for x, y in zip(xb, yb):
+        hs, zs = [x], []
+        for li, layer in enumerate(layers):
+            z = sum(s[k].T @ hs[-1] @ layer.w[k] for k in range(soft.k)) + layer.b
+            zs.append(z)
+            hs.append(np.maximum(z, 0.0) if li < last else z)
+        pooled = hs[-1].mean(axis=0) if model.mode == "signal" else hs[-1]
+        logits = pooled @ model.fc_weight + model.fc_bias
+        p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        probs.append(p)
+        # gradient of the batch-mean cross-entropy w.r.t. this sample's logits
+        y, d = np.atleast_1d(y), np.atleast_2d(p).copy()
+        rows = np.nonzero(y >= 0)[0]
+        loss -= np.log(d[rows, y[rows]]).sum() / count
+        d[rows, y[rows]] -= 1.0
+        d[y < 0] = 0.0
+        d /= count
+        dfc_w += np.atleast_2d(pooled).T @ d
+        dfc_b += d.sum(axis=0)
+        dh = d @ model.fc_weight.T
+        if model.mode == "signal":
+            dh = np.repeat(dh / x.shape[0], x.shape[0], axis=0)
+        for li in range(last, -1, -1):
+            dz = dh if li == last else dh * (zs[li] > 0)
+            w = layers[li].w
+            for k in range(soft.k):
+                dws[li][k] += (s[k].T @ hs[li]).T @ dz
+                ds[k] += hs[li] @ (dz @ w[k].T).T
+            dbs[li] += dz.sum(axis=0)
+            dh = sum(s[k] @ dz @ w[k].T for k in range(soft.k))
+    support = soft.graph.adjacency() > 0  # row-major order is the entry order
+    dprobs = np.array([ds[k][support] for k in range(soft.k)])
+    grads = [a for pair in zip(dws, dbs) for a in pair] + [
+        dfc_w, dfc_b, soften_backward(params, soft, dprobs)]
+    return np.array(probs), loss, grads
+
+
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("mode", ["signal", "vertex"])
+    def test_batched_matches_dense_oracle(self, mode):
+        g = build_grid_graph(4, 5, True)
+        rng = np.random.default_rng(20)
+        model = build_model(2, (4, 3), 3, 5, mode, rng)
+        params = EdgeLogits.init(g, 5, rng, scale=1.0)
+        soft = soften(params, 0.6)
+        xb = rng.standard_normal((3, g.n, 2))
+        yb = (rng.integers(0, 3, size=3) if mode == "signal"
+              else rng.integers(-1, 3, size=(3, g.n)))
+        probs, cache = _forward_batch(xb, soft, model)
+        loss, _, grads = _backward_batch(xb, yb, soft, model, params, cache)
+        probs_o, loss_o, grads_o = dense_oracle(xb, yb, soft, model, params)
+        assert np.allclose(probs, probs_o, rtol=0, atol=1e-12)
+        assert loss == pytest.approx(loss_o, abs=1e-12)
+        for a, b in zip(grads.arrays(), grads_o):
+            assert a.shape == b.shape
+            assert np.allclose(a, b, rtol=0, atol=1e-12)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gstrans.graph import Graph, build_grid_graph, build_ring_graph
 from gstrans.transforms import (EdgeLogits, HardTransforms, Schedule, apply_hard,
                                 convolve, harden, mode3_product, one_hot_soft,
-                                soften, temperature_at, transforms_from_json,
-                                transforms_to_json)
+                                soften, soften_backward, temperature_at,
+                                transforms_from_json, transforms_to_json)
 
 
 def ring_rotation_soft(n):
@@ -20,7 +22,8 @@ def ring_rotation_soft(n):
 
 
 def single_slice_logits(graph, rows):
-    return EdgeLogits.from_rows(graph, [rows])
+    """One slice from per-vertex logit vectors over the neighbor lists."""
+    return EdgeLogits(graph, 1, np.concatenate(rows, dtype=float)[None])
 
 
 class TestSoften:
@@ -99,6 +102,12 @@ class TestHarden:
         hard = harden(params)
         assert hard.slice(0)[0] == 0
         assert hard.slice(0)[3] == 0
+
+    def test_non_finite_logits(self):
+        params = EdgeLogits.init(build_ring_graph(4, True), 2, np.random.default_rng(0))
+        params.logits[1, 3] = np.nan
+        with pytest.raises(FloatingPointError):
+            harden(params)
 
     @pytest.mark.parametrize("t", [1e-2, 1.0, 1e2])
     def test_matches_soften_argmax(self, t):
@@ -261,3 +270,59 @@ class TestTransformsJson:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             transforms_from_json('{"n": 3, "k": 1, "targets": [[0, 1]]}')
+
+
+# property checks over the anneal range: temperatures 1e-4 ... 1e3, logits up
+# to +-1e3, K up to 5, on ring and grid supports
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SUPPORTS = st.one_of(st.builds(build_ring_graph, st.integers(3, 9), st.booleans()),
+                     st.builds(build_grid_graph, st.integers(1, 4), st.integers(1, 4)))
+TEMPERATURES = st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def edge_logits(draw, values):
+    g = draw(SUPPORTS)
+    k = draw(st.integers(1, 5))
+    logits = draw(hnp.arrays(float, (k, g.num_entries()), elements=values))
+    return EdgeLogits(g, k, logits)
+
+
+class TestSoftenProperties:
+    @PROPERTY
+    @given(edge_logits(st.floats(-1e3, 1e3)), TEMPERATURES)
+    def test_rows_finite_and_stochastic(self, params, t):
+        probs = soften(params, t).probs
+        assert np.all(np.isfinite(probs))
+        sums = np.add.reduceat(probs, params.index.indptr[:-1], axis=1)
+        assert np.all(np.abs(sums - 1.0) <= 1e-12)
+
+    @PROPERTY
+    @given(edge_logits(st.floats(-5.0, 5.0)), st.floats(-1.0, 3.0).map(lambda e: 10.0 ** e),
+           st.data())
+    def test_backward_matches_central_differences(self, params, t, data):
+        dprobs = data.draw(hnp.arrays(float, params.logits.shape,
+                                      elements=st.floats(-1.0, 1.0)))
+        analytic = soften_backward(params, soften(params, t), dprobs)
+        h = 1e-6
+        numeric = np.zeros_like(params.logits)
+        for ix in np.ndindex(params.logits.shape):
+            orig = params.logits[ix]
+            params.logits[ix] = orig + h
+            up = np.sum(dprobs * soften(params, t).probs)
+            params.logits[ix] = orig - h
+            down = np.sum(dprobs * soften(params, t).probs)
+            params.logits[ix] = orig
+            numeric[ix] = (up - down) / (2 * h)
+        assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
+
+    @PROPERTY
+    @given(edge_logits(st.integers(-8000, 8000).map(lambda v: v / 8)))
+    def test_harden_is_argmax_of_cold_soften(self, params):
+        # logits on a 1/8 grid: distinct values stay distinct at t = 1e-4,
+        # equal ones tie, and np.argmax takes the first (smallest) neighbor
+        soft, hard = soften(params, 1e-4), harden(params)
+        for k in range(params.k):
+            for i in range(params.graph.n):
+                j = params.graph.neighbors[i][int(np.argmax(soft.row(k, i)))]
+                assert hard.slice(k)[i] == j
