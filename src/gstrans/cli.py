@@ -53,6 +53,14 @@ def _with_config(args, argv: list[str]) -> list[str]:
     return argv[:i + 1] + flags + argv[i + 1:]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_layers(args) -> tuple[int, ...]:
     text = args.layers or LAYER_DEFAULTS.get(args.dataset, "16,16")
     return tuple(int(x) for x in text.split(",") if x.strip())
@@ -87,7 +95,7 @@ def _load_dataset(args):
 
     height = args.height or (grid[0] if grid else None)
     width = args.width or (grid[1] if grid else None)
-    n = ds.signals[0].shape[0]
+    n = ds.signals.shape[1]
 
     if args.graph == "auto":
         if g is None:
@@ -99,8 +107,7 @@ def _load_dataset(args):
     elif args.graph == "ring":
         g = graph_mod.build_ring_graph(n, True)
     elif args.graph == "knn-covariance":
-        train_idx = ds.splits["train"]
-        samples = np.stack([ds.signals[i].mean(axis=1) for i in train_idx])
+        samples = ds.signals[ds.splits["train"]].mean(axis=2)
         g = graph_mod.build_knn_covariance_graph(samples, args.knn)
     else:  # edge-list
         if not args.edge_list or not Path(args.edge_list).is_file():
@@ -235,6 +242,9 @@ def cmd_viz(args) -> int:
 def cmd_eval(args) -> int:
     ds, g, _ = _load_dataset(args)
     model, params, sched = nn.load_checkpoint(args.checkpoint, g)
+    if model.num_classes != ds.num_classes:
+        raise ValueError(f"checkpoint has {model.num_classes} classes, "
+                         f"dataset has {ds.num_classes}")
     acc = evaluate.evaluate_accuracy(model, params, ds, args.split, sched.t_final)
     print(f"{args.split} accuracy: {acc:.4f}")
     return 0
@@ -270,17 +280,17 @@ def _add_common(p):
     p.add_argument("--k", type=int, default=5, help="number of transformation slices")
     p.add_argument("--t-init", type=float, default=10.0)
     p.add_argument("--t-final", type=float, default=0.01)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--steps", type=_positive_int, default=2000)
+    p.add_argument("--epochs", type=_positive_int)
     p.add_argument("--lr", type=float)
     p.add_argument("--logit-lr", type=float)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
     p.add_argument("--layers", help="comma-separated GSL channel widths")
     p.add_argument("--knn", type=int, default=5,
                    help="neighbors for the covariance graph")
     p.add_argument("--no-downscale", dest="downscale", action="store_false")
-    p.add_argument("--max-train", type=int)
+    p.add_argument("--max-train", type=_positive_int)
     p.add_argument("--ring-n", type=int, default=16)
     p.add_argument("--ring-classes", type=int, default=4)
     p.add_argument("--ring-samples", type=int, default=200)
@@ -302,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--sweep-axis", choices=["t-init", "t-final"])
     p.add_argument("--sweep-values", help="comma-separated grid values")
-    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--repeats", type=_positive_int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("viz", help="render hardened transforms as SVG/PPM")

@@ -27,7 +27,7 @@ class Dataset:
     """
 
     mode: str                      # "signal" | "vertex"
-    signals: list[np.ndarray]
+    signals: np.ndarray            # (S, N, C) float64; S = 1 in vertex mode
     labels: np.ndarray             # (num_samples,) or (N,)
     num_classes: int
     splits: dict[str, np.ndarray] = field(default_factory=dict)
@@ -35,6 +35,10 @@ class Dataset:
     def __post_init__(self):
         if self.mode not in ("signal", "vertex"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        self.signals = np.asarray(self.signals, dtype=float)
+        if self.signals.ndim != 3:
+            raise ValueError(f"signals must be (samples, vertices, channels), "
+                             f"got shape {self.signals.shape}")
         if self.mode == "vertex" and len(self.signals) != 1:
             raise ValueError("vertex mode carries exactly one signal matrix")
         labeled = self.labels[self.labels >= 0]
@@ -42,18 +46,17 @@ class Dataset:
             raise ValueError("labels out of range")
 
 
-def _parse_cifar_batch(raw: bytes, path) -> tuple[np.ndarray, np.ndarray]:
+def _parse_cifar_batch(raw: bytes, path) -> np.ndarray:
+    """The file's (n, 3073) uint8 records, each a label byte and 3072 pixels."""
     if len(raw) % CIFAR_RECORD_BYTES != 0:
         valid = len(raw) - len(raw) % CIFAR_RECORD_BYTES
         raise IngestionError(f"{path}: truncated record at byte offset {valid}")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-    labels = arr[:, 0].astype(np.int64)
-    bad = np.nonzero(labels > 9)[0]
+    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+    bad = np.nonzero(records[:, 0] > 9)[0]
     if bad.size:
-        raise IngestionError(f"{path}: record {bad[0]} has label byte {labels[bad[0]]} > 9")
-    # channel-planar R,G,B planes of 1024 bytes each, row-major 32x32
-    pixels = arr[:, 1:].reshape(-1, 3, 1024).transpose(0, 2, 1).astype(float) / 255.0
-    return pixels, labels
+        raise IngestionError(
+            f"{path}: record {bad[0]} has label byte {records[bad[0], 0]} > 9")
+    return records
 
 
 def load_cifar10(path, val_fraction: float = 0.1) -> Dataset:
@@ -66,41 +69,38 @@ def load_cifar10(path, val_fraction: float = 0.1) -> Dataset:
     train_files = sorted(path.glob("data_batch_*.bin"))
     if not train_files:
         raise IngestionError(f"no data_batch_*.bin files found in {path}")
-    signals: list[np.ndarray] = []
-    labels: list[int] = []
-    for f in train_files:
-        px, lb = _parse_cifar_batch(f.read_bytes(), f)
-        signals.extend(px)
-        labels.extend(lb)
-    n_train_total = len(signals)
     test_file = path / "test_batch.bin"
-    test_idx = np.empty(0, dtype=np.int64)
-    if test_file.exists():
-        px, lb = _parse_cifar_batch(test_file.read_bytes(), test_file)
-        test_idx = np.arange(n_train_total, n_train_total + len(px))
-        signals.extend(px)
-        labels.extend(lb)
+    files = train_files + ([test_file] if test_file.exists() else [])
+    parts = [_parse_cifar_batch(f.read_bytes(), f) for f in files]
+    n_train_total = sum(len(p) for p in parts[:len(train_files)])
+    records = np.concatenate(parts)
+    # channel-planar R,G,B planes of 1024 bytes each, row-major 32x32; the
+    # floats keep that planar memory layout, since a C-order copy would cost
+    # a strided transpose of the whole array and change the summation order,
+    # and so the last bits, of downscale_2x
+    pixels = records[:, 1:].reshape(-1, 3, 1024).transpose(0, 2, 1) / 255.0
     n_val = int(round(val_fraction * n_train_total))
     splits = {
         "train": np.arange(0, n_train_total - n_val),
         "val": np.arange(n_train_total - n_val, n_train_total),
-        "test": test_idx,
+        "test": np.arange(n_train_total, len(records)),
     }
-    return Dataset("signal", signals, np.asarray(labels), 10, splits)
+    return Dataset("signal", pixels, records[:, 0].astype(np.int64), 10, splits)
 
 
 def downscale_2x(image: np.ndarray) -> np.ndarray:
-    """Mean over non-overlapping 2x2 blocks, per channel: 32x32x3 -> 16x16x3."""
+    """Mean over non-overlapping 2x2 blocks, per channel:
+    (..., 32, 32, 3) -> (..., 16, 16, 3)."""
     image = np.asarray(image, dtype=float)
-    if image.shape != (32, 32, 3):
-        raise ValueError(f"expected a 32x32x3 image, got shape {image.shape}")
-    return image.reshape(16, 2, 16, 2, 3).mean(axis=(1, 3))
+    if image.shape[-3:] != (32, 32, 3):
+        raise ValueError(f"expected 32x32x3 images, got shape {image.shape}")
+    return image.reshape(*image.shape[:-3], 16, 2, 16, 2, 3).mean(axis=(-4, -2))
 
 
 def downscale_cifar(dataset: Dataset) -> Dataset:
     """Map every 1024-vertex CIFAR signal to the 256-vertex 16x16 grid."""
-    signals = [downscale_2x(s.reshape(32, 32, 3)).reshape(256, 3)
-               for s in dataset.signals]
+    s = len(dataset.signals)
+    signals = downscale_2x(dataset.signals.reshape(s, 32, 32, 3)).reshape(s, 256, 3)
     return Dataset(dataset.mode, signals, dataset.labels, dataset.num_classes,
                    dataset.splits)
 
@@ -155,7 +155,7 @@ def load_webkb(content_path, cites_path) -> tuple[Dataset, Graph]:
         log.info("dropped %d citations referencing unknown page ids", dropped)
     graph = _from_sets(n, sets, True)
     x = np.vstack(feats)
-    dataset = Dataset("vertex", [x], np.asarray(labels), len(WEBKB_CLASSES))
+    dataset = Dataset("vertex", x[None], np.asarray(labels), len(WEBKB_CLASSES))
     dataset.splits = make_splits(dataset, (0.6, 0.2, 0.2), 1, seed=0)[0]
     return dataset, graph
 
@@ -184,7 +184,7 @@ def make_ring_task(n: int, num_classes: int, samples_per_class: int,
             s = np.roll(waves[c], shift) + noise_std * rng.standard_normal(n)
             signals.append(s[:, None])
             labels.append(c)
-    dataset = Dataset("signal", signals, np.asarray(labels), num_classes)
+    dataset = Dataset("signal", np.stack(signals), np.asarray(labels), num_classes)
     dataset.splits = make_splits(dataset, (0.8, 0.1, 0.1), 1, seed=seed)[0]
     return dataset, build_ring_graph(n, True)
 

@@ -49,21 +49,6 @@ class Model:
         return out
 
 
-@dataclass
-class Grads:
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    fc_weight: np.ndarray
-    fc_bias: np.ndarray
-    logits: np.ndarray
-
-    def arrays(self) -> list[np.ndarray]:
-        out = []
-        for dw, db in self.layers:
-            out.extend([dw, db])
-        out.extend([self.fc_weight, self.fc_bias, self.logits])
-        return out
-
-
 def build_model(in_channels: int, hidden: tuple[int, ...], num_classes: int,
                 k: int, mode: str, rng: np.random.Generator) -> Model:
     """Fan-in-scaled uniform weight init, zero biases."""
@@ -71,6 +56,9 @@ def build_model(in_channels: int, hidden: tuple[int, ...], num_classes: int,
         raise ValueError("need at least 2 classes")
     if not hidden:
         raise ValueError("need at least one graph-signal layer")
+    if k < 1 or min(hidden) < 1:
+        raise ValueError(f"need k >= 1 slices and layer widths >= 1, "
+                         f"got k={k}, widths {','.join(map(str, hidden))}")
     layers = []
     c_in = in_channels
     for c_out in hidden:
@@ -119,13 +107,6 @@ def gsl_forward(x: np.ndarray, s_soft: SoftTransforms, layer: GSLayerParams,
     if activation == "identity":
         return z
     raise ValueError(f"unknown activation {activation!r}")
-
-
-def global_average_pool(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("expected a non-empty (N, C) matrix")
-    return x.mean(axis=0)
 
 
 def _forward_batch(xb: np.ndarray, soft: SoftTransforms, model: Model):
@@ -196,7 +177,8 @@ def _loss_grad_output(probs: np.ndarray, yb: np.ndarray):
 
 
 def _backward_batch(xb, yb, soft, model, params, cache):
-    """Exact gradients of the mean cross-entropy over the batch."""
+    """Mean cross-entropy over the batch, accuracy, and the exact gradients
+    in model.param_arrays() + [params.logits] order."""
     loss, dlogits, acc = _loss_grad_output(cache["probs"], yb)
     pooled = cache["pooled"]
     if model.mode == "vertex":
@@ -211,7 +193,7 @@ def _backward_batch(xb, yb, soft, model, params, cache):
 
     m = cache["m"]
     dprobs = np.zeros_like(soft.probs)
-    layer_grads: list[tuple[np.ndarray, np.ndarray]] = []
+    grads: list[np.ndarray] = []
     last = len(model.gsl_layers) - 1
     for li in range(last, -1, -1):
         layer = model.gsl_layers[li]
@@ -224,16 +206,17 @@ def _backward_batch(xb, yb, soft, model, params, cache):
         dprobs += soft.probs_grad(h.reshape(n, b * c), g)
         if li > 0:
             dh = (m.T @ g).reshape(n, b, c)
-        layer_grads.append((dw, db))
+        grads = [dw, db] + grads
         if not all(np.isfinite(a).all() for a in (dw, db)):
             raise FloatingPointError(f"non-finite gradient in graph-signal layer {li}")
-    layer_grads.reverse()
-    dlog = soften_backward(params, soft, dprobs)
-    return loss, acc, Grads(layer_grads, dfc_w, dfc_b, dlog)
+    grads += [dfc_w, dfc_b, soften_backward(params, soft, dprobs)]
+    return loss, acc, grads
 
 
-def backward(x: np.ndarray, y, model: Model, params: EdgeLogits, t: float) -> Grads:
-    """Gradients of the cross-entropy loss for one sample w.r.t. all parameters."""
+def backward(x: np.ndarray, y, model: Model, params: EdgeLogits,
+             t: float) -> list[np.ndarray]:
+    """Gradients of the cross-entropy loss for one sample w.r.t. all
+    parameters, in model.param_arrays() + [params.logits] order."""
     soft = soften(params, t)
     xb = np.asarray(x, dtype=float)[None]
     yb = np.asarray([y]) if model.mode == "signal" else np.asarray(y)[None]
@@ -309,12 +292,12 @@ def _batches(dataset, idx, batch_size, rng=None):
     if dataset.mode == "vertex":
         y = np.full(len(dataset.labels), -1, dtype=np.int64)
         y[idx] = dataset.labels[idx]
-        yield dataset.signals[0][None], y[None]
+        yield dataset.signals, y[None]
         return
     order = idx if rng is None else rng.permutation(idx)
     for lo in range(0, len(order), batch_size):
         chunk = order[lo:lo + batch_size]
-        yield np.stack([dataset.signals[i] for i in chunk]), dataset.labels[chunk]
+        yield dataset.signals[chunk], dataset.labels[chunk]
 
 
 def _eval_split(model, params, dataset, idx, t, batch_size=256):
@@ -345,7 +328,7 @@ def train(dataset, graph: Graph, config: TrainConfig):
     if not dataset.splits["train"].size:
         raise ValueError("empty training split")
     rng = np.random.default_rng(config.seed)
-    in_channels = dataset.signals[0].shape[1]
+    in_channels = dataset.signals.shape[2]
     model = build_model(in_channels, tuple(config.hidden), dataset.num_classes,
                         config.k, dataset.mode, rng)
     params = EdgeLogits.init(graph, config.k, rng)
@@ -383,9 +366,8 @@ def train(dataset, graph: Graph, config: TrainConfig):
                 loss, _, grads = _backward_batch(xb, yb, soft, model, params, cache)
                 if not np.isfinite(loss):
                     raise FloatingPointError("non-finite loss")
-                arrs = grads.arrays()
-                opt.step(model_arrays, arrs[:-1])
-                opt_logits.step([params.logits], [arrs[-1]])
+                opt.step(model_arrays, grads[:-1])
+                opt_logits.step([params.logits], grads[-1:])
                 step += 1
                 if step == sched.s_total:
                     break

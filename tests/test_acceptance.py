@@ -73,11 +73,11 @@ class TestGradientCorrectness:
         params = EdgeLogits.init(g, 3, rng, scale=0.5)
         x = rng.standard_normal((8, 1))
         y, t = 2, 0.9
-        analytic = backward(x, y, model, params, t).arrays()
+        analytic = backward(x, y, model, params, t)
         arrays = model.param_arrays() + [params.logits]
         h = 1e-5
         rel_errors = []
-        for a, ga in zip(arrays, analytic):
+        for a, ga in zip(arrays, analytic, strict=True):
             it = np.nditer(a, flags=["multi_index"])
             for _ in it:
                 ix = it.multi_index

@@ -8,7 +8,8 @@ import pytest
 
 from gstrans import cli
 from gstrans.cli import main
-from gstrans.transforms import transforms_to_json, HardTransforms
+from gstrans.evaluate import canonical_transforms, nearest_canonical, transform_distance
+from gstrans.transforms import transforms_from_json, transforms_to_json, HardTransforms
 from gstrans.viz import read_ppm
 
 FAST = ["--ring-n", "8", "--ring-classes", "2", "--ring-samples", "10",
@@ -141,6 +142,15 @@ class TestEvalCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_class_count_mismatch(self, tmp_path, capsys):
+        out = run_train(tmp_path)                 # FAST has 2 ring classes
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(out / "checkpoint.npz")] + FAST
+                  + ["--ring-classes", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2 classes" in err and "has 3" in err
+
 
 class TestVizCommand:
     def grid_transforms(self, tmp_path, h=2, w=3):
@@ -188,21 +198,33 @@ class TestVizCommand:
 
 
 class TestSweepCommand:
-    def test_grid_rows(self, tmp_path):
+    def test_grid_rows(self, tmp_path, capsys):
+        grid = ["--height", "2", "--width", "4"]
         out = tmp_path / "sweep"
         rc = main(["sweep", "--sweep-axis", "t-init", "--sweep-values", "2,1",
-                   "--out-dir", str(out), "--height", "2", "--width", "4"] + FAST)
+                   "--repeats", "1", "--out-dir", str(out)] + grid + FAST)
         assert rc == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == ("t_init,t_final,accuracy,distance_identity,"
                             "distance_up,distance_down,distance_dilation,"
                             "distance_mean")
         assert len(lines) == 3
-        for line in lines[1:]:
-            vals = line.split(",")
-            assert float(vals[2]) <= 1.0
-            assert all(0.0 <= float(v) <= 1.0 for v in vals[3:])
-        assert float(lines[1].split(",")[0]) == 2.0
+        canon = {c.name: c.targets for c in canonical_transforms(2, 4)}
+        for line, t_init in zip(lines[1:], ("2", "1")):
+            # a sweep point with one repeat is the train run at that t_init
+            run = run_train(tmp_path, f"t{t_init}", grid + ["--t-init", t_init])
+            acc = float(capsys.readouterr().out.split("final val accuracy:")[1].split()[0])
+            hard = transforms_from_json((run / "transforms.json").read_text())
+            slices = [hard.slice(k) for k in range(hard.k)]
+            expected = [min(transform_distance(s, canon[name], 8) for s in slices)
+                        for name in ("identity", "up", "down", "h-dilate")]
+            expected.append(np.mean([nearest_canonical(s, 2, 4)[1] for s in slices]))
+            vals = [float(v) for v in line.split(",")]
+            assert vals[0] == float(t_init)
+            assert vals[2] == pytest.approx(acc, abs=5e-5)
+            assert vals[3:] == pytest.approx(expected, rel=1e-9)
+            report = (run / "eval_report.csv").read_text().splitlines()
+            assert vals[7] == pytest.approx(float(report[-1].split(",")[2]), rel=1e-9)
 
     def test_missing_axis(self, tmp_path, capsys):
         rc = main(["sweep", "--out-dir", str(tmp_path)] + FAST)
@@ -245,6 +267,18 @@ class TestErrors:
         rc = main(["train", "--dataset", "cifar10", "--data-dir",
                    str(tmp_path / "nope"), "--out-dir", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--k", "0"], ["train", "--k", "-1"], ["train", "--layers", "0"],
+        ["train", "--epochs", "1", "--batch-size", "0"], ["train", "--max-train", "-1"],
+        ["sweep", "--repeats", "0", "--sweep-axis", "t-init", "--sweep-values", "2"],
+    ], ids=["k0", "k-1", "layers0", "batch-size0", "max-train-1", "repeats0"])
+    def test_bad_count_rejected(self, tmp_path, capsys, argv):
+        rc = exit_code(argv[:1] + ["--out-dir", str(tmp_path / "o")] + FAST + argv[1:])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
 class TestEntryPoint:

@@ -99,10 +99,14 @@ class TestDownscale:
         write_cifar_batch(tmp_path / "data_batch_1.bin",
                           rng.integers(0, 10, 5), random_images(rng, 5))
         ds = downscale_cifar(load_cifar10(tmp_path))
-        assert all(s.shape == (256, 3) for s in ds.signals)
+        assert ds.signals.shape == (5, 256, 3)
         # global mean is preserved by 2x2 block averaging
         big = load_cifar10(tmp_path)
         assert np.mean(ds.signals[0]) == pytest.approx(np.mean(big.signals[0]))
+        # the whole-array downscale equals the per-image one, bit for bit
+        per_image = [downscale_2x(s.reshape(32, 32, 3)).reshape(256, 3)
+                     for s in big.signals]
+        assert np.array_equal(ds.signals, np.stack(per_image))
 
 
 def webkb_fixture_text():
@@ -253,6 +257,10 @@ class TestDatasetValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             Dataset("batch", [np.zeros((2, 1))], np.array([0]), 2)
+
+    def test_signals_must_be_3d(self):
+        with pytest.raises(ValueError, match="samples, vertices, channels"):
+            Dataset("signal", np.zeros((2, 1)), np.array([0, 1]), 2)
 
     def test_vertex_needs_single_matrix(self):
         with pytest.raises(ValueError):

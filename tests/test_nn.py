@@ -6,8 +6,8 @@ from gstrans.errors import TrainingDivergedError
 from gstrans.graph import build_grid_graph, build_ring_graph
 from gstrans.nn import (Adam, Model, SGD, TrainConfig, _backward_batch,
                         _forward_batch, backward, build_model, cross_entropy,
-                        global_average_pool, graph_hash, gsl_forward,
-                        load_checkpoint, model_forward, save_checkpoint, train)
+                        graph_hash, gsl_forward, load_checkpoint, model_forward,
+                        save_checkpoint, train)
 from gstrans.transforms import (EdgeLogits, Schedule, one_hot_soft, soften,
                                 soften_backward, temperature_at)
 
@@ -63,14 +63,6 @@ class TestGSLForward:
 
 
 class TestPoolAndLoss:
-    def test_global_average_pool(self):
-        x = np.array([[1.0, 2.0], [3.0, 6.0]])
-        assert np.array_equal(global_average_pool(x), [2.0, 4.0])
-
-    def test_pool_rejects_vector(self):
-        with pytest.raises(ValueError):
-            global_average_pool(np.zeros(3))
-
     def test_cross_entropy_uniform(self):
         assert cross_entropy(np.full(4, 0.25), 2) == pytest.approx(np.log(4))
 
@@ -112,6 +104,9 @@ class TestModelForward:
             build_model(1, (), 2, 2, "signal", rng)
         with pytest.raises(ValueError):
             build_model(1, (4,), 1, 2, "signal", rng)
+        for k, hidden in ((0, (4,)), (-1, (4,)), (2, (4, 0))):
+            with pytest.raises(ValueError, match="k >= 1"):
+                build_model(1, hidden, 2, k, "signal", rng)
 
 
 def numerical_grads(loss_fn, arrays, h=1e-5):
@@ -134,7 +129,7 @@ def numerical_grads(loss_fn, arrays, h=1e-5):
 
 def max_rel_error(analytic, numeric):
     worst = 0.0
-    for ga, gn in zip(analytic, numeric):
+    for ga, gn in zip(analytic, numeric, strict=True):
         denom = np.maximum(np.abs(ga) + np.abs(gn), 1e-8)
         worst = max(worst, float(np.max(np.abs(ga - gn) / denom)))
     return worst
@@ -154,7 +149,7 @@ class TestGradients:
         def loss_fn():
             return cross_entropy(model_forward(x, model, params, t), y)
 
-        assert max_rel_error(grads.arrays(), numerical_grads(loss_fn, arrays)) < 1e-4
+        assert max_rel_error(grads, numerical_grads(loss_fn, arrays)) < 1e-4
 
     def test_vertex_mode_gradcheck(self):
         g = build_grid_graph(2, 3, True)
@@ -172,7 +167,7 @@ class TestGradients:
             p = model_forward(x, model, params, t)
             return float(np.mean([cross_entropy(p[i], y[i]) for i in labeled]))
 
-        assert max_rel_error(grads.arrays(), numerical_grads(loss_fn, arrays)) < 1e-4
+        assert max_rel_error(grads, numerical_grads(loss_fn, arrays)) < 1e-4
 
 
 class TestOptimizers:
@@ -437,6 +432,6 @@ class TestKernelEquivalence:
         probs_o, loss_o, grads_o = dense_oracle(xb, yb, soft, model, params)
         assert np.allclose(probs, probs_o, rtol=0, atol=1e-12)
         assert loss == pytest.approx(loss_o, abs=1e-12)
-        for a, b in zip(grads.arrays(), grads_o):
+        for a, b in zip(grads, grads_o, strict=True):
             assert a.shape == b.shape
             assert np.allclose(a, b, rtol=0, atol=1e-12)
