@@ -9,8 +9,8 @@ from .data import Dataset, load_cifar10, load_webkb, make_ring_task, make_splits
 from .evaluate import (canonical_transforms, evaluate_accuracy,
                        nearest_canonical, transform_distance)
 from .graph import (Graph, build_grid_graph, build_knn_covariance_graph,
-                    build_ring_graph, laplacian)
-from .nn import Model, TrainConfig, backward, model_forward, train
+                    build_ring_graph)
+from .nn import Model, TrainConfig, train
 from .transforms import (EdgeLogits, HardTransforms, Schedule, SoftTransforms,
                          apply_hard, convolve, harden, mode3_product, soften,
                          temperature_at, transforms_from_json, transforms_to_json)
@@ -22,8 +22,8 @@ __all__ = [
     "canonical_transforms", "evaluate_accuracy", "nearest_canonical",
     "transform_distance",
     "Graph", "build_grid_graph", "build_knn_covariance_graph",
-    "build_ring_graph", "laplacian",
-    "Model", "TrainConfig", "backward", "model_forward", "train",
+    "build_ring_graph",
+    "Model", "TrainConfig", "train",
     "EdgeLogits", "HardTransforms", "Schedule", "SoftTransforms",
     "apply_hard", "convolve", "harden", "mode3_product", "soften",
     "temperature_at", "transforms_from_json", "transforms_to_json",

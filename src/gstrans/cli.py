@@ -93,19 +93,19 @@ def _load_dataset(args):
     if args.max_train is not None:
         ds.splits["train"] = ds.splits["train"][:args.max_train]
 
-    height = args.height or (grid[0] if grid else None)
-    width = args.width or (grid[1] if grid else None)
+    height = args.height if args.height is not None else (grid[0] if grid else None)
+    width = args.width if args.width is not None else (grid[1] if grid else None)
     n = ds.signals.shape[1]
 
     if args.graph == "auto":
         if g is None:
-            g = graph_mod.build_grid_graph(height, width, True)
+            g = graph_mod.build_grid_graph(height, width)
     elif args.graph == "grid":
         if height is None or width is None or height * width != n:
             raise ValueError("grid graph needs --height/--width with h*w = n")
-        g = graph_mod.build_grid_graph(height, width, True)
+        g = graph_mod.build_grid_graph(height, width)
     elif args.graph == "ring":
-        g = graph_mod.build_ring_graph(n, True)
+        g = graph_mod.build_ring_graph(n)
     elif args.graph == "knn-covariance":
         samples = ds.signals[ds.splits["train"]].mean(axis=2)
         g = graph_mod.build_knn_covariance_graph(samples, args.knn)
@@ -191,11 +191,11 @@ def cmd_sweep(args) -> int:
             canon = {c.name: c.targets for c in evaluate.canonical_transforms(h, w)}
             for label, name in (("identity", "identity"), ("up", "up"),
                                 ("down", "down"), ("dilation", "h-dilate")):
-                d = np.mean([min(evaluate.transform_distance(hd.slice(k),
+                d = np.mean([min(evaluate.transform_distance(hd.targets[k],
                                                              canon[name], h * w)
                                  for k in range(hd.k)) for hd in reports])
                 row[f"distance_{label}"] = float(d)
-            mean_d = np.mean([np.mean([evaluate.nearest_canonical(hd.slice(k), h, w)[1]
+            mean_d = np.mean([np.mean([evaluate.nearest_canonical(hd.targets[k], h, w)[1]
                                        for k in range(hd.k)]) for hd in reports])
             row["distance_mean"] = float(mean_d)
         rows.append(row)
@@ -229,7 +229,7 @@ def cmd_viz(args) -> int:
         if (h, w) != (args.height, args.width):
             raise ValueError(f"image is {h}x{w}, grid is {args.height}x{args.width}")
     for k in range(hard.k):
-        svg = viz.arrow_field_svg(hard.slice(k), args.height, args.width)
+        svg = viz.arrow_field_svg(hard.targets[k], args.height, args.width)
         (out / f"T{k}.svg").write_text(svg)
         if image is not None:
             ppm = viz.translated_image_ppm(hard, k, image, args.height, args.width)
@@ -262,8 +262,8 @@ def _add_shared(p):
     p.add_argument("--config", help="flat 'key = value' file of flag values; "
                                     "a key is a flag name without the dashes")
     p.add_argument("--out-dir", default="out")
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=_positive_int)
+    p.add_argument("--width", type=_positive_int)
 
 
 def _add_common(p):

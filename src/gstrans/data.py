@@ -153,7 +153,7 @@ def load_webkb(content_path, cites_path) -> tuple[Dataset, Graph]:
         sets[j].add(i)
     if dropped:
         log.info("dropped %d citations referencing unknown page ids", dropped)
-    graph = _from_sets(n, sets, True)
+    graph = _from_sets(n, sets)
     x = np.vstack(feats)
     dataset = Dataset("vertex", x[None], np.asarray(labels), len(WEBKB_CLASSES))
     dataset.splits = make_splits(dataset, (0.6, 0.2, 0.2), 1, seed=0)[0]
@@ -186,7 +186,7 @@ def make_ring_task(n: int, num_classes: int, samples_per_class: int,
             labels.append(c)
     dataset = Dataset("signal", np.stack(signals), np.asarray(labels), num_classes)
     dataset.splits = make_splits(dataset, (0.8, 0.1, 0.1), 1, seed=seed)[0]
-    return dataset, build_ring_graph(n, True)
+    return dataset, build_ring_graph(n)
 
 
 def _has_rotation_collision(waves: np.ndarray) -> bool:

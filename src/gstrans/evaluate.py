@@ -90,7 +90,7 @@ def transform_report(hard: HardTransforms, height: int, width: int) -> str:
     lines = ["k,nearest_name,distance"]
     dists = []
     for k in range(hard.k):
-        name, d = nearest_canonical(hard.slice(k), height, width)
+        name, d = nearest_canonical(hard.targets[k], height, width)
         dists.append(d)
         lines.append(f"{k},{name},{d:.10g}")
     lines.append(f"mean,,{float(np.mean(dists)):.10g}")

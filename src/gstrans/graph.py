@@ -14,15 +14,10 @@ from .errors import InsufficientDataError
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph with sorted, duplicate-free neighbor lists.
-
-    ``self_loops`` records whether diagonal entries were added at
-    construction time; when true, ``i in neighbors[i]`` for every vertex.
-    """
+    """Undirected graph with sorted, duplicate-free neighbor lists."""
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
-    self_loops: bool
 
     def __post_init__(self):
         if self.n != len(self.neighbors):
@@ -33,50 +28,33 @@ class Graph:
                     raise ValueError(f"neighbor {j} of vertex {i} out of range")
             if list(nbrs) != sorted(set(nbrs)):
                 raise ValueError(f"neighbor list of vertex {i} not sorted/unique")
-            if self.self_loops and i not in nbrs:
-                raise ValueError(f"self_loops set but vertex {i} has no self-loop")
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
 
     def num_entries(self) -> int:
         """Total number of (i, j) support entries, self-loops included."""
         return sum(len(nbrs) for nbrs in self.neighbors)
 
-    def adjacency(self) -> np.ndarray:
-        """Dense binary adjacency matrix (diagonal included iff self-looped)."""
-        a = np.zeros((self.n, self.n))
-        for i, nbrs in enumerate(self.neighbors):
-            a[i, list(nbrs)] = 1.0
-        return a
+
+def _from_sets(n: int, nbr_sets: list[set[int]]) -> Graph:
+    return Graph(n, tuple(tuple(sorted(s)) for s in nbr_sets))
 
 
-def _from_sets(n: int, nbr_sets: list[set[int]], self_loops: bool) -> Graph:
-    return Graph(n, tuple(tuple(sorted(s)) for s in nbr_sets), self_loops)
-
-
-def build_ring_graph(n: int, with_self_loops: bool = True) -> Graph:
-    """Cycle graph: vertex i adjacent to (i-1) mod n and (i+1) mod n."""
+def build_ring_graph(n: int) -> Graph:
+    """Self-looped cycle graph: vertex i adjacent to i, (i-1) mod n and (i+1) mod n."""
     if n < 3:
         raise ValueError(f"ring graph needs n >= 3, got {n}")
-    sets = [{(i - 1) % n, (i + 1) % n} for i in range(n)]
-    if with_self_loops:
-        for i in range(n):
-            sets[i].add(i)
-    return _from_sets(n, sets, with_self_loops)
+    return _from_sets(n, [{(i - 1) % n, i, (i + 1) % n} for i in range(n)])
 
 
-def build_grid_graph(height: int, width: int, with_self_loops: bool = True) -> Graph:
-    """2D grid, 4-connectivity, no wrap-around. Pixel (r, c) -> vertex r*width + c."""
+def build_grid_graph(height: int, width: int) -> Graph:
+    """Self-looped 2D grid, 4-connectivity, no wrap-around. Pixel (r, c) ->
+    vertex r*width + c."""
     if height < 1 or width < 1:
         raise ValueError(f"grid dimensions must be positive, got {height}x{width}")
     n = height * width
-    sets: list[set[int]] = [set() for _ in range(n)]
+    sets = [{i} for i in range(n)]
     for r in range(height):
         for c in range(width):
             i = r * width + c
-            if with_self_loops:
-                sets[i].add(i)
             if r > 0:
                 sets[i].add(i - width)
             if r < height - 1:
@@ -85,7 +63,7 @@ def build_grid_graph(height: int, width: int, with_self_loops: bool = True) -> G
                 sets[i].add(i - 1)
             if c < width - 1:
                 sets[i].add(i + 1)
-    return _from_sets(n, sets, with_self_loops)
+    return _from_sets(n, sets)
 
 
 def build_knn_covariance_graph(samples: np.ndarray, k: int) -> Graph:
@@ -115,14 +93,7 @@ def build_knn_covariance_graph(samples: np.ndarray, k: int) -> Graph:
             sets[int(j)].add(i)
     for i in range(n):
         sets[i].add(i)
-    return _from_sets(n, sets, True)
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - A, computed on A with the diagonal removed."""
-    a = g.adjacency()
-    np.fill_diagonal(a, 0.0)
-    return np.diag(a.sum(axis=1)) - a
+    return _from_sets(n, sets)
 
 
 def write_edge_list(g: Graph) -> str:
@@ -156,5 +127,4 @@ def read_edge_list(text: str, n: int | None = None) -> Graph:
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         sets[i].add(j)
         sets[j].add(i)
-    self_loops = all(i in sets[i] for i in range(n))
-    return _from_sets(n, sets, self_loops)
+    return _from_sets(n, sets)

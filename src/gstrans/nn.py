@@ -95,20 +95,6 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams):
     return u, z.reshape(n, b, -1)
 
 
-def gsl_forward(x: np.ndarray, s_soft: SoftTransforms, layer: GSLayerParams,
-                activation: str = "relu") -> np.ndarray:
-    """sigma( sum_{k, c_in} w[k, c_in, :] * (S_k^T x[:, c_in]) + b )."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != layer.w.shape[1]:
-        raise ValueError(f"expected input of shape (N, {layer.w.shape[1]}), got {x.shape}")
-    z = _gsl(s_soft.sparse(), x[:, None, :], layer)[1][:, 0]
-    if activation == "relu":
-        return _relu(z)
-    if activation == "identity":
-        return z
-    raise ValueError(f"unknown activation {activation!r}")
-
-
 def _forward_batch(xb: np.ndarray, soft: SoftTransforms, model: Model):
     """Forward pass on a (B, N, C_in) batch; returns (probs, cache).
 
@@ -138,22 +124,6 @@ def _forward_batch(xb: np.ndarray, soft: SoftTransforms, model: Model):
         probs = probs.transpose(1, 0, 2)
     cache = {"m": m, "layers": layer_cache, "pooled": pooled, "probs": probs}
     return probs, cache
-
-
-def model_forward(x: np.ndarray, model: Model, params: EdgeLogits, t: float):
-    """Class probabilities for one sample: a vector (signal mode) or (N, cls) matrix."""
-    soft = soften(params, t)
-    probs, _ = _forward_batch(np.asarray(x, dtype=float)[None], soft, model)
-    return probs[0]
-
-
-def cross_entropy(probs: np.ndarray, y: int) -> float:
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1:
-        raise ValueError("expected a probability vector")
-    if not 0 <= y < len(probs):
-        raise ValueError(f"label {y} out of range")
-    return float(-np.log(max(probs[y], EPS_LOG)))
 
 
 def _loss_grad_output(probs: np.ndarray, yb: np.ndarray):
@@ -213,18 +183,6 @@ def _backward_batch(xb, yb, soft, model, params, cache):
     return loss, acc, grads
 
 
-def backward(x: np.ndarray, y, model: Model, params: EdgeLogits,
-             t: float) -> list[np.ndarray]:
-    """Gradients of the cross-entropy loss for one sample w.r.t. all
-    parameters, in model.param_arrays() + [params.logits] order."""
-    soft = soften(params, t)
-    xb = np.asarray(x, dtype=float)[None]
-    yb = np.asarray([y]) if model.mode == "signal" else np.asarray(y)[None]
-    _, cache = _forward_batch(xb, soft, model)
-    _, _, grads = _backward_batch(xb, yb, soft, model, params, cache)
-    return grads
-
-
 class SGD:
     def __init__(self, lr: float):
         self.lr = lr
@@ -268,8 +226,9 @@ class TrainConfig:
     hidden: tuple[int, ...] = (32, 64)
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if self.lr < 0 or (self.logit_lr is not None and self.logit_lr < 0):
+            raise ValueError(f"learning rates must be nonnegative, got lr={self.lr}, "
+                             f"logit_lr={self.logit_lr}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.optimizer not in ("adam", "sgd"):

@@ -90,10 +90,6 @@ class SoftTransforms:
     def k(self) -> int:
         return self.probs.shape[0]
 
-    def row(self, k: int, i: int) -> np.ndarray:
-        lo, hi = self.index.indptr[i], self.index.indptr[i + 1]
-        return self.probs[k, lo:hi]
-
     def sparse(self) -> sp.csr_matrix:
         """The (K*N x N) operator M whose k-th block of rows is S_k^T.
 
@@ -110,10 +106,6 @@ class SoftTransforms:
         for k, g_k in enumerate(g.reshape(self.k, -1, g.shape[1])):
             out[k] = np.vecdot(xs, g_k[self.index.dst])
         return out
-
-    def dense(self, k: int) -> np.ndarray:
-        n = self.graph.n
-        return self.sparse()[k * n:(k + 1) * n].T.toarray()
 
 
 def soften(params: EdgeLogits, t: float) -> SoftTransforms:
@@ -149,9 +141,6 @@ class HardTransforms:
     @property
     def k(self) -> int:
         return self.targets.shape[0]
-
-    def slice(self, k: int) -> np.ndarray:
-        return self.targets[k]
 
 
 def harden(params: EdgeLogits) -> HardTransforms:

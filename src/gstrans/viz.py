@@ -114,5 +114,7 @@ def read_ppm(raw: bytes) -> tuple[np.ndarray, int, int]:
         fields.append(int(raw[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"PPM maxval {maxval} is not supported; need 1..255")
     body = np.frombuffer(raw, dtype=np.uint8, count=width * height * 3, offset=pos)
     return body.reshape(height * width, 3).astype(float) / maxval, height, width

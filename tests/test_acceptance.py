@@ -15,9 +15,10 @@ from gstrans.cli import main as cli_main
 from gstrans.data import load_cifar10, load_webkb, downscale_cifar, make_ring_task, make_splits
 from gstrans.evaluate import nearest_canonical, transform_distance
 from gstrans.graph import build_grid_graph, build_ring_graph
-from gstrans.nn import TrainConfig, backward, build_model, cross_entropy, model_forward, train
+from gstrans.nn import (TrainConfig, _backward_batch, _forward_batch,
+                        _loss_grad_output, build_model, train)
 from gstrans.transforms import (EdgeLogits, Schedule, convolve, mode3_product,
-                                one_hot_soft, temperature_at)
+                                one_hot_soft, soften, temperature_at)
 
 CIFAR_DIR = os.environ.get("CIFAR10_DIR", "data/cifar-10-batches-bin")
 WEBKB_CONTENT = os.environ.get("WEBKB_CONTENT", "data/webkb/webkb.content")
@@ -36,7 +37,7 @@ class TestCirculantOracle:
     def test_circulant_oracle(self):
         start = time.time()
         n = 4
-        g = build_ring_graph(n, True)
+        g = build_ring_graph(n)
         soft = one_hot_soft(g, np.array([
             np.arange(n), (np.arange(n) - 1) % n, (np.arange(n) + 1) % n]))
         w = np.array([1.0, 2.0, 3.0])
@@ -47,7 +48,7 @@ class TestCirculantOracle:
         worst = 0.0
         for trial in range(100):
             n = int(rng.integers(4, 17))
-            g = build_ring_graph(n, True)
+            g = build_ring_graph(n)
             soft = one_hot_soft(g, np.array([
                 np.arange(n), (np.arange(n) - 1) % n, (np.arange(n) + 1) % n]))
             x = rng.standard_normal(n)
@@ -67,14 +68,20 @@ class TestCirculantOracle:
 class TestGradientCorrectness:
     def test_gradient_correctness(self):
         start = time.time()
-        g = build_ring_graph(8, True)
+        g = build_ring_graph(8)
         rng = np.random.default_rng(1)
         model = build_model(1, (6, 6), 4, 3, "signal", rng)
         params = EdgeLogits.init(g, 3, rng, scale=0.5)
-        x = rng.standard_normal((8, 1))
-        y, t = 2, 0.9
-        analytic = backward(x, y, model, params, t)
+        xb = rng.standard_normal((1, 8, 1))
+        yb, t = np.array([2]), 0.9
+        soft = soften(params, t)
+        _, cache = _forward_batch(xb, soft, model)
+        _, _, analytic = _backward_batch(xb, yb, soft, model, params, cache)
         arrays = model.param_arrays() + [params.logits]
+
+        def loss():
+            return _loss_grad_output(_forward_batch(xb, soften(params, t), model)[0], yb)[0]
+
         h = 1e-5
         rel_errors = []
         for a, ga in zip(arrays, analytic, strict=True):
@@ -83,9 +90,9 @@ class TestGradientCorrectness:
                 ix = it.multi_index
                 orig = a[ix]
                 a[ix] = orig + h
-                lp = cross_entropy(model_forward(x, model, params, t), y)
+                lp = loss()
                 a[ix] = orig - h
-                lm = cross_entropy(model_forward(x, model, params, t), y)
+                lm = loss()
                 a[ix] = orig
                 num = (lp - lm) / (2 * h)
                 denom = max(abs(num) + abs(ga[ix]), 1e-8)
@@ -118,7 +125,7 @@ class TestRingRecovery:
             acc = history[-1].val_acc
             accs.append(acc)
             rots = {r for r in range(n)
-                    if any(np.array_equal(hard.slice(k), (np.arange(n) + r) % n)
+                    if any(np.array_equal(hard.targets[k], (np.arange(n) + r) % n)
                            for k in range(hard.k))}
             if acc >= 0.95 and 0 in rots and any(r != 0 for r in rots):
                 recovered += 1
@@ -151,13 +158,13 @@ class TestCifar10DeskScale:
         start = time.time()
         ds = downscale_cifar(load_cifar10(CIFAR_DIR))
         ds.splits["train"] = ds.splits["train"][:5000]
-        g = build_grid_graph(16, 16, True)
+        g = build_grid_graph(16, 16)
         steps = 10 * -(-5000 // 32)  # 10 epochs
         cfg = TrainConfig(Schedule(10.0, 0.01, steps), lr=1e-3, logit_lr=0.02,
                           batch_size=32, k=5, hidden=(32, 64), seed=0)
         _, _, hard, history = train(ds, g, cfg)
         acc = history[-1].val_acc
-        dists = [nearest_canonical(hard.slice(k), 16, 16)[1]
+        dists = [nearest_canonical(hard.targets[k], 16, 16)[1]
                  for k in range(hard.k)]
         mean_d = float(np.mean(dists))
         assert acc >= 0.40

@@ -215,7 +215,7 @@ class TestSweepCommand:
             run = run_train(tmp_path, f"t{t_init}", grid + ["--t-init", t_init])
             acc = float(capsys.readouterr().out.split("final val accuracy:")[1].split()[0])
             hard = transforms_from_json((run / "transforms.json").read_text())
-            slices = [hard.slice(k) for k in range(hard.k)]
+            slices = [hard.targets[k] for k in range(hard.k)]
             expected = [min(transform_distance(s, canon[name], 8) for s in slices)
                         for name in ("identity", "up", "down", "h-dilate")]
             expected.append(np.mean([nearest_canonical(s, 2, 4)[1] for s in slices]))
@@ -279,6 +279,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--height", "0", "--width", "4"],
+        ["train", "--height", "-2", "--width", "-4"],
+        ["viz", "--height", "0", "--width", "4"],
+        ["viz", "--height", "-2", "--width", "-4"],
+    ], ids=["train-0", "train-negative", "viz-0", "viz-negative"])
+    def test_nonpositive_grid_dims_rejected(self, tmp_path, capsys, argv):
+        if argv[0] == "train":
+            argv += FAST
+        else:
+            tf = tmp_path / "transforms.json"
+            tf.write_text(transforms_to_json(HardTransforms(8, np.arange(8)[None])))
+            argv += ["--transforms", str(tf)]
+        rc = exit_code(argv + ["--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--height" in errors[0] and "must be >= 1" in errors[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_logit_lr_rejected(self, tmp_path, capsys):
+        rc = exit_code(["train", "--logit-lr", "-5", "--out-dir", str(tmp_path / "o")]
+                       + FAST)
+        assert rc == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "logit_lr=-5" in errors[0]
+        assert not (tmp_path / "o").exists()
 
 
 class TestEntryPoint:

@@ -148,9 +148,9 @@ class TestWebKB:
         total = sum(len(ds.splits[p]) for p in ("train", "val", "test"))
         assert total == 20
 
-    def test_edges_symmetrized_with_self_loops(self, tmp_path):
+    def test_edges_symmetrized_and_self_looped(self, tmp_path):
         _, g = self.make(tmp_path)
-        assert g.self_loops
+        assert all(i in g.neighbors[i] for i in range(g.n))
         # page00=0, page10=4, page40=16 form a triangle in the citation list
         assert 16 in g.neighbors[0] and 0 in g.neighbors[16]
         assert 4 in g.neighbors[16] and 0 in g.neighbors[4]
@@ -173,7 +173,7 @@ class TestWebKB:
 class TestRingTask:
     def test_shapes_and_splits(self):
         ds, g = make_ring_task(12, 3, 20, 0.05, seed=0)
-        assert g.n == 12 and g.self_loops
+        assert g.n == 12 and all(i in g.neighbors[i] for i in range(12))
         assert len(ds.signals) == 60
         assert all(s.shape == (12, 1) for s in ds.signals)
         total = sum(len(ds.splits[p]) for p in ("train", "val", "test"))

@@ -5,8 +5,8 @@ from gstrans.data import make_ring_task
 from gstrans.evaluate import (CANONICAL_NAMES, canonical_transforms,
                               evaluate_accuracy, nearest_canonical,
                               transform_distance, transform_report)
-from gstrans.nn import TrainConfig, model_forward, train
-from gstrans.transforms import HardTransforms, Schedule
+from gstrans.nn import TrainConfig, _forward_batch, train
+from gstrans.transforms import HardTransforms, Schedule, soften
 
 
 def by_name(height, width):
@@ -131,8 +131,9 @@ class TestEvaluateAccuracy:
     def test_matches_per_sample_argmax(self):
         idx = self.ds.splits["val"]
         acc = evaluate_accuracy(self.model, self.params, self.ds, "val", 0.5)
-        preds = [int(np.argmax(model_forward(self.ds.signals[i], self.model,
-                                             self.params, 0.5)))
+        soft = soften(self.params, 0.5)
+        preds = [int(np.argmax(_forward_batch(self.ds.signals[i:i + 1], soft,
+                                              self.model)[0][0]))
                  for i in idx]
         expected = float(np.mean([p == self.ds.labels[i]
                                   for p, i in zip(preds, idx)]))

@@ -4,97 +4,128 @@ import pytest
 from gstrans.data import Dataset, make_ring_task
 from gstrans.errors import TrainingDivergedError
 from gstrans.graph import build_grid_graph, build_ring_graph
-from gstrans.nn import (Adam, Model, SGD, TrainConfig, _backward_batch,
-                        _forward_batch, backward, build_model, cross_entropy,
-                        graph_hash, gsl_forward, load_checkpoint, model_forward,
+from gstrans.nn import (Adam, GSLayerParams, Model, SGD, TrainConfig,
+                        _backward_batch, _forward_batch, _loss_grad_output,
+                        build_model, graph_hash, load_checkpoint,
                         save_checkpoint, train)
-from gstrans.transforms import (EdgeLogits, Schedule, one_hot_soft, soften,
-                                soften_backward, temperature_at)
+from gstrans.transforms import (EdgeLogits, Schedule, convolve, one_hot_soft,
+                                soften, soften_backward, temperature_at)
+from oracles import bare_ring, dense_slices
 
 
 def identity_soft(graph):
     return one_hot_soft(graph, np.arange(graph.n)[None])
 
 
+def layer_z(x, soft, layer):
+    """z of the graph-signal layer of a one-layer model on one (N, C_in)
+    signal, read from the cache of a B = 1 forward pass."""
+    model = Model([layer], np.zeros((layer.w.shape[2], 2)), np.zeros(2))
+    _, cache = _forward_batch(x[None], soft, model)
+    return cache["layers"][0][2][:, 0]
+
+
+def batch_loss(xb, yb, model, params, t):
+    probs, _ = _forward_batch(xb, soften(params, t), model)
+    return _loss_grad_output(probs, yb)[0]
+
+
+def batch_grads(xb, yb, model, params, t):
+    soft = soften(params, t)
+    _, cache = _forward_batch(xb, soft, model)
+    return _backward_batch(xb, yb, soft, model, params, cache)[2]
+
+
 class TestGSLForward:
     def test_identity_transform_linear_map(self):
-        g = build_ring_graph(5, True)
+        g = build_ring_graph(5)
         soft = identity_soft(g)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((5, 2))
-        from gstrans.nn import GSLayerParams
         layer = GSLayerParams(rng.standard_normal((1, 2, 3)),
                               rng.standard_normal(3))
-        out = gsl_forward(x, soft, layer, activation="identity")
+        out = layer_z(x, soft, layer)
         assert np.allclose(out, x @ layer.w[0] + layer.b, atol=1e-12)
 
     def test_matches_dense_oracle(self):
-        g = build_grid_graph(3, 3, True)
+        g = build_grid_graph(3, 3)
         rng = np.random.default_rng(1)
         params = EdgeLogits.init(g, 4, rng, scale=1.0)
         soft = soften(params, 0.7)
         x = rng.standard_normal((9, 2))
-        from gstrans.nn import GSLayerParams
         layer = GSLayerParams(rng.standard_normal((4, 2, 5)),
                               rng.standard_normal(5))
         # dense oracle: z = sum_k (S_k^T x) w_k + b
-        z = layer.b + sum(soft.dense(k).T @ x @ layer.w[k] for k in range(4))
-        assert np.allclose(gsl_forward(x, soft, layer, "identity"), z, atol=1e-10)
-        assert np.allclose(gsl_forward(x, soft, layer, "relu"),
-                           np.maximum(z, 0.0), atol=1e-10)
+        s = dense_slices(soft)
+        z = layer.b + sum(s[k].T @ x @ layer.w[k] for k in range(4))
+        assert np.allclose(layer_z(x, soft, layer), z, atol=1e-10)
 
     def test_shift_slice_moves_signal(self):
         n = 6
-        g = build_ring_graph(n, True)
+        g = build_ring_graph(n)
         soft = one_hot_soft(g, np.array([[(i + 1) % n for i in range(n)]]))
-        from gstrans.nn import GSLayerParams
         layer = GSLayerParams(np.ones((1, 1, 1)), np.zeros(1))
         x = np.zeros((n, 1))
         x[0, 0] = 1.0
-        out = gsl_forward(x, soft, layer, "identity")
+        out = layer_z(x, soft, layer)
         assert np.array_equal(out.ravel(), np.roll(x.ravel(), 1))
 
+    def test_matches_convolve(self):
+        # the paper's pseudo-convolution s^T (S x_3 w) is a one-channel GSL
+        # with W_k = w[k] and no bias
+        g = build_grid_graph(3, 4)
+        rng = np.random.default_rng(2)
+        soft = soften(EdgeLogits.init(g, 3, rng, scale=1.0), 0.5)
+        w = rng.standard_normal(3)
+        x = rng.standard_normal(g.n)
+        layer = GSLayerParams(w.reshape(3, 1, 1), np.zeros(1))
+        assert np.allclose(layer_z(x[:, None], soft, layer)[:, 0],
+                           convolve(x, soft, w), rtol=0, atol=1e-12)
+
     def test_channel_mismatch(self):
-        g = build_ring_graph(4, True)
-        from gstrans.nn import GSLayerParams
+        g = build_ring_graph(4)
         layer = GSLayerParams(np.ones((1, 3, 2)), np.zeros(2))
-        with pytest.raises(ValueError):
-            gsl_forward(np.zeros((4, 2)), identity_soft(g), layer)
+        with pytest.raises(ValueError, match="input has 2 channels, expected 3"):
+            layer_z(np.zeros((4, 2)), identity_soft(g), layer)
 
 
 class TestPoolAndLoss:
     def test_cross_entropy_uniform(self):
-        assert cross_entropy(np.full(4, 0.25), 2) == pytest.approx(np.log(4))
+        loss = _loss_grad_output(np.full((1, 4), 0.25), np.array([2]))[0]
+        assert loss == pytest.approx(np.log(4))
 
     def test_cross_entropy_confident(self):
-        assert cross_entropy(np.array([0.01, 0.99]), 1) == pytest.approx(
-            -np.log(0.99))
+        loss = _loss_grad_output(np.array([[0.01, 0.99]]), np.array([1]))[0]
+        assert loss == pytest.approx(-np.log(0.99))
 
     def test_cross_entropy_clips_zero(self):
-        assert np.isfinite(cross_entropy(np.array([1.0, 0.0]), 1))
+        loss = _loss_grad_output(np.array([[1.0, 0.0]]), np.array([1]))[0]
+        assert np.isfinite(loss)
 
     def test_bad_label(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.full(3, 1 / 3), 3)
+        with pytest.raises(IndexError):
+            _loss_grad_output(np.full((1, 3), 1 / 3), np.array([3]))
 
 
 class TestModelForward:
     def test_signal_probs_normalized(self):
-        g = build_ring_graph(6, True)
+        g = build_ring_graph(6)
         rng = np.random.default_rng(2)
         model = build_model(2, (4, 4), 3, 2, "signal", rng)
         params = EdgeLogits.init(g, 2, rng)
-        p = model_forward(rng.standard_normal((6, 2)), model, params, 1.0)
+        xb = rng.standard_normal((1, 6, 2))
+        p = _forward_batch(xb, soften(params, 1.0), model)[0][0]
         assert p.shape == (3,)
         assert p.sum() == pytest.approx(1.0)
         assert np.all(p > 0)
 
     def test_vertex_probs_normalized(self):
-        g = build_grid_graph(2, 3, True)
+        g = build_grid_graph(2, 3)
         rng = np.random.default_rng(3)
         model = build_model(1, (4,), 2, 3, "vertex", rng)
         params = EdgeLogits.init(g, 3, rng)
-        p = model_forward(rng.standard_normal((6, 1)), model, params, 0.5)
+        xb = rng.standard_normal((1, 6, 1))
+        p = _forward_batch(xb, soften(params, 0.5), model)[0][0]
         assert p.shape == (6, 2)
         assert np.allclose(p.sum(axis=1), 1.0)
 
@@ -137,35 +168,33 @@ def max_rel_error(analytic, numeric):
 
 class TestGradients:
     def test_signal_mode_gradcheck(self):
-        g = build_ring_graph(5, True)
+        g = build_ring_graph(5)
         rng = np.random.default_rng(10)
         model = build_model(2, (3, 4), 3, 2, "signal", rng)
         params = EdgeLogits.init(g, 2, rng, scale=0.5)
-        x = rng.standard_normal((5, 2))
-        y, t = 1, 0.8
-        grads = backward(x, y, model, params, t)
+        xb = rng.standard_normal((1, 5, 2))
+        yb, t = np.array([1]), 0.8
+        grads = batch_grads(xb, yb, model, params, t)
         arrays = model.param_arrays() + [params.logits]
 
         def loss_fn():
-            return cross_entropy(model_forward(x, model, params, t), y)
+            return batch_loss(xb, yb, model, params, t)
 
         assert max_rel_error(grads, numerical_grads(loss_fn, arrays)) < 1e-4
 
     def test_vertex_mode_gradcheck(self):
-        g = build_grid_graph(2, 3, True)
+        g = build_grid_graph(2, 3)
         rng = np.random.default_rng(11)
         model = build_model(2, (3,), 2, 2, "vertex", rng)
         params = EdgeLogits.init(g, 2, rng, scale=0.5)
-        x = rng.standard_normal((6, 2))
-        y = np.array([0, -1, 1, -1, 0, 1])  # -1 excluded from the loss
+        xb = rng.standard_normal((1, 6, 2))
+        yb = np.array([[0, -1, 1, -1, 0, 1]])  # -1 excluded from the loss
         t = 1.3
-        grads = backward(x, y, model, params, t)
+        grads = batch_grads(xb, yb, model, params, t)
         arrays = model.param_arrays() + [params.logits]
-        labeled = np.nonzero(y >= 0)[0]
 
         def loss_fn():
-            p = model_forward(x, model, params, t)
-            return float(np.mean([cross_entropy(p[i], y[i]) for i in labeled]))
+            return batch_loss(xb, yb, model, params, t)
 
         assert max_rel_error(grads, numerical_grads(loss_fn, arrays)) < 1e-4
 
@@ -242,7 +271,7 @@ class TestTrain:
         idx = np.arange(2 * per)
         ds = Dataset("signal", signals, np.array(labels), 2,
                      {"train": idx, "val": idx, "test": idx})
-        g = build_ring_graph(n, True)
+        g = build_ring_graph(n)
         cfg = TrainConfig(Schedule(1.0, 0.5, 150), lr=0.05, batch_size=16,
                           k=2, hidden=(4,), seed=0)
         _, _, _, history = train(ds, g, cfg)
@@ -257,7 +286,7 @@ class TestTrain:
             train(ds, g, cfg)
 
     def test_vertex_mode_training(self):
-        g = build_grid_graph(3, 3, True)
+        g = build_grid_graph(3, 3)
         rng = np.random.default_rng(8)
         x = np.zeros((9, 2))
         labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
@@ -281,7 +310,7 @@ class TestTrain:
             assert [row.step for row in history] == steps
 
     def test_vertex_records_every_twentieth(self):
-        g = build_grid_graph(3, 3, True)
+        g = build_grid_graph(3, 3)
         labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
         x = np.zeros((9, 2))
         x[np.arange(9), 0] = labels
@@ -326,7 +355,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, model, params, g, cfg.schedule)
         with pytest.raises(ValueError):
-            load_checkpoint(path, build_ring_graph(9, True))
+            load_checkpoint(path, build_ring_graph(9))
 
     def test_malformed_rejected(self, tmp_path):
         ds, g = tiny_ring_dataset()
@@ -352,14 +381,18 @@ class TestCheckpoint:
                 load_checkpoint(bad, g)
 
     def test_graph_hash_sensitivity(self):
-        assert graph_hash(build_ring_graph(8, True)) != graph_hash(
-            build_ring_graph(8, False))
+        assert graph_hash(build_ring_graph(8)) != graph_hash(bare_ring(8))
 
 
 class TestTrainConfigValidation:
     def test_negative_lr(self):
         with pytest.raises(ValueError):
             TrainConfig(Schedule(1.0, 0.5, 5), lr=-1.0)
+
+    def test_negative_logit_lr(self):
+        with pytest.raises(ValueError, match="logit_lr=-5"):
+            TrainConfig(Schedule(1.0, 0.5, 5), logit_lr=-5.0)
+        assert TrainConfig(Schedule(1.0, 0.5, 5), logit_lr=0.0).logit_lr == 0.0
 
     def test_bad_optimizer(self):
         with pytest.raises(ValueError):
@@ -368,15 +401,15 @@ class TestTrainConfigValidation:
 
 def dense_oracle(xb, yb, soft, model, params):
     """Probabilities, loss and gradients from dense per-sample passes: layer
-    z = sum_k S_k^T x W_k + b with S_k = soft.dense(k), backpropagated by
-    hand, one sample at a time."""
-    s = [soft.dense(k) for k in range(soft.k)]
+    z = sum_k S_k^T x W_k + b with S_k = dense_slices(soft)[k], backpropagated
+    by hand, one sample at a time."""
+    s = dense_slices(soft)
     layers, last = model.gsl_layers, len(model.gsl_layers) - 1
     count = int((yb >= 0).sum())
     dws = [np.zeros_like(layer.w) for layer in layers]
     dbs = [np.zeros_like(layer.b) for layer in layers]
     dfc_w, dfc_b = np.zeros_like(model.fc_weight), np.zeros_like(model.fc_bias)
-    ds = np.zeros((soft.k,) + s[0].shape)
+    ds = np.zeros_like(s)
     probs, loss = [], 0.0
     for x, y in zip(xb, yb):
         hs, zs = [x], []
@@ -409,8 +442,7 @@ def dense_oracle(xb, yb, soft, model, params):
                 ds[k] += hs[li] @ (dz @ w[k].T).T
             dbs[li] += dz.sum(axis=0)
             dh = sum(s[k] @ dz @ w[k].T for k in range(soft.k))
-    support = soft.graph.adjacency() > 0  # row-major order is the entry order
-    dprobs = np.array([ds[k][support] for k in range(soft.k)])
+    dprobs = ds[:, soft.index.src, soft.index.dst]
     grads = [a for pair in zip(dws, dbs) for a in pair] + [
         dfc_w, dfc_b, soften_backward(params, soft, dprobs)]
     return np.array(probs), loss, grads
@@ -419,7 +451,7 @@ def dense_oracle(xb, yb, soft, model, params):
 class TestKernelEquivalence:
     @pytest.mark.parametrize("mode", ["signal", "vertex"])
     def test_batched_matches_dense_oracle(self, mode):
-        g = build_grid_graph(4, 5, True)
+        g = build_grid_graph(4, 5)
         rng = np.random.default_rng(20)
         model = build_model(2, (4, 3), 3, 5, mode, rng)
         params = EdgeLogits.init(g, 5, rng, scale=1.0)

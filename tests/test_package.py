@@ -1,0 +1,32 @@
+import importlib
+from dataclasses import fields
+
+import pytest
+
+import gstrans
+
+# single-sample and test-only helpers that the batched kernel replaced
+REMOVED = {
+    "nn": ("gsl_forward", "model_forward", "cross_entropy", "backward"),
+    "graph": ("laplacian",),
+}
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize("name", gstrans.__all__)
+    def test_exported_name_resolves(self, name):
+        assert getattr(gstrans, name) is not None
+
+    def test_removed_names_gone(self):
+        for module_name, names in REMOVED.items():
+            module = importlib.import_module(f"gstrans.{module_name}")
+            for name in names:
+                assert name not in gstrans.__all__
+                assert not hasattr(gstrans, name)
+                assert not hasattr(module, name), f"gstrans.{module_name}.{name}"
+        assert [f.name for f in fields(gstrans.Graph)] == ["n", "neighbors"]
+        for cls, attrs in ((gstrans.Graph, ("adjacency", "degree")),
+                           (gstrans.SoftTransforms, ("row", "dense")),
+                           (gstrans.HardTransforms, ("slice",))):
+            for attr in attrs:
+                assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"

@@ -103,6 +103,17 @@ class TestPpm:
         with pytest.raises(ValueError):
             read_ppm(b"P3\n1 1\n255\n0 0 0")
 
+    @pytest.mark.parametrize("maxval", [0, 256, 65535])
+    def test_read_ppm_rejects_maxval_outside_8_bit(self, maxval):
+        # a 16-bit body has two bytes per sample; maxval 0 would divide by zero
+        raw = b"P6\n1 1\n%d\n" % maxval + bytes(6)
+        with pytest.raises(ValueError, match=f"maxval {maxval} "):
+            read_ppm(raw)
+
+    def test_read_ppm_scales_by_maxval(self):
+        img, _, _ = read_ppm(b"P6\n1 1\n15\n" + bytes([15, 5, 0]))
+        assert np.allclose(img, [[1.0, 1 / 3, 0.0]])
+
     def test_image_shape_check(self):
         hard = HardTransforms(4, np.arange(4)[None])
         with pytest.raises(ValueError):
