@@ -3,6 +3,7 @@ and the synthetic ring-shift task used for desk-scale verification."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,8 +169,9 @@ def make_ring_task(n: int, num_classes: int, samples_per_class: int,
         raise ValueError(f"ring task needs n >= 4, got {n}")
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
-    if samples_per_class < 1 or noise_std < 0:
-        raise ValueError("degenerate sample count or noise level")
+    if samples_per_class < 1 or not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"degenerate sample count or noise level, got "
+                         f"{samples_per_class} samples per class, noise {noise_std}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         waves = rng.standard_normal((num_classes, n))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,10 @@ from .transforms import (EdgeLogits, Schedule, SoftTransforms, harden, soften,
                          soften_backward, temperature_at)
 
 EPS_LOG = 1e-12
+# train() keeps weights, activations and their gradients in float32, which
+# halves the bytes of the GEMMs and gathers that dominate a step; the edge
+# logits, their softmax and its backward stay float64
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -41,6 +46,11 @@ class Model:
     def num_classes(self) -> int:
         return self.fc_bias.shape[0]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the forward and backward passes compute in."""
+        return self.fc_weight.dtype
+
     def param_arrays(self) -> list[np.ndarray]:
         out = []
         for layer in self.gsl_layers:
@@ -50,8 +60,10 @@ class Model:
 
 
 def build_model(in_channels: int, hidden: tuple[int, ...], num_classes: int,
-                k: int, mode: str, rng: np.random.Generator) -> Model:
-    """Fan-in-scaled uniform weight init, zero biases."""
+                k: int, mode: str, rng: np.random.Generator,
+                dtype=np.float64) -> Model:
+    """Fan-in-scaled uniform weight init, zero biases. The draws are float64
+    whatever the dtype, so a seed gives the same init rounded to it."""
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
     if not hidden:
@@ -64,12 +76,12 @@ def build_model(in_channels: int, hidden: tuple[int, ...], num_classes: int,
     for c_out in hidden:
         bound = 1.0 / np.sqrt(k * c_in)
         layers.append(GSLayerParams(
-            w=rng.uniform(-bound, bound, size=(k, c_in, c_out)),
-            b=np.zeros(c_out)))
+            w=rng.uniform(-bound, bound, size=(k, c_in, c_out)).astype(dtype),
+            b=np.zeros(c_out, dtype)))
         c_in = c_out
     bound = 1.0 / np.sqrt(c_in)
-    fc_w = rng.uniform(-bound, bound, size=(c_in, num_classes))
-    return Model(layers, fc_w, np.zeros(num_classes), mode)
+    fc_w = rng.uniform(-bound, bound, size=(c_in, num_classes)).astype(dtype)
+    return Model(layers, fc_w, np.zeros(num_classes, dtype), mode)
 
 
 def _relu(z: np.ndarray) -> np.ndarray:
@@ -100,10 +112,11 @@ def _forward_batch(xb: np.ndarray, soft: SoftTransforms, model: Model):
 
     Activations are node-major, (N, B, C), so that the stacked operator
     reads and writes them without copies; probs are (B, cls) in signal
-    mode and (B, N, cls) in vertex mode.
+    mode and (B, N, cls) in vertex mode. Everything is computed in
+    model.dtype: the batch and the stacked operator are cast to it.
     """
-    m = soft.sparse()
-    h = np.ascontiguousarray(xb.transpose(1, 0, 2), dtype=float)
+    m = soft.sparse(model.dtype)
+    h = np.ascontiguousarray(xb.transpose(1, 0, 2), dtype=model.dtype)
     layer_cache = []
     last = len(model.gsl_layers) - 1
     for li, layer in enumerate(model.gsl_layers):
@@ -226,9 +239,10 @@ class TrainConfig:
     hidden: tuple[int, ...] = (32, 64)
 
     def __post_init__(self):
-        if self.lr < 0 or (self.logit_lr is not None and self.logit_lr < 0):
-            raise ValueError(f"learning rates must be nonnegative, got lr={self.lr}, "
-                             f"logit_lr={self.logit_lr}")
+        rates = [self.lr] + ([] if self.logit_lr is None else [self.logit_lr])
+        if not all(math.isfinite(r) and r >= 0 for r in rates):
+            raise ValueError(f"learning rates must be finite and nonnegative, got "
+                             f"lr={self.lr}, logit_lr={self.logit_lr}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
@@ -280,8 +294,9 @@ def _eval_split(model, params, dataset, idx, t, batch_size=256):
 def train(dataset, graph: Graph, config: TrainConfig):
     """Anneal the shared temperature over s_total optimizer steps.
 
-    Returns (model, edge_logits, hard_transforms, history). Deterministic
-    for a fixed config (seed included). A non-finite value anywhere in a
+    Returns (model, edge_logits, hard_transforms, history); the model is in
+    TRAIN_DTYPE, the edge logits in float64. Deterministic for a fixed
+    config (seed included). A non-finite value anywhere in a
     step or an evaluation raises TrainingDivergedError.
     """
     if not dataset.splits["train"].size:
@@ -289,7 +304,7 @@ def train(dataset, graph: Graph, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     in_channels = dataset.signals.shape[2]
     model = build_model(in_channels, tuple(config.hidden), dataset.num_classes,
-                        config.k, dataset.mode, rng)
+                        config.k, dataset.mode, rng, TRAIN_DTYPE)
     params = EdgeLogits.init(graph, config.k, rng)
     logit_lr = config.lr if config.logit_lr is None else config.logit_lr
     if config.optimizer == "adam":
@@ -381,8 +396,9 @@ def load_checkpoint(path, graph: Graph):
     """Returns (model, edge_logits, schedule). Raises ValueError if the file
     lacks an array, was trained on another graph, or an array's shape does
     not fit the layer chain (w{i} is (k, c_{i-1}, c_i), b{i} is (c_i,),
-    fc_weight is (c_last, classes), fc_bias is (classes,)) or the logits do
-    not fit the graph's support."""
+    fc_weight is (c_last, classes), fc_bias is (classes,)), a weight array
+    is not float32 or float64 or differs in dtype from w0, or the logits do
+    not fit the graph's support. The model keeps the checkpoint's dtype."""
     with np.load(path) as data:
         if "meta" not in data.files:
             raise ValueError(f"{path}: not a gstrans checkpoint (no 'meta' array)")
@@ -393,21 +409,29 @@ def load_checkpoint(path, graph: Graph):
             raise ValueError("checkpoint was trained on a different graph")
         num_layers = meta["num_layers"]
         needed = [f"{p}{i}" for i in range(num_layers) for p in "wb"]
-        missing = [name for name in needed + ["fc_weight", "fc_bias", "logits"]
-                   if name not in data.files]
+        needed += ["fc_weight", "fc_bias"]
+        missing = [name for name in needed + ["logits"] if name not in data.files]
         if missing:
             raise ValueError(f"{path}: checkpoint lacks arrays {', '.join(missing)}")
+        weights = {name: data[name] for name in needed}
+        for name, a in weights.items():
+            if a.dtype not in (np.float32, np.float64):
+                raise ValueError(f"{path}: {name} has dtype {a.dtype}, "
+                                 f"expected float32 or float64")
+            if a.dtype != weights[needed[0]].dtype:
+                raise ValueError(f"{path}: {name} has dtype {a.dtype}, but "
+                                 f"{needed[0]} has {weights[needed[0]].dtype}")
         k, c_in, layers = meta["k"], None, []
         for i in range(num_layers):
-            w, b = data[f"w{i}"], data[f"b{i}"]
+            w, b = weights[f"w{i}"], weights[f"b{i}"]
             _check_shape(path, f"w{i}", w, (k, c_in, None))
             _check_shape(path, f"b{i}", b, (w.shape[2],))
-            layers.append(GSLayerParams(w.copy(), b.copy()))
+            layers.append(GSLayerParams(w, b))
             c_in = w.shape[2]
-        fc_w, fc_b = data["fc_weight"], data["fc_bias"]
+        fc_w, fc_b = weights["fc_weight"], weights["fc_bias"]
         _check_shape(path, "fc_weight", fc_w, (c_in, None))
         _check_shape(path, "fc_bias", fc_b, (fc_w.shape[1],))
-        model = Model(layers, fc_w.copy(), fc_b.copy(), meta["mode"])
+        model = Model(layers, fc_w, fc_b, meta["mode"])
         try:
             params = EdgeLogits(graph, k, data["logits"].copy())
         except ValueError as exc:

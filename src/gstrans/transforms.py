@@ -7,6 +7,7 @@ constraint is structural. No other module knows this layout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,13 +91,14 @@ class SoftTransforms:
     def k(self) -> int:
         return self.probs.shape[0]
 
-    def sparse(self) -> sp.csr_matrix:
-        """The (K*N x N) operator M whose k-th block of rows is S_k^T.
+    def sparse(self, dtype=np.float64) -> sp.csr_matrix:
+        """The (K*N x N) operator M whose k-th block of rows is S_k^T, in
+        dtype (SciPy would upcast a float32 x to M's float64).
 
         For x of shape (N, F), M @ x stacks every S_k^T x; for g of shape
         (K*N, F), M.T @ g is sum_k S_k g_k.
         """
-        return _stacked_transpose(self.index, self.probs)
+        return _stacked_transpose(self.index, self.probs.astype(dtype, copy=False))
 
     def probs_grad(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Gradient of sum(g * (M @ x)) w.r.t. probs, for x of shape (N, F)
@@ -202,8 +204,9 @@ class Schedule:
     s_total: int
 
     def __post_init__(self):
-        if self.t_init <= 0 or self.t_final <= 0:
-            raise ValueError("temperatures must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.t_init, self.t_final)):
+            raise ValueError(f"temperatures must be positive and finite, got "
+                             f"t_init={self.t_init}, t_final={self.t_final}")
         if self.s_total < 1:
             raise ValueError("s_total must be >= 1")
 

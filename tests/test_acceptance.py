@@ -108,6 +108,7 @@ class TestGradientCorrectness:
            f"{elapsed:.1f}s < 10s")
 
 
+@pytest.mark.slow
 class TestRingRecovery:
     def test_ring_recovery(self):
         start = time.time()

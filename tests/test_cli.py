@@ -152,6 +152,20 @@ class TestEvalCommand:
         assert err.startswith("error:") and "2 classes" in err and "has 3" in err
 
 
+    def test_weight_dtype_mismatch(self, tmp_path, capsys):
+        out = run_train(tmp_path)
+        path = out / "checkpoint.npz"
+        with np.load(path) as f:
+            arrays = dict(f)
+        arrays["fc_weight"] = arrays["fc_weight"].astype(np.float64)
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(path)] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fc_weight has dtype float64" in err
+
+
 class TestVizCommand:
     def grid_transforms(self, tmp_path, h=2, w=3):
         targets = np.stack([np.arange(h * w),
@@ -307,6 +321,21 @@ class TestErrors:
         assert rc == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "logit_lr=-5" in errors[0]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--t-init", "nan"), ("--t-final", "inf"), ("--lr", "nan"),
+        ("--lr", "inf"), ("--logit-lr", "nan"), ("--ring-noise", "nan"),
+        ("--ring-noise", "inf"),
+    ], ids=["t-init-nan", "t-final-inf", "lr-nan", "lr-inf", "logit-lr-nan",
+            "ring-noise-nan", "ring-noise-inf"])
+    def test_non_finite_float_flag_rejected(self, tmp_path, capsys, flag, value):
+        rc = exit_code(["train", "--out-dir", str(tmp_path / "o")] + FAST + [flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and value in errors[0]
         assert not (tmp_path / "o").exists()
 
 

@@ -4,10 +4,11 @@ import pytest
 from gstrans.data import Dataset, make_ring_task
 from gstrans.errors import TrainingDivergedError
 from gstrans.graph import build_grid_graph, build_ring_graph
-from gstrans.nn import (Adam, GSLayerParams, Model, SGD, TrainConfig,
-                        _backward_batch, _forward_batch, _loss_grad_output,
-                        build_model, graph_hash, load_checkpoint,
-                        save_checkpoint, train)
+from gstrans import nn
+from gstrans.nn import (TRAIN_DTYPE, Adam, GSLayerParams, Model, SGD,
+                        TrainConfig, _backward_batch, _eval_split,
+                        _forward_batch, _loss_grad_output, build_model,
+                        graph_hash, load_checkpoint, save_checkpoint, train)
 from gstrans.transforms import (EdgeLogits, Schedule, convolve, one_hot_soft,
                                 soften, soften_backward, temperature_at)
 from oracles import bare_ring, dense_slices
@@ -251,11 +252,14 @@ class TestTrain:
         cfg = TrainConfig(Schedule(2.0, 1.0, 6), lr=0.0, optimizer="sgd",
                           batch_size=8, k=2, hidden=(4,), seed=5)
         rng = np.random.default_rng(5)
-        init_model = build_model(1, (4,), ds.num_classes, 2, "signal", rng)
+        init_model = build_model(1, (4,), ds.num_classes, 2, "signal", rng,
+                                 TRAIN_DTYPE)
         init_logits = EdgeLogits.init(g, 2, rng)
         model, params, _, _ = train(ds, g, cfg)
         for a, b in zip(model.param_arrays(), init_model.param_arrays()):
+            assert a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b)
+        assert params.logits.dtype == np.float64
         assert np.array_equal(params.logits, init_logits.logits)
 
     def test_separable_task_trains(self):
@@ -343,8 +347,10 @@ class TestCheckpoint:
         model2, params2, sched = load_checkpoint(path, g)
         assert sched == cfg.schedule
         assert model2.mode == "signal"
-        for a, b in zip(model.param_arrays(), model2.param_arrays()):
+        for a, b in zip(model.param_arrays(), model2.param_arrays(), strict=True):
+            assert a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b)
+        assert params2.logits.dtype == np.float64
         assert np.array_equal(params.logits, params2.logits)
 
     def test_graph_mismatch_rejected(self, tmp_path):
@@ -379,6 +385,50 @@ class TestCheckpoint:
             np.savez(bad, **broken)
             with pytest.raises(ValueError, match=name):
                 load_checkpoint(bad, g)
+
+    def test_float64_checkpoint_evaluates_in_float64(self, tmp_path, monkeypatch):
+        ds, g = tiny_ring_dataset()
+        rng = np.random.default_rng(3)
+        model = build_model(1, (4,), ds.num_classes, 2, "signal", rng)
+        params = EdgeLogits.init(g, 2, rng, scale=1.0)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, model, params, g, Schedule(2.0, 0.5, 6))
+        model2, params2, _ = load_checkpoint(path, g)
+        assert all(a.dtype == np.float64 for a in model2.param_arrays())
+        dtypes = []
+
+        def recording_forward(xb, soft, model):
+            probs, cache = _forward_batch(xb, soft, model)
+            dtypes.extend(a.dtype for lc in cache["layers"] for a in lc)
+            dtypes.append(probs.dtype)
+            return probs, cache
+
+        monkeypatch.setattr(nn, "_forward_batch", recording_forward)
+        idx = ds.splits["val"]
+        assert _eval_split(model2, params2, ds, idx, 0.5) == \
+            _eval_split(model, params, ds, idx, 0.5)
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("name,dtype,match", [
+        ("w0", np.int64, "expected float32 or float64"),
+        ("fc_bias", np.bool_, "expected float32 or float64"),
+        ("b0", np.float16, "expected float32 or float64"),
+        ("b0", np.float64, "but w0 has float32"),
+        ("fc_weight", np.float64, "but w0 has float32"),
+    ], ids=["w0-int", "fc_bias-bool", "b0-float16", "b0-mixed", "fc_weight-mixed"])
+    def test_weight_dtype_rejected(self, tmp_path, name, dtype, match):
+        ds, g = tiny_ring_dataset()
+        cfg = TrainConfig(Schedule(2.0, 0.5, 2), batch_size=8, k=2,
+                          hidden=(4,), seed=2)
+        model, params, _, _ = train(ds, g, cfg)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, model, params, g, cfg.schedule)
+        with np.load(path) as f:
+            arrays = dict(f)
+        arrays[name] = arrays[name].astype(dtype)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"{name} has dtype .*{match}"):
+            load_checkpoint(path, g)
 
     def test_graph_hash_sensitivity(self):
         assert graph_hash(build_ring_graph(8)) != graph_hash(bare_ring(8))
@@ -448,17 +498,24 @@ def dense_oracle(xb, yb, soft, model, params):
     return np.array(probs), loss, grads
 
 
+def kernel_case(mode, dtype):
+    """A two-layer model in dtype on a 4x5 grid, with its batch; the weights
+    are the same draws, rounded to dtype, whatever the dtype."""
+    g = build_grid_graph(4, 5)
+    rng = np.random.default_rng(20)
+    model = build_model(2, (4, 3), 3, 5, mode, rng, dtype)
+    params = EdgeLogits.init(g, 5, rng, scale=1.0)
+    soft = soften(params, 0.6)
+    xb = rng.standard_normal((3, g.n, 2))
+    yb = (rng.integers(0, 3, size=3) if mode == "signal"
+          else rng.integers(-1, 3, size=(3, g.n)))
+    return model, params, soft, xb, yb
+
+
 class TestKernelEquivalence:
     @pytest.mark.parametrize("mode", ["signal", "vertex"])
     def test_batched_matches_dense_oracle(self, mode):
-        g = build_grid_graph(4, 5)
-        rng = np.random.default_rng(20)
-        model = build_model(2, (4, 3), 3, 5, mode, rng)
-        params = EdgeLogits.init(g, 5, rng, scale=1.0)
-        soft = soften(params, 0.6)
-        xb = rng.standard_normal((3, g.n, 2))
-        yb = (rng.integers(0, 3, size=3) if mode == "signal"
-              else rng.integers(-1, 3, size=(3, g.n)))
+        model, params, soft, xb, yb = kernel_case(mode, np.float64)
         probs, cache = _forward_batch(xb, soft, model)
         loss, _, grads = _backward_batch(xb, yb, soft, model, params, cache)
         probs_o, loss_o, grads_o = dense_oracle(xb, yb, soft, model, params)
@@ -467,3 +524,22 @@ class TestKernelEquivalence:
         for a, b in zip(grads, grads_o, strict=True):
             assert a.shape == b.shape
             assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["signal", "vertex"])
+    def test_float32_matches_dense_oracle(self, mode):
+        # a float32 model computes every activation and weight gradient in
+        # float32 (a float64 operator would upcast them); the logit gradient
+        # stays float64
+        model, params, soft, xb, yb = kernel_case(mode, np.float32)
+        probs, cache = _forward_batch(xb, soft, model)
+        loss, _, grads = _backward_batch(xb, yb, soft, model, params, cache)
+        assert probs.dtype == np.float32
+        assert all(a.dtype == np.float32 for lc in cache["layers"] for a in lc)
+        assert [a.dtype for a in grads] == [np.float32] * (len(grads) - 1) + [np.float64]
+        probs_o, loss_o, grads_o = dense_oracle(
+            xb, yb, soft, *kernel_case(mode, np.float64)[:2])
+        assert np.allclose(probs, probs_o, rtol=1e-4, atol=1e-5)
+        assert loss == pytest.approx(loss_o, rel=1e-4, abs=1e-5)
+        for a, b in zip(grads, grads_o, strict=True):
+            assert a.shape == b.shape
+            assert np.allclose(a, b, rtol=1e-4, atol=1e-5)
