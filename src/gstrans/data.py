@@ -42,6 +42,12 @@ class Dataset:
                              f"got shape {self.signals.shape}")
         if self.mode == "vertex" and len(self.signals) != 1:
             raise ValueError("vertex mode carries exactly one signal matrix")
+        self.labels = np.asarray(self.labels)
+        signal = self.mode == "signal"
+        expected = (self.signals.shape[0 if signal else 1],)
+        if self.labels.shape != expected:
+            raise ValueError(f"labels have shape {self.labels.shape}, expected {expected}: "
+                             f"one per {'sample' if signal else 'vertex'}")
         labeled = self.labels[self.labels >= 0]
         if labeled.size and (labeled.min() < 0 or labeled.max() >= self.num_classes):
             raise ValueError("labels out of range")

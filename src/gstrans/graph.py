@@ -113,10 +113,11 @@ def read_edge_list(text: str, n: int | None = None) -> Graph:
         line = line.strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"edge list line {ln}: expected 'i j', got {line!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:  # a token that is not an integer, or a count other than two
+            i, j = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"edge list line {ln}: expected 'i j', got {line!r}") from None
+        pairs.append((i, j))
     if not pairs and n is None:
         raise ValueError("empty edge list and no vertex count given")
     if n is None:

@@ -114,6 +114,11 @@ def _forward_batch(xb: np.ndarray, soft: SoftTransforms, model: Model):
     reads and writes them without copies; probs are (B, cls) in signal
     mode and (B, N, cls) in vertex mode. Everything is computed in
     model.dtype: the batch and the stacked operator are cast to it.
+
+    In signal mode the last layer runs after the vertex mean. It has no
+    ReLU, and every S_k is row-stochastic, so S_k^T preserves the vertex
+    sum: mean_n(sum_k S_k^T h W_k + b) = mean_n(h) sum_k W_k + b. Its
+    cache entry is (mean_n(h),), shaped (B, C_in), instead of (h, u, z).
     """
     m = soft.sparse(model.dtype)
     h = np.ascontiguousarray(xb.transpose(1, 0, 2), dtype=model.dtype)
@@ -123,12 +128,17 @@ def _forward_batch(xb: np.ndarray, soft: SoftTransforms, model: Model):
         if h.shape[2] != layer.w.shape[1]:
             raise ValueError(
                 f"layer {li}: input has {h.shape[2]} channels, expected {layer.w.shape[1]}")
-        u, z = _gsl(m, h, layer)
-        layer_cache.append((h, u, z))
-        h = _relu(z) if li < last else z
+        if li == last and model.mode == "signal":
+            hbar = h.mean(axis=0)
+            layer_cache.append((hbar,))
+            h = hbar @ layer.w.sum(axis=0) + layer.b
+        else:
+            u, z = _gsl(m, h, layer)
+            layer_cache.append((h, u, z))
+            h = _relu(z) if li < last else z
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("non-finite activations after graph-signal layers")
-    pooled = h.mean(axis=0) if model.mode == "signal" else h   # (B, C) or (N, B, C)
+    pooled = h   # the fc input: (B, C) in signal mode, (N, B, C) in vertex mode
     logits = pooled @ model.fc_weight + model.fc_bias
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits of the fully-connected layer")
@@ -170,9 +180,6 @@ def _backward_batch(xb, yb, soft, model, params, cache):
     dfc_w = pooled.reshape(-1, pooled.shape[-1]).T @ flat
     dfc_b = flat.sum(axis=0)
     dh = dlogits @ model.fc_weight.T
-    if model.mode == "signal":
-        n = xb.shape[1]
-        dh = np.repeat(dh[None] / n, n, axis=0)        # through the vertex mean
 
     m = cache["m"]
     dprobs = np.zeros_like(soft.probs)
@@ -180,15 +187,25 @@ def _backward_batch(xb, yb, soft, model, params, cache):
     last = len(model.gsl_layers) - 1
     for li in range(last, -1, -1):
         layer = model.gsl_layers[li]
-        h, u, z = cache["layers"][li]
-        n, b, c = h.shape
-        dz = (dh if li == last else dh * (z > 0)).reshape(n * b, -1)
-        dw = u.transpose(0, 2, 1) @ dz
-        db = dz.sum(axis=0)
-        g = (dz @ layer.w.transpose(0, 2, 1)).reshape(-1, b * c)  # g_k = dz W_k^T
-        dprobs += soft.probs_grad(h.reshape(n, b * c), g)
-        if li > 0:
-            dh = (m.T @ g).reshape(n, b, c)
+        if li == last and model.mode == "signal":
+            # the layer ran after the vertex mean (see _forward_batch): every
+            # slice gets the same dW, the translations get no gradient, and
+            # the layer below gets the same dh at every vertex, (B, C_in),
+            # which broadcasts over the vertex axis
+            (hbar,) = cache["layers"][li]
+            dw = np.repeat((hbar.T @ dh)[None], len(layer.w), axis=0)
+            db = dh.sum(axis=0)
+            dh = dh @ layer.w.sum(axis=0).T / xb.shape[1]
+        else:
+            h, u, z = cache["layers"][li]
+            n, b, c = h.shape
+            dz = (dh if li == last else dh * (z > 0)).reshape(n * b, -1)
+            dw = u.transpose(0, 2, 1) @ dz
+            db = dz.sum(axis=0)
+            g = (dz @ layer.w.transpose(0, 2, 1)).reshape(-1, b * c)  # g_k = dz W_k^T
+            dprobs += soft.probs_grad(h.reshape(n, b * c), g)
+            if li > 0:
+                dh = (m.T @ g).reshape(n, b, c)
         grads = [dw, db] + grads
         if not all(np.isfinite(a).all() for a in (dw, db)):
             raise FloatingPointError(f"non-finite gradient in graph-signal layer {li}")

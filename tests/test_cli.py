@@ -263,6 +263,16 @@ class TestErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_line", ["1 x", "1 2 3", "7"])
+    def test_bad_edge_list_line_named(self, tmp_path, capsys, bad_line):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"0 1\n{bad_line}\n")
+        rc = exit_code(["train", "--graph", "edge-list", "--edge-list", str(edges),
+                        "--out-dir", str(tmp_path / "o")] + FAST)
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: edge list line 2: expected 'i j', got {bad_line!r}"]
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):

@@ -269,3 +269,13 @@ class TestDatasetValidation:
     def test_label_range(self):
         with pytest.raises(ValueError):
             Dataset("signal", [np.zeros((2, 1))], np.array([5]), 2)
+
+    @pytest.mark.parametrize("mode,signals,labels", [
+        ("signal", np.zeros((3, 4, 1)), np.array([0, 1])),
+        ("signal", np.zeros((3, 4, 1)), np.zeros((3, 1), dtype=np.int64)),
+        ("vertex", np.zeros((1, 4, 1)), np.array([0, 1, 0, 1, 0, 1])),
+        ("vertex", np.zeros((1, 4, 1)), np.zeros((1, 4), dtype=np.int64)),
+    ], ids=["signal-short", "signal-2d", "vertex-long", "vertex-2d"])
+    def test_labels_must_fit_signals(self, mode, signals, labels):
+        with pytest.raises(ValueError, match="labels have shape .* expected"):
+            Dataset(mode, signals, labels, 2)

@@ -20,8 +20,10 @@ def identity_soft(graph):
 
 def layer_z(x, soft, layer):
     """z of the graph-signal layer of a one-layer model on one (N, C_in)
-    signal, read from the cache of a B = 1 forward pass."""
-    model = Model([layer], np.zeros((layer.w.shape[2], 2)), np.zeros(2))
+    signal, read from the cache of a B = 1 forward pass. The model is in
+    vertex mode: a signal-mode last layer runs after the vertex mean and
+    caches no z."""
+    model = Model([layer], np.zeros((layer.w.shape[2], 2)), np.zeros(2), "vertex")
     _, cache = _forward_batch(x[None], soft, model)
     return cache["layers"][0][2][:, 0]
 
@@ -399,8 +401,10 @@ class TestCheckpoint:
 
         def recording_forward(xb, soft, model):
             probs, cache = _forward_batch(xb, soft, model)
+            # a signal-mode last layer caches only the vertex mean of its input
+            assert [len(lc) for lc in cache["layers"]] == [1]
             dtypes.extend(a.dtype for lc in cache["layers"] for a in lc)
-            dtypes.append(probs.dtype)
+            dtypes.extend([cache["pooled"].dtype, probs.dtype])
             return probs, cache
 
         monkeypatch.setattr(nn, "_forward_batch", recording_forward)
@@ -498,24 +502,43 @@ def dense_oracle(xb, yb, soft, model, params):
     return np.array(probs), loss, grads
 
 
-def kernel_case(mode, dtype):
-    """A two-layer model in dtype on a 4x5 grid, with its batch; the weights
-    are the same draws, rounded to dtype, whatever the dtype."""
+def kernel_case(mode, dtype, hidden=(4, 3), one_hot=False):
+    """A model in dtype on a 4x5 grid, with its batch; the weights are the
+    same draws, rounded to dtype, whatever the dtype. With one_hot, the
+    transforms are one_hot_soft of random neighbour maps in place of a
+    softmax at t = 0.6."""
     g = build_grid_graph(4, 5)
     rng = np.random.default_rng(20)
-    model = build_model(2, (4, 3), 3, 5, mode, rng, dtype)
+    model = build_model(2, hidden, 3, 5, mode, rng, dtype)
     params = EdgeLogits.init(g, 5, rng, scale=1.0)
     soft = soften(params, 0.6)
+    if one_hot:
+        pick = np.random.default_rng(21)
+        soft = one_hot_soft(g, [[pick.choice(g.neighbors[i]) for i in range(g.n)]
+                                for _ in range(5)])
     xb = rng.standard_normal((3, g.n, 2))
     yb = (rng.integers(0, 3, size=3) if mode == "signal"
           else rng.integers(-1, 3, size=(3, g.n)))
     return model, params, soft, xb, yb
 
 
+# (mode, hidden, one_hot): signal mode at one, two and three layers, since
+# its last layer runs after the vertex mean, and both modes on one-hot rows
+KERNEL_CASES = {
+    "signal": ("signal", (4, 3), False),
+    "vertex": ("vertex", (4, 3), False),
+    "signal-1-layer": ("signal", (4,), False),
+    "signal-3-layers": ("signal", (4, 3, 2), False),
+    "signal-one-hot": ("signal", (4, 3), True),
+    "vertex-one-hot": ("vertex", (4, 3), True),
+}
+
+
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("mode", ["signal", "vertex"])
-    def test_batched_matches_dense_oracle(self, mode):
-        model, params, soft, xb, yb = kernel_case(mode, np.float64)
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_batched_matches_dense_oracle(self, case):
+        mode, hidden, one_hot = KERNEL_CASES[case]
+        model, params, soft, xb, yb = kernel_case(mode, np.float64, hidden, one_hot)
         probs, cache = _forward_batch(xb, soft, model)
         loss, _, grads = _backward_batch(xb, yb, soft, model, params, cache)
         probs_o, loss_o, grads_o = dense_oracle(xb, yb, soft, model, params)
@@ -525,21 +548,46 @@ class TestKernelEquivalence:
             assert a.shape == b.shape
             assert np.allclose(a, b, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("mode", ["signal", "vertex"])
-    def test_float32_matches_dense_oracle(self, mode):
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_float32_matches_dense_oracle(self, case):
         # a float32 model computes every activation and weight gradient in
         # float32 (a float64 operator would upcast them); the logit gradient
         # stays float64
-        model, params, soft, xb, yb = kernel_case(mode, np.float32)
+        mode, hidden, one_hot = KERNEL_CASES[case]
+        model, params, soft, xb, yb = kernel_case(mode, np.float32, hidden, one_hot)
         probs, cache = _forward_batch(xb, soft, model)
         loss, _, grads = _backward_batch(xb, yb, soft, model, params, cache)
-        assert probs.dtype == np.float32
+        assert probs.dtype == cache["pooled"].dtype == np.float32
+        # full layers cache (h, u, z); a signal-mode last layer caches (mean_n h,)
+        assert [len(lc) for lc in cache["layers"]] == \
+            [3] * (len(hidden) - (mode == "signal")) + [1] * (mode == "signal")
         assert all(a.dtype == np.float32 for lc in cache["layers"] for a in lc)
         assert [a.dtype for a in grads] == [np.float32] * (len(grads) - 1) + [np.float64]
         probs_o, loss_o, grads_o = dense_oracle(
-            xb, yb, soft, *kernel_case(mode, np.float64)[:2])
+            xb, yb, soft, *kernel_case(mode, np.float64, hidden, one_hot)[:2])
         assert np.allclose(probs, probs_o, rtol=1e-4, atol=1e-5)
         assert loss == pytest.approx(loss_o, rel=1e-4, abs=1e-5)
         for a, b in zip(grads, grads_o, strict=True):
             assert a.shape == b.shape
             assert np.allclose(a, b, rtol=1e-4, atol=1e-5)
+
+
+class TestVertexMeanIdentity:
+    """Each S_k is row-stochastic, so the signal-mode last layer, which has
+    no ReLU, sees only the vertex mean of its input and not the translations."""
+
+    @pytest.mark.parametrize("hidden", [(4,), (4, 3)])
+    def test_last_layer_weight_gradients_equal_over_slices(self, hidden):
+        model, params, soft, xb, yb = kernel_case("signal", np.float64, hidden)
+        _, cache = _forward_batch(xb, soft, model)
+        dw = _backward_batch(xb, yb, soft, model, params, cache)[2][2 * len(hidden) - 2]
+        assert dw.shape == model.gsl_layers[-1].w.shape
+        assert all(np.array_equal(dw_k, dw[0]) for dw_k in dw[1:])
+        assert np.any(dw[0] != 0)
+
+    def test_one_layer_logit_gradient_is_zero(self):
+        model, params, soft, xb, yb = kernel_case("signal", np.float64, (4,))
+        _, cache = _forward_batch(xb, soft, model)
+        dlogits = _backward_batch(xb, yb, soft, model, params, cache)[2][-1]
+        assert dlogits.shape == params.logits.shape
+        assert np.array_equal(dlogits, np.zeros_like(dlogits))
