@@ -145,21 +145,20 @@ def _write_metrics(path, history):
 def cmd_train(args) -> int:
     ds, g, grid_dims = _load_dataset(args)
     config = _train_config(args, ds)
-    model, params, hard, history = nn.train(ds, g, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    model, params, hard, history = nn.train(ds, g, config)
     nn.save_checkpoint(out / "checkpoint.npz", model, params, g, config.schedule)
     _write_metrics(out / "metrics.csv", history)
     (out / "transforms.json").write_text(transforms_to_json(hard))
-    acc = evaluate.evaluate_accuracy(model, params, ds, "val", args.t_final)
-    print(f"final val accuracy: {acc:.4f}")
+    print(f"final val accuracy: {history[-1].val_acc:.4f}")
     if grid_dims is not None:
-        report = evaluate.transform_report(hard, *grid_dims)
-        (out / "eval_report.csv").write_text(report)
-        for line in report.strip().splitlines()[1:]:
-            k, name, d = line.split(",")
-            label = f"slice {k}" if k != "mean" else "mean distance"
-            print(f"{label}: {name + ' ' if name else ''}{float(d):.4f}")
+        dist = evaluate.canonical_distances(hard.targets, *grid_dims)
+        (out / "eval_report.csv").write_text(evaluate.transform_report(dist))
+        for k, row in enumerate(dist):
+            i = row.argmin()
+            print(f"slice {k}: {evaluate.CANONICAL_NAMES[i]} {row[i]:.4f}")
+        print(f"mean distance: {dist.min(axis=1).mean():.4f}")
     return 0
 
 
@@ -176,28 +175,22 @@ def cmd_sweep(args) -> int:
     for v in values:
         point = argparse.Namespace(**vars(args))
         setattr(point, args.sweep_axis.replace("-", "_"), v)
-        accs, reports = [], []
+        accs, dists = [], []
         for r in range(args.repeats):
             point.seed = args.seed + r
-            config = _train_config(point, ds)
-            model, params, hard, _ = nn.train(ds, g, config)
-            accs.append(evaluate.evaluate_accuracy(model, params, ds, "val",
-                                                   point.t_final))
-            reports.append(hard)
+            _, _, hard, history = nn.train(ds, g, _train_config(point, ds))
+            accs.append(history[-1].val_acc)
+            if grid_dims is not None:
+                dists.append(evaluate.canonical_distances(hard.targets, *grid_dims))
         row = {"t_init": point.t_init, "t_final": point.t_final,
                "accuracy": float(np.mean(accs))}
-        if grid_dims is not None:
-            h, w = grid_dims
-            canon = {c.name: c.targets for c in evaluate.canonical_transforms(h, w)}
+        if dists:
+            dist = np.stack(dists)                    # (repeats, K, 9)
             for label, name in (("identity", "identity"), ("up", "up"),
                                 ("down", "down"), ("dilation", "h-dilate")):
-                d = np.mean([min(evaluate.transform_distance(hd.targets[k],
-                                                             canon[name], h * w)
-                                 for k in range(hd.k)) for hd in reports])
-                row[f"distance_{label}"] = float(d)
-            mean_d = np.mean([np.mean([evaluate.nearest_canonical(hd.targets[k], h, w)[1]
-                                       for k in range(hd.k)]) for hd in reports])
-            row["distance_mean"] = float(mean_d)
+                j = evaluate.CANONICAL_NAMES.index(name)
+                row[f"distance_{label}"] = float(dist[:, :, j].min(axis=1).mean())
+            row["distance_mean"] = float(dist.min(axis=2).mean(axis=1).mean())
         rows.append(row)
     cols = ["t_init", "t_final", "accuracy", "distance_identity", "distance_up",
             "distance_down", "distance_dilation", "distance_mean"]
@@ -336,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. Exit codes: 0 success, 2 bad input (argparse's
-    own usage errors included), 3 training diverged."""
+    """Run one subcommand. Exit codes: 0 success, 2 bad input or an output
+    path that cannot be written (argparse's own usage errors included), 3
+    training diverged."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -348,7 +342,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, IngestionError, ValueError) as exc:
+    except (OSError, IngestionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -137,7 +137,10 @@ def load_webkb(content_path, cites_path) -> tuple[Dataset, Graph]:
         if cls not in class_index:
             raise IngestionError(f"{content_path}:{ln}: unknown class {cls!r}")
         ids.append(page_id)
-        feats.append(np.asarray(row, dtype=float))
+        try:
+            feats.append(np.asarray(row, dtype=float))
+        except ValueError as exc:
+            raise IngestionError(f"{content_path}:{ln}: {exc}") from None
         labels.append(class_index[cls])
     if not ids:
         raise IngestionError(f"{content_path}: no content rows")

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import EdgeLogits, HardTransforms
+from .nn import _eval_split
+from .transforms import EdgeLogits
 
 CANONICAL_NAMES = ("identity", "up", "down", "left", "right",
                    "h-dilate", "h-contract", "v-dilate", "v-contract")
@@ -18,13 +19,22 @@ class CanonicalTransform:
     targets: np.ndarray  # (n,) target vertex per vertex
 
 
-def _grid_map(height, width, fn) -> np.ndarray:
-    out = np.empty(height * width, dtype=np.int64)
-    for r in range(height):
-        for c in range(width):
-            r2, c2 = fn(r, c)
-            out[r * width + c] = r2 * width + c2
-    return out
+def _canonical_maps(height: int, width: int) -> np.ndarray:
+    """(9, h*w) targets of the canonical transforms in CANONICAL_NAMES order."""
+    r, c = np.divmod(np.arange(height * width, dtype=np.int64), width)
+
+    def flow(x, size, away):
+        """One step away from (toward) the centre line, clamped; the centre
+        line maps to itself."""
+        centre = (size - 1) // 2
+        step = np.where((x < centre) == away, -1, 1)
+        return np.where(x == centre, x, np.clip(x + step, 0, size - 1))
+
+    rows_cols = [(r, c), (np.maximum(r - 1, 0), c), (np.minimum(r + 1, height - 1), c),
+                 (r, np.maximum(c - 1, 0)), (r, np.minimum(c + 1, width - 1)),
+                 (r, flow(c, width, True)), (r, flow(c, width, False)),
+                 (flow(r, height, True), c), (flow(r, height, False), c)]
+    return np.stack([rows * width + cols for rows, cols in rows_cols])
 
 
 def canonical_transforms(height: int, width: int) -> list[CanonicalTransform]:
@@ -35,34 +45,8 @@ def canonical_transforms(height: int, width: int) -> list[CanonicalTransform]:
     """
     if height < 2 or width < 2:
         raise ValueError("canonical transforms need a grid of at least 2x2")
-    cc = (width - 1) // 2
-    cr = (height - 1) // 2
-
-    def h_flow(c, away):
-        if c == cc:
-            return c
-        step = -1 if (c < cc) == away else 1
-        return min(max(c + step, 0), width - 1)
-
-    def v_flow(r, away):
-        if r == cr:
-            return r
-        step = -1 if (r < cr) == away else 1
-        return min(max(r + step, 0), height - 1)
-
-    defs = {
-        "identity": lambda r, c: (r, c),
-        "up": lambda r, c: (max(r - 1, 0), c),
-        "down": lambda r, c: (min(r + 1, height - 1), c),
-        "left": lambda r, c: (r, max(c - 1, 0)),
-        "right": lambda r, c: (r, min(c + 1, width - 1)),
-        "h-dilate": lambda r, c: (r, h_flow(c, True)),
-        "h-contract": lambda r, c: (r, h_flow(c, False)),
-        "v-dilate": lambda r, c: (v_flow(r, True), c),
-        "v-contract": lambda r, c: (v_flow(r, False), c),
-    }
-    return [CanonicalTransform(name, _grid_map(height, width, defs[name]))
-            for name in CANONICAL_NAMES]
+    return [CanonicalTransform(name, targets) for name, targets
+            in zip(CANONICAL_NAMES, _canonical_maps(height, width))]
 
 
 def transform_distance(a: np.ndarray, b: np.ndarray, n: int) -> float:
@@ -74,32 +58,37 @@ def transform_distance(a: np.ndarray, b: np.ndarray, n: int) -> float:
     return float(np.count_nonzero(a != b)) / n
 
 
+def canonical_distances(targets: np.ndarray, height: int, width: int) -> np.ndarray:
+    """(K, 9) normalized Hamming distances from each of the K maps in targets,
+    shaped (K, h*w), to each canonical transform in CANONICAL_NAMES order."""
+    targets, n = np.asarray(targets), height * width
+    if targets.ndim != 2 or targets.shape[1] != n:
+        raise ValueError(f"transforms must be rows of length {n}, got shape {targets.shape}")
+    canon = np.stack([ct.targets for ct in canonical_transforms(height, width)])
+    return np.count_nonzero(targets[:, None] != canon, axis=2) / n
+
+
 def nearest_canonical(targets: np.ndarray, height: int, width: int):
     """(name, distance) of the closest canonical transform; ties go to list order."""
-    n = height * width
-    best_name, best_d = None, np.inf
-    for ct in canonical_transforms(height, width):
-        d = transform_distance(targets, ct.targets, n)
-        if d < best_d:
-            best_name, best_d = ct.name, d
-    return best_name, best_d
+    d = canonical_distances(np.asarray(targets)[None], height, width)[0]
+    i = int(d.argmin())
+    return CANONICAL_NAMES[i], float(d[i])
 
 
-def transform_report(hard: HardTransforms, height: int, width: int) -> str:
-    """CSV with one row per slice plus a mean-distance summary row."""
+def transform_report(distances: np.ndarray) -> str:
+    """CSV of a canonical_distances() matrix: one row per slice with its
+    nearest canonical transform (ties go to list order), plus the mean
+    nearest distance."""
     lines = ["k,nearest_name,distance"]
-    dists = []
-    for k in range(hard.k):
-        name, d = nearest_canonical(hard.targets[k], height, width)
-        dists.append(d)
-        lines.append(f"{k},{name},{d:.10g}")
-    lines.append(f"mean,,{float(np.mean(dists)):.10g}")
+    for k, row in enumerate(distances):
+        i = row.argmin()
+        lines.append(f"{k},{CANONICAL_NAMES[i]},{row[i]:.10g}")
+    lines.append(f"mean,,{distances.min(axis=1).mean():.10g}")
     return "\n".join(lines) + "\n"
 
 
 def evaluate_accuracy(model, params: EdgeLogits, dataset, split, t: float) -> float:
     """Fraction of correct argmax predictions on a split (name or index array)."""
-    from .nn import _eval_split
     idx = dataset.splits[split] if isinstance(split, str) else np.asarray(split)
     if idx.size == 0:
         raise ValueError("empty evaluation split")

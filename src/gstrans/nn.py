@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,24 +150,25 @@ def _forward_batch(xb: np.ndarray, soft: SoftTransforms, model: Model):
     return probs, cache
 
 
-def _loss_grad_output(probs: np.ndarray, yb: np.ndarray):
-    """Mean cross-entropy and its gradient w.r.t. the fc logits.
-
-    Signal mode: yb is (B,) class indices. Vertex mode: yb is (B, N) with -1
-    marking vertices excluded from the loss.
-    """
+def _score(probs: np.ndarray, yb: np.ndarray):
+    """Summed cross-entropy, correct count, scored count and label mask of a
+    batch; yb is (B,) in signal mode, (B, N) with -1 for unscored vertices in vertex mode."""
     mask = yb >= 0
-    count = int(mask.sum())
+    p, y = probs[mask], yb[mask]
+    picked = np.maximum(p[np.arange(len(y)), y], EPS_LOG)
+    return -np.log(picked).sum(), int((p.argmax(axis=1) == y).sum()), len(y), mask
+
+
+def _loss_grad_output(probs: np.ndarray, yb: np.ndarray):
+    """Mean cross-entropy, its gradient w.r.t. the fc logits, and accuracy."""
+    loss, correct, count, mask = _score(probs, yb)
     if count == 0:
         raise ValueError("no labeled vertices in batch")
-    picked = probs[mask, yb[mask]]
-    loss = float(-np.log(np.maximum(picked, EPS_LOG)).mean())
     dlogits = np.zeros_like(probs)
     dlogits[mask] = probs[mask]
     dlogits[mask, yb[mask]] -= 1.0
     dlogits /= count
-    correct = (probs[mask].argmax(axis=1) == yb[mask]).mean()
-    return loss, dlogits, float(correct)
+    return float(loss / count), dlogits, correct / count
 
 
 def _backward_batch(xb, yb, soft, model, params, cache):
@@ -295,13 +297,13 @@ def _eval_split(model, params, dataset, idx, t, batch_size=256):
     soft = soften(params, t)
     losses, correct, count = [], 0, 0
     for xb, yb in _batches(dataset, idx, batch_size):
+        # `_` holds the previous chunk's cache until this forward returns;
+        # freeing it first made the next chunk's forward slower
         probs, _ = _forward_batch(xb, soft, model)
-        mask = yb >= 0
-        p, y = probs[mask], yb[mask]
-        picked = np.maximum(p[np.arange(len(y)), y], EPS_LOG)
-        losses.append(-np.log(picked).sum())
-        correct += int((p.argmax(axis=1) == y).sum())
-        count += len(y)
+        loss, c, n = _score(probs, yb)[:3]
+        losses.append(loss)
+        correct += c
+        count += n
     return float(np.sum(losses) / count), correct / count
 
 
@@ -415,8 +417,15 @@ def load_checkpoint(path, graph: Graph):
     not fit the layer chain (w{i} is (k, c_{i-1}, c_i), b{i} is (c_i,),
     fc_weight is (c_last, classes), fc_bias is (classes,)), a weight array
     is not float32 or float64 or differs in dtype from w0, or the logits do
-    not fit the graph's support. The model keeps the checkpoint's dtype."""
-    with np.load(path) as data:
+    not fit the graph's support, or the file is no readable .npz archive.
+    The model keeps the checkpoint's dtype."""
+    try:
+        data = np.load(path)
+    except (EOFError, ValueError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a readable .npz checkpoint")
+    with data:
         if "meta" not in data.files:
             raise ValueError(f"{path}: not a gstrans checkpoint (no 'meta' array)")
         meta = json.loads(bytes(data["meta"]).decode())

@@ -241,4 +241,6 @@ def transforms_from_json(text: str) -> HardTransforms:
     targets = np.asarray(doc["targets"], dtype=np.int64)
     if targets.shape != (doc["k"], doc["n"]):
         raise ValueError("targets shape does not match declared n and k")
+    if targets.size and not 0 <= targets.min() <= targets.max() < doc["n"]:
+        raise ValueError(f"targets outside [0, {doc['n']})")
     return HardTransforms(doc["n"], targets)

@@ -3,46 +3,42 @@ from __future__ import annotations
 
 import numpy as np
 
+from .evaluate import _canonical_maps
 from .transforms import HardTransforms, apply_hard
 
-# displacement categories in tie-break order for the majority vote
+# displacement categories in tie-break order for the majority vote: the
+# first five canonical transforms, with the identity shown as "self"
 DIRECTIONS = ("self", "up", "down", "left", "right")
-_OFFSETS = {(0, 0): "self", (-1, 0): "up", (1, 0): "down",
-            (0, -1): "left", (0, 1): "right"}
 
 CELL = 20
 HIGHLIGHT = "#d62728"
 NORMAL = "#444444"
 
 
-def _displacements(targets: np.ndarray, height: int, width: int) -> list[str]:
-    out = []
-    for i, j in enumerate(targets):
-        dr = j // width - i // width
-        dc = j % width - i % width
-        key = (int(dr), int(dc))
-        if key not in _OFFSETS:
-            raise ValueError(
-                f"vertex {i} maps to {j}, which is not itself or a 4-neighbor")
-        out.append(_OFFSETS[key])
-    return out
+def _displacements(targets: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Index into DIRECTIONS of each vertex's move: the first of those
+    canonical transforms that maps the vertex where targets does."""
+    targets = np.asarray(targets)
+    if targets.shape != (height * width,):
+        raise ValueError(
+            f"transform has {targets.shape} targets for a {height}x{width} grid")
+    hits = _canonical_maps(height, width)[:len(DIRECTIONS)] == targets
+    matched = hits.any(axis=0)
+    if not matched.all():
+        i = int(matched.argmin())
+        raise ValueError(
+            f"vertex {i} maps to {targets[i]}, which is not itself or a 4-neighbor")
+    return hits.argmax(axis=0)
 
 
 def majority_direction(targets: np.ndarray, height: int, width: int) -> str:
-    disp = _displacements(targets, height, width)
-    counts = {d: 0 for d in DIRECTIONS}
-    for d in disp:
-        counts[d] += 1
-    return max(DIRECTIONS, key=lambda d: (counts[d], -DIRECTIONS.index(d)))
+    counts = np.bincount(_displacements(targets, height, width), minlength=len(DIRECTIONS))
+    return DIRECTIONS[counts.argmax()]
 
 
 def arrow_field_svg(hard_slice: np.ndarray, height: int, width: int) -> str:
     """One glyph per vertex: a dot for self-maps, an arrow toward the target
     otherwise; vertices matching the majority direction are highlighted."""
-    hard_slice = np.asarray(hard_slice)
-    if hard_slice.shape != (height * width,):
-        raise ValueError(
-            f"transform has {hard_slice.shape} targets for a {height}x{width} grid")
     disp = _displacements(hard_slice, height, width)
     major = majority_direction(hard_slice, height, width)
     w_px, h_px = width * CELL, height * CELL
@@ -52,16 +48,15 @@ def arrow_field_svg(hard_slice: np.ndarray, height: int, width: int) -> str:
         f'<rect width="{w_px}" height="{h_px}" fill="white"/>',
     ]
     arrow_len = 0.35 * CELL
-    deltas = {"up": (0, -1), "down": (0, 1), "left": (-1, 0), "right": (1, 0)}
-    for i, d in enumerate(disp):
+    for i, (d, target) in enumerate(zip(disp, np.asarray(hard_slice))):
         r, c = divmod(i, width)
         cx = (c + 0.5) * CELL
         cy = (r + 0.5) * CELL
-        color = HIGHLIGHT if d == major else NORMAL
-        if d == "self":
+        color = HIGHLIGHT if DIRECTIONS[d] == major else NORMAL
+        if DIRECTIONS[d] == "self":
             parts.append(f'<circle cx="{cx:g}" cy="{cy:g}" r="2.5" fill="{color}"/>')
         else:
-            dx, dy = deltas[d]
+            dx, dy = target % width - c, target // width - r
             x1, y1 = cx - dx * arrow_len, cy - dy * arrow_len
             x2, y2 = cx + dx * arrow_len, cy + dy * arrow_len
             # arrowhead: small triangle at the tip, perpendicular base
@@ -111,10 +106,17 @@ def read_ppm(raw: bytes) -> tuple[np.ndarray, int, int]:
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
+        if not raw[start:pos].isdigit():
+            name = ("width", "height", "maxval")[len(fields)]
+            raise ValueError(f"PPM header: expected the {name} as a decimal integer, "
+                             f"found {raw[start:pos].decode('latin-1')!r}")
         fields.append(int(raw[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if not 1 <= maxval <= 255:
         raise ValueError(f"PPM maxval {maxval} is not supported; need 1..255")
+    if len(raw) - pos < width * height * 3:
+        raise ValueError(f"PPM body has {max(len(raw) - pos, 0)} bytes, a "
+                         f"{width}x{height} image needs {width * height * 3}")
     body = np.frombuffer(raw, dtype=np.uint8, count=width * height * 3, offset=pos)
     return body.reshape(height * width, 3).astype(float) / maxval, height, width

@@ -27,3 +27,38 @@ def bare_ring(n):
     """Cycle graph without self-loops: vertex i adjacent to i - 1 and i + 1."""
     return Graph(n, tuple(tuple(sorted({(i - 1) % n, (i + 1) % n}))
                           for i in range(n)))
+
+
+def canonical_maps(height, width):
+    """The nine canonical grid transforms by name, built one pixel at a time:
+    identity, one-step shifts clamped at the border, and dilations
+    (contractions) that move every row or column one step away from
+    (toward) the centre line, which maps to itself."""
+    cr, cc = (height - 1) // 2, (width - 1) // 2
+
+    def flow(x, centre, size, away):
+        if x == centre:
+            return x
+        step = -1 if (x < centre) == away else 1
+        return min(max(x + step, 0), size - 1)
+
+    moves = {
+        "identity": lambda r, c: (r, c),
+        "up": lambda r, c: (max(r - 1, 0), c),
+        "down": lambda r, c: (min(r + 1, height - 1), c),
+        "left": lambda r, c: (r, max(c - 1, 0)),
+        "right": lambda r, c: (r, min(c + 1, width - 1)),
+        "h-dilate": lambda r, c: (r, flow(c, cc, width, True)),
+        "h-contract": lambda r, c: (r, flow(c, cc, width, False)),
+        "v-dilate": lambda r, c: (flow(r, cr, height, True), c),
+        "v-contract": lambda r, c: (flow(r, cr, height, False), c),
+    }
+    out = {}
+    for name, move in moves.items():
+        targets = np.empty(height * width, dtype=np.int64)
+        for r in range(height):
+            for c in range(width):
+                r2, c2 = move(r, c)
+                targets[r * width + c] = r2 * width + c2
+        out[name] = targets
+    return out

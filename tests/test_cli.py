@@ -9,7 +9,8 @@ import pytest
 from gstrans import cli
 from gstrans.cli import main
 from gstrans.evaluate import canonical_transforms, nearest_canonical, transform_distance
-from gstrans.transforms import transforms_from_json, transforms_to_json, HardTransforms
+from gstrans.transforms import (HardTransforms, Schedule, temperature_at,
+                                transforms_from_json, transforms_to_json)
 from gstrans.viz import read_ppm
 
 FAST = ["--ring-n", "8", "--ring-classes", "2", "--ring-samples", "10",
@@ -85,6 +86,15 @@ class TestTrainCommand:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[-1].split(",")[0] == "2"  # 16 samples / batch 8 per epoch
 
+    def test_printed_accuracy_is_last_recorded_val_acc(self, tmp_path, capsys):
+        # the last record's temperature is one ulp off --t-final here; the
+        # printout reads that record all the same
+        assert temperature_at(8, Schedule(7, 0.03, 8)) == 0.030000000000000002
+        out = run_train(tmp_path, "t7", ["--t-init", "7", "--t-final", "0.03"])
+        printed = capsys.readouterr().out.split("final val accuracy:")[1].split()[0]
+        last = (out / "metrics.csv").read_text().splitlines()[-1].split(",")
+        assert printed == f"{float(last[4]):.4f}"
+
     def test_epochs_flag(self, tmp_path):
         out = run_train(tmp_path, "ep", ["--epochs", "2"])
         lines = (out / "metrics.csv").read_text().splitlines()
@@ -152,6 +162,26 @@ class TestEvalCommand:
         assert err.startswith("error:") and "2 classes" in err and "has 3" in err
 
 
+    @pytest.mark.parametrize("name", ["empty", "truncated", "npy", "directory",
+                                      "bytes"])
+    def test_unreadable_checkpoint(self, tmp_path, capsys, name):
+        good = (run_train(tmp_path) / "checkpoint.npz").read_bytes()
+        path = tmp_path / f"{name}.npz"
+        if name == "directory":
+            path.mkdir()
+        elif name == "npy":
+            path = tmp_path / "weights.npy"
+            np.save(path, np.zeros(3))
+        else:
+            path.write_bytes({"empty": b"", "truncated": good[:len(good) // 2],
+                              "bytes": bytes(range(256))}[name])
+        capsys.readouterr()
+        rc = exit_code(["eval", "--checkpoint", str(path)] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert str(path) in err and "allow_pickle" not in err
+
     def test_weight_dtype_mismatch(self, tmp_path, capsys):
         out = run_train(tmp_path)
         path = out / "checkpoint.npz"
@@ -201,6 +231,24 @@ class TestVizCommand:
         rc = main(["viz", "--transforms", str(tf), "--out-dir",
                    str(tmp_path / "v")])
         assert rc == 2
+
+    @pytest.mark.parametrize("vertex,target", [(15, 19), (0, -4)])
+    @pytest.mark.parametrize("image", [False, True], ids=["svg", "image"])
+    def test_target_outside_the_grid(self, tmp_path, capsys, vertex, target, image):
+        targets = np.arange(16)
+        targets[vertex] = target
+        tf = tmp_path / "transforms.json"
+        tf.write_text(json.dumps({"n": 16, "k": 1, "targets": [targets.tolist()]}))
+        argv = ["viz", "--transforms", str(tf), "--height", "4", "--width", "4",
+                "--out-dir", str(tmp_path / "v")]
+        if image:
+            img = tmp_path / "input.ppm"
+            img.write_bytes(b"P6\n4 4\n255\n" + bytes(48))
+            argv += ["--image", str(img)]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed transforms file") and "[0, 16)" in err
+        assert not (tmp_path / "v").exists()
 
     def test_malformed_transforms(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -257,6 +305,23 @@ class TestExportGraph:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command", ["train", "export-graph"])
+    @pytest.mark.parametrize("inside", [False, True], ids=["file", "below-file"])
+    def test_unwritable_output_path(self, tmp_path, capsys, monkeypatch, command,
+                                    inside):
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        target = blocker / "x" if inside else blocker
+        if command == "train":
+            monkeypatch.setattr(cli.nn, "train", lambda *a: pytest.fail("trained"))
+            argv = ["train", "--out-dir", str(target)]
+        else:
+            argv = ["export-graph", "--out", str(target / "graph.txt" if inside
+                                                  else tmp_path)]
+        assert exit_code(argv + FAST) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_bad_graph_combo(self, tmp_path, capsys):
         rc = main(["train", "--graph", "grid", "--out-dir",
                    str(tmp_path / "o")] + FAST)

@@ -165,6 +165,12 @@ class TestWebKB:
         with pytest.raises(IngestionError, match="features"):
             self.make(tmp_path, content=bad, cites="")
 
+    def test_non_numeric_feature_names_file_and_line(self, tmp_path):
+        bad = "pageA 1 0 1 course\npageB 0 x 1 student\n"
+        with pytest.raises(IngestionError, match=r"x\.content:2: could not convert "
+                                                 r"string to float: 'x'"):
+            self.make(tmp_path, content=bad, cites="")
+
     def test_malformed_citation(self, tmp_path):
         with pytest.raises(IngestionError, match="citation"):
             self.make(tmp_path, cites="pageA pageB pageC\n")

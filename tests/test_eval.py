@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from gstrans.data import make_ring_task
-from gstrans.evaluate import (CANONICAL_NAMES, canonical_transforms,
-                              evaluate_accuracy, nearest_canonical,
-                              transform_distance, transform_report)
+from gstrans.evaluate import (CANONICAL_NAMES, canonical_distances,
+                              canonical_transforms, evaluate_accuracy,
+                              nearest_canonical, transform_distance,
+                              transform_report)
 from gstrans.nn import TrainConfig, _forward_batch, train
-from gstrans.transforms import HardTransforms, Schedule, soften
+from gstrans.transforms import Schedule, soften
+from oracles import canonical_maps
 
 
 def by_name(height, width):
@@ -57,6 +59,55 @@ class TestCanonicalTransforms:
         with pytest.raises(ValueError):
             canonical_transforms(1, 5)
 
+    @pytest.mark.parametrize("height", range(2, 13))
+    def test_matches_per_pixel_oracle(self, height):
+        for width in range(2, 13):
+            got = by_name(height, width)
+            expected = canonical_maps(height, width)
+            assert list(got) == list(expected) == list(CANONICAL_NAMES)
+            for name in CANONICAL_NAMES:
+                assert got[name].dtype == np.int64
+                assert np.array_equal(got[name], expected[name]), (height, width, name)
+
+
+def random_maps(rng, k, height, width):
+    """k maps, each a random mix of canonical moves and arbitrary vertices,
+    so that every distance from 0 to 1 occurs."""
+    canon = np.stack(list(canonical_maps(height, width).values()))
+    n = height * width
+    picks = canon[rng.integers(0, len(canon), (k, n)), np.arange(n)]
+    wild = rng.random((k, n)) < rng.random((k, 1))
+    return np.where(wild, rng.integers(0, n, (k, n)), picks)
+
+
+class TestCanonicalDistances:
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (7, 6)])
+    def test_every_entry_is_transform_distance(self, shape):
+        h, w = shape
+        maps = random_maps(np.random.default_rng(h * w), 6, h, w)
+        dist = canonical_distances(maps, h, w)
+        canon = canonical_maps(h, w)
+        assert dist.shape == (6, len(CANONICAL_NAMES))
+        for k in range(6):
+            for j, name in enumerate(CANONICAL_NAMES):
+                assert dist[k, j] == transform_distance(maps[k], canon[name], h * w)
+
+    def test_nearest_and_report_read_the_matrix(self):
+        maps = random_maps(np.random.default_rng(5), 8, 4, 5)
+        dist = canonical_distances(maps, 4, 5)
+        lines = transform_report(dist).splitlines()
+        for k, line in enumerate(lines[1:-1]):
+            name, d = nearest_canonical(maps[k], 4, 5)
+            # the first minimal column, as a loop over CANONICAL_NAMES finds it
+            j = min(range(len(CANONICAL_NAMES)), key=lambda j: (dist[k, j], j))
+            assert (name, d) == (CANONICAL_NAMES[j], dist[k, j])
+            assert line == f"{k},{name},{d:.10g}"
+        assert lines[-1] == f"mean,,{float(np.mean(dist.min(axis=1))):.10g}"
+
+    def test_shape_check(self):
+        with pytest.raises(ValueError, match="rows of length 9"):
+            canonical_distances(np.arange(8)[None], 3, 3)
+
 
 class TestTransformDistance:
     def test_identical(self):
@@ -105,8 +156,8 @@ class TestNearestCanonical:
 class TestTransformReport:
     def test_csv_layout(self):
         maps = by_name(3, 3)
-        hard = HardTransforms(9, np.stack([maps["identity"], maps["down"]]))
-        lines = transform_report(hard, 3, 3).splitlines()
+        dist = canonical_distances(np.stack([maps["identity"], maps["down"]]), 3, 3)
+        lines = transform_report(dist).splitlines()
         assert lines[0] == "k,nearest_name,distance"
         assert lines[1] == "0,identity,0"
         assert lines[2] == "1,down,0"
@@ -115,8 +166,8 @@ class TestTransformReport:
     def test_mean_row(self):
         targets = np.arange(9).copy()
         targets[0] = 1
-        hard = HardTransforms(9, np.stack([np.arange(9), targets]))
-        lines = transform_report(hard, 3, 3).splitlines()
+        dist = canonical_distances(np.stack([np.arange(9), targets]), 3, 3)
+        lines = transform_report(dist).splitlines()
         mean = float(lines[-1].split(",")[2])
         assert mean == pytest.approx((0 + 1 / 9) / 2)
 

@@ -268,6 +268,11 @@ class TestTransformsJson:
         with pytest.raises(ValueError):
             transforms_from_json('{"n": 3, "k": 1, "targets": [[0, 1]]}')
 
+    @pytest.mark.parametrize("targets", [[0, 1, 3], [-1, 1, 2]], ids=["n", "negative"])
+    def test_target_out_of_range(self, targets):
+        with pytest.raises(ValueError, match=r"targets outside \[0, 3\)"):
+            transforms_from_json(f'{{"n": 3, "k": 1, "targets": [{targets}]}}')
+
 
 # property checks over the anneal range: temperatures 1e-4 ... 1e3, logits up
 # to +-1e3, K up to 5, on ring and grid supports

@@ -5,8 +5,8 @@ import pytest
 
 from gstrans.evaluate import canonical_transforms
 from gstrans.transforms import HardTransforms
-from gstrans.viz import (arrow_field_svg, majority_direction, read_ppm,
-                         translated_image_ppm)
+from gstrans.viz import (DIRECTIONS, _displacements, arrow_field_svg,
+                         majority_direction, read_ppm, translated_image_ppm)
 
 
 def canonical(name, h, w):
@@ -31,6 +31,34 @@ class TestMajorityDirection:
         targets[0] = 8  # diagonal across the grid
         with pytest.raises(ValueError):
             majority_direction(targets, 3, 3)
+
+    @pytest.mark.parametrize("vertex,target", [(15, 19), (0, -4), (3, 4), (4, 3)],
+                             ids=["below-grid", "above-grid", "wrap-right", "wrap-left"])
+    def test_rejects_target_off_the_grid(self, vertex, target):
+        # row/column arithmetic alone reads 19 from vertex 15 as "down" and -4
+        # from vertex 0 as "up"
+        targets = np.arange(16)
+        targets[vertex] = target
+        with pytest.raises(ValueError, match=f"vertex {vertex} maps to {target},"):
+            majority_direction(targets, 4, 4)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (6, 4)])
+    def test_directions_are_row_column_offsets(self, shape):
+        h, w = shape
+        offsets = {(0, 0): "self", (-1, 0): "up", (1, 0): "down",
+                   (0, -1): "left", (0, 1): "right"}
+        rng = np.random.default_rng(h * 31 + w)
+        rows, cols = np.divmod(np.arange(h * w), w)
+        for _ in range(20):
+            # each vertex stays or moves to a random 4-neighbour on the grid
+            dr, dc = np.array(list(offsets))[rng.integers(0, 5, h * w)].T
+            r2, c2 = np.clip(rows + dr, 0, h - 1), np.clip(cols + dc, 0, w - 1)
+            got = [DIRECTIONS[j] for j in _displacements(r2 * w + c2, h, w)]
+            assert got == [offsets[(r2[i] - rows[i], c2[i] - cols[i])]
+                           for i in range(h * w)]
+            counts = [got.count(d) for d in DIRECTIONS]
+            assert majority_direction(r2 * w + c2, h, w) == DIRECTIONS[
+                counts.index(max(counts))]
 
 
 class TestArrowFieldSvg:
@@ -98,6 +126,16 @@ class TestPpm:
         assert (h, w) == (1, 2)
         assert np.allclose(img[0], [1, 0, 0])
         assert np.allclose(img[1], [0, 1, 0])
+
+    @pytest.mark.parametrize("raw,message", [
+        (b"P6\n2 2\n255\n" + bytes(11), "PPM body has 11 bytes, a 2x2 image needs 12"),
+        (b"P6\n2 2\n", "expected the maxval as a decimal integer, found ''"),
+        (b"P6\n2 x\n255\n", "expected the height as a decimal integer, found 'x'"),
+    ], ids=["short-body", "missing-maxval", "non-numeric-height"])
+    def test_read_ppm_names_the_fault(self, raw, message):
+        with pytest.raises(ValueError) as info:
+            read_ppm(raw)
+        assert str(info.value).endswith(message)
 
     def test_read_ppm_rejects_other_magic(self):
         with pytest.raises(ValueError):
