@@ -1,0 +1,56 @@
+"""CPU time and peak memory of loading CIFAR-10 at paper scale.
+
+    PYTHONPATH=src python3 scripts/cifar_load_footprint.py [RECORDS]
+
+Writes RECORDS random records (default 60000, the size of CIFAR-10) in the
+binary batch format, as five data_batch files and a test_batch, to a
+temporary directory. Then it runs load_cifar10(..., downscale=True) on them
+and prints the load's process CPU seconds and the process's peak resident
+set size (ru_maxrss), which includes the writing before the load.
+"""
+from __future__ import annotations
+
+import resource
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from gstrans.data import CIFAR_RECORD_BYTES, load_cifar10
+
+FILES = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
+
+
+def write_records(out_dir: Path, total: int, seed: int = 0) -> None:
+    """total records split as evenly as possible over FILES, one file in
+    memory at a time."""
+    rng = np.random.default_rng(seed)
+    for i, name in enumerate(FILES):
+        count = total * (i + 1) // len(FILES) - total * i // len(FILES)
+        records = rng.integers(0, 256, (count, CIFAR_RECORD_BYTES), dtype=np.uint8)
+        records[:, 0] %= 10
+        (out_dir / name).write_bytes(records.tobytes())
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def main(argv: list[str]) -> int:
+    total = int(argv[0]) if argv else 60000
+    with tempfile.TemporaryDirectory() as tmp:
+        write_records(Path(tmp), total)
+        before = peak_rss_mb()
+        cpu = time.process_time()
+        ds = load_cifar10(tmp, downscale=True)
+        cpu = time.process_time() - cpu
+    print(f"{len(ds.labels)} records, signals {ds.signals.shape} {ds.signals.dtype}")
+    print(f"load_cifar10(downscale=True) CPU: {cpu:.2f} s")
+    print(f"peak RSS: {peak_rss_mb():.0f} MB (before the load: {before:.0f} MB)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -76,12 +76,8 @@ def _load_dataset(args):
         if not args.data_dir or not Path(args.data_dir).is_dir():
             raise FileNotFoundError(
                 f"--data-dir {args.data_dir!r} does not exist or is not a directory")
-        ds = data.load_cifar10(args.data_dir)
-        if args.downscale:
-            ds = data.downscale_cifar(ds)
-            grid = (16, 16)
-        else:
-            grid = (32, 32)
+        ds = data.load_cifar10(args.data_dir, downscale=args.downscale)
+        grid = (16, 16) if args.downscale else (32, 32)
         g = None
     else:  # webkb
         for p in (args.content, args.cites):
@@ -115,7 +111,8 @@ def _load_dataset(args):
         g = graph_mod.read_edge_list(Path(args.edge_list).read_text(), n)
     if g.n != n:
         raise ValueError(f"graph has {g.n} vertices but signals have {n}")
-    grid_dims = (height, width) if height and width and height * width == n else None
+    grid_dims = ((height, width) if height and width and min(height, width) >= 2
+                 and height * width == n else None)
     return ds, g, grid_dims
 
 

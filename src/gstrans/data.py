@@ -15,6 +15,8 @@ from .graph import Graph, _from_sets, build_ring_graph
 log = logging.getLogger(__name__)
 
 CIFAR_RECORD_BYTES = 3073
+# records converted at a time; below about 1024 the size hardly moves the load time
+_CHUNK_RECORDS = 256
 WEBKB_CLASSES = ("course", "faculty", "project", "staff", "student")
 
 
@@ -66,50 +68,48 @@ def _parse_cifar_batch(raw: bytes, path) -> np.ndarray:
     return records
 
 
-def load_cifar10(path, val_fraction: float = 0.1) -> Dataset:
-    """Load the standard binary batches under ``path``.
+def load_cifar10(path, val_fraction: float = 0.1, downscale: bool = False) -> Dataset:
+    """Load the standard binary batches under ``path``, converting one file
+    at a time, in chunks of records, straight into the float output.
 
     Training batches are split train/val by the trailing ``val_fraction``;
-    test_batch.bin, when present, becomes the test split.
-    """
+    test_batch.bin, when present, becomes the test split. ``downscale`` gives
+    each image's 16x16 grid of 2x2 block means, (S, 256, 3), not (S, 1024, 3)."""
     path = Path(path)
     train_files = sorted(path.glob("data_batch_*.bin"))
     if not train_files:
         raise IngestionError(f"no data_batch_*.bin files found in {path}")
     test_file = path / "test_batch.bin"
     files = train_files + ([test_file] if test_file.exists() else [])
-    parts = [_parse_cifar_batch(f.read_bytes(), f) for f in files]
-    n_train_total = sum(len(p) for p in parts[:len(train_files)])
-    records = np.concatenate(parts)
-    # channel-planar R,G,B planes of 1024 bytes each, row-major 32x32; the
-    # floats keep that planar memory layout, since a C-order copy would cost
-    # a strided transpose of the whole array and change the summation order,
-    # and so the last bits, of downscale_2x
-    pixels = records[:, 1:].reshape(-1, 3, 1024).transpose(0, 2, 1) / 255.0
+    counts = [f.stat().st_size // CIFAR_RECORD_BYTES for f in files]
+    signals = np.empty((sum(counts), 256 if downscale else 1024, 3))
+    labels = np.empty(sum(counts), dtype=np.int64)
+    start = 0
+    for f, count in zip(files, counts):
+        records = _parse_cifar_batch(f.read_bytes(), f)
+        if len(records) != count:
+            raise IngestionError(f"{f}: size changed while loading")
+        labels[start:start + count] = records[:, 0]
+        for lo in range(0, count, _CHUNK_RECORDS):
+            chunk = records[lo:lo + _CHUNK_RECORDS]
+            # channel-planar R,G,B planes of 1024 bytes each, row-major 32x32
+            pixels = chunk[:, 1:].reshape(-1, 3, 1024).transpose(0, 2, 1) / 255.0
+            if downscale:
+                # the order in which numpy's mean over the block axes of the
+                # whole planar-strided float array adds: the bits are the same
+                q = pixels.reshape(-1, 16, 2, 16, 2, 3)
+                pixels = ((q[:, :, 0, :, 0] + q[:, :, 0, :, 1])
+                          + (q[:, :, 1, :, 0] + q[:, :, 1, :, 1])) / 4
+            signals[start:start + len(chunk)] = pixels.reshape(len(chunk), -1, 3)
+            start += len(chunk)
+    n_train_total = sum(counts[:len(train_files)])
     n_val = int(round(val_fraction * n_train_total))
     splits = {
         "train": np.arange(0, n_train_total - n_val),
         "val": np.arange(n_train_total - n_val, n_train_total),
-        "test": np.arange(n_train_total, len(records)),
+        "test": np.arange(n_train_total, len(labels)),
     }
-    return Dataset("signal", pixels, records[:, 0].astype(np.int64), 10, splits)
-
-
-def downscale_2x(image: np.ndarray) -> np.ndarray:
-    """Mean over non-overlapping 2x2 blocks, per channel:
-    (..., 32, 32, 3) -> (..., 16, 16, 3)."""
-    image = np.asarray(image, dtype=float)
-    if image.shape[-3:] != (32, 32, 3):
-        raise ValueError(f"expected 32x32x3 images, got shape {image.shape}")
-    return image.reshape(*image.shape[:-3], 16, 2, 16, 2, 3).mean(axis=(-4, -2))
-
-
-def downscale_cifar(dataset: Dataset) -> Dataset:
-    """Map every 1024-vertex CIFAR signal to the 256-vertex 16x16 grid."""
-    s = len(dataset.signals)
-    signals = downscale_2x(dataset.signals.reshape(s, 32, 32, 3)).reshape(s, 256, 3)
-    return Dataset(dataset.mode, signals, dataset.labels, dataset.num_classes,
-                   dataset.splits)
+    return Dataset("signal", signals, labels, 10, splits)
 
 
 def load_webkb(content_path, cites_path) -> tuple[Dataset, Graph]:

@@ -376,6 +376,9 @@ def train(dataset, graph: Graph, config: TrainConfig):
 
 
 CHECKPOINT_VERSION = 1
+# the keys of a checkpoint's meta record, in the order save_checkpoint writes them
+_META_KEYS = ("version", "mode", "k", "num_layers", "graph_hash", "t_init",
+              "t_final", "s_total")
 
 
 def graph_hash(graph: Graph) -> str:
@@ -384,16 +387,9 @@ def graph_hash(graph: Graph) -> str:
 
 def save_checkpoint(path, model: Model, params: EdgeLogits, graph: Graph,
                     sched: Schedule):
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "mode": model.mode,
-        "k": params.k,
-        "num_layers": len(model.gsl_layers),
-        "graph_hash": graph_hash(graph),
-        "t_init": sched.t_init,
-        "t_final": sched.t_final,
-        "s_total": sched.s_total,
-    }
+    meta = dict(zip(_META_KEYS, (CHECKPOINT_VERSION, model.mode, params.k,
+                                 len(model.gsl_layers), graph_hash(graph),
+                                 sched.t_init, sched.t_final, sched.s_total)))
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     for i, layer in enumerate(model.gsl_layers):
         arrays[f"w{i}"] = layer.w
@@ -413,8 +409,8 @@ def _check_shape(path, name: str, a: np.ndarray, expected: tuple):
 
 def load_checkpoint(path, graph: Graph):
     """Returns (model, edge_logits, schedule). Raises ValueError if the file
-    lacks an array, was trained on another graph, or an array's shape does
-    not fit the layer chain (w{i} is (k, c_{i-1}, c_i), b{i} is (c_i,),
+    lacks an array or a meta key, was trained on another graph, or an
+    array's shape does not fit the layer chain (w{i} is (k, c_{i-1}, c_i), b{i} is (c_i,),
     fc_weight is (c_last, classes), fc_bias is (classes,)), a weight array
     is not float32 or float64 or differs in dtype from w0, or the logits do
     not fit the graph's support, or the file is no readable .npz archive.
@@ -429,6 +425,11 @@ def load_checkpoint(path, graph: Graph):
         if "meta" not in data.files:
             raise ValueError(f"{path}: not a gstrans checkpoint (no 'meta' array)")
         meta = json.loads(bytes(data["meta"]).decode())
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: checkpoint meta is not a JSON object")
+        missing = [key for key in _META_KEYS if key not in meta]
+        if missing:
+            raise ValueError(f"{path}: checkpoint meta lacks keys {', '.join(missing)}")
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
         if meta["graph_hash"] != graph_hash(graph):

@@ -62,3 +62,12 @@ def canonical_maps(height, width):
                 targets[r * width + c] = r2 * width + c2
         out[name] = targets
     return out
+
+
+def downscale_2x(image: np.ndarray) -> np.ndarray:
+    """Mean over non-overlapping 2x2 blocks, per channel:
+    (..., 32, 32, 3) -> (..., 16, 16, 3)."""
+    image = np.asarray(image, dtype=float)
+    if image.shape[-3:] != (32, 32, 3):
+        raise ValueError(f"expected 32x32x3 images, got shape {image.shape}")
+    return image.reshape(*image.shape[:-3], 16, 2, 16, 2, 3).mean(axis=(-4, -2))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gstrans.cli import main as cli_main
-from gstrans.data import load_cifar10, load_webkb, downscale_cifar, make_ring_task, make_splits
+from gstrans.data import load_cifar10, load_webkb, make_ring_task, make_splits
 from gstrans.evaluate import nearest_canonical, transform_distance
 from gstrans.graph import build_grid_graph, build_ring_graph
 from gstrans.nn import (TrainConfig, _backward_batch, _forward_batch,
@@ -157,7 +157,7 @@ class TestCifar10DeskScale:
             print(f"SKIP: cifar10 desk scale: {msg}")
             pytest.skip(msg)
         start = time.time()
-        ds = downscale_cifar(load_cifar10(CIFAR_DIR))
+        ds = load_cifar10(CIFAR_DIR, downscale=True)
         ds.splits["train"] = ds.splits["train"][:5000]
         g = build_grid_graph(16, 16)
         steps = 10 * -(-5000 // 32)  # 10 epochs

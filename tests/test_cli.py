@@ -65,6 +65,16 @@ class TestTrainCommand:
         assert report[-1].startswith("mean,,")
         assert "mean distance:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("height,width", [(1, 8), (8, 1)])
+    def test_one_row_grid_has_no_report(self, tmp_path, capsys, height, width):
+        out = tmp_path / "out"
+        rc = exit_code(["train", "--out-dir", str(out), "--height", str(height),
+                        "--width", str(width)] + FAST)
+        assert rc == 0
+        assert (out / "checkpoint.npz").exists() and (out / "transforms.json").exists()
+        assert not (out / "eval_report.csv").exists()
+        assert "mean distance" not in capsys.readouterr().out
+
     def test_config_file_and_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("ring-n = 8\nring-classes = 2\nring-samples = 10\n"
@@ -182,6 +192,27 @@ class TestEvalCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert str(path) in err and "allow_pickle" not in err
 
+    @pytest.mark.parametrize("key", ["version", "graph_hash", "mode", "k", "num_layers",
+                                     "t_init", "t_final", "s_total", "not-an-object"])
+    def test_incomplete_meta_rejected(self, tmp_path, capsys, key):
+        path = run_train(tmp_path) / "checkpoint.npz"
+        with np.load(path) as f:
+            arrays = dict(f)
+        meta = json.loads(arrays["meta"].tobytes())
+        if key == "not-an-object":
+            meta = list(meta)
+        else:
+            del meta[key]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        rc = exit_code(["eval", "--checkpoint", str(path)] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and str(path) in err
+        assert (f"lacks keys {key}\n" in err if key != "not-an-object"
+                else "not a JSON object" in err)
+
     def test_weight_dtype_mismatch(self, tmp_path, capsys):
         out = run_train(tmp_path)
         path = out / "checkpoint.npz"
@@ -287,6 +318,15 @@ class TestSweepCommand:
             assert vals[3:] == pytest.approx(expected, rel=1e-9)
             report = (run / "eval_report.csv").read_text().splitlines()
             assert vals[7] == pytest.approx(float(report[-1].split(",")[2]), rel=1e-9)
+
+    def test_one_row_grid_has_no_distance_columns(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = exit_code(["sweep", "--sweep-axis", "t-init", "--sweep-values", "2,1",
+                        "--out-dir", str(out), "--height", "1", "--width", "8"] + FAST)
+        assert rc == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert all(line.endswith(",,,,,") for line in lines[1:])
 
     def test_missing_axis(self, tmp_path, capsys):
         rc = main(["sweep", "--out-dir", str(tmp_path)] + FAST)

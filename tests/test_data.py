@@ -1,9 +1,20 @@
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gstrans.data import (Dataset, downscale_2x, downscale_cifar, load_cifar10,
-                          load_webkb, make_ring_task, make_splits)
+from gstrans import data
+from gstrans.data import (CIFAR_RECORD_BYTES, Dataset, load_cifar10, load_webkb,
+                          make_ring_task, make_splits)
 from gstrans.errors import IngestionError
+from oracles import downscale_2x
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def nearest_rotation_class(sample: np.ndarray, waves: np.ndarray) -> int:
@@ -78,35 +89,143 @@ class TestCifarLoading:
             load_cifar10(tmp_path)
 
 
+def random_records(rng, count):
+    """(count, 3073) uint8 records with valid label bytes."""
+    records = rng.integers(0, 256, size=(count, CIFAR_RECORD_BYTES), dtype=np.uint8)
+    records[:, 0] %= 10
+    return records
+
+
+def oracle_signals(records, downscale):
+    """The signals of the whole record array at once: the floats keep the
+    files' channel-planar memory layout, and downscale_2x's mean over them
+    sets the bits a chunked downscale must reproduce."""
+    pixels = records[:, 1:].reshape(-1, 3, 1024).transpose(0, 2, 1) / 255.0
+    if not downscale:
+        return pixels
+    s = len(records)
+    return downscale_2x(pixels.reshape(s, 32, 32, 3)).reshape(s, 256, 3)
+
+
+class TestChunkedLoad:
+    # record counts that are no multiple of the chunk size, one file below it
+    COUNTS = {"data_batch_1.bin": 300, "data_batch_2.bin": 5, "data_batch_3.bin": 517,
+              "test_batch.bin": 70}
+
+    def write(self, tmp_path):
+        rng = np.random.default_rng(0)
+        parts = []
+        for name, count in self.COUNTS.items():
+            parts.append(random_records(rng, count))
+            (tmp_path / name).write_bytes(parts[-1].tobytes())
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize("downscale", [True, False], ids=["downscale", "full"])
+    def test_matches_whole_array_oracle(self, tmp_path, downscale):
+        assert all(n % data._CHUNK_RECORDS for n in self.COUNTS.values())
+        records = self.write(tmp_path)
+        ds = load_cifar10(tmp_path, downscale=downscale)
+        assert ds.signals.dtype == np.float64
+        assert np.array_equal(ds.signals, oracle_signals(records, downscale))
+        assert np.array_equal(ds.labels, records[:, 0])
+
+    def test_test_batch_becomes_test_split(self, tmp_path):
+        self.write(tmp_path)
+        ds = load_cifar10(tmp_path, val_fraction=0.1, downscale=True)
+        assert np.array_equal(ds.splits["train"], np.arange(740))
+        assert np.array_equal(ds.splits["val"], np.arange(740, 822))
+        assert np.array_equal(ds.splits["test"], np.arange(822, 892))
+
+    @pytest.mark.parametrize("fault", ["truncated", "bad-label"])
+    def test_fault_in_a_later_file_names_it(self, tmp_path, fault):
+        self.write(tmp_path)
+        f = tmp_path / "data_batch_2.bin"
+        raw = bytearray(f.read_bytes())
+        if fault == "truncated":
+            del raw[-100:]
+        else:
+            raw[3 * CIFAR_RECORD_BYTES] = 12
+        f.write_bytes(bytes(raw))
+        match = "offset" if fault == "truncated" else "record 3 has label byte 12"
+        with pytest.raises(IngestionError, match=re.escape(str(f)) + ".*" + match):
+            load_cifar10(tmp_path, downscale=True)
+
+    def test_file_that_grows_while_loading(self, tmp_path, monkeypatch):
+        self.write(tmp_path)
+        grown = tmp_path / "data_batch_3.bin"
+        read = Path.read_bytes
+
+        def read_bytes(path):
+            raw = read(path)
+            return raw + raw[:CIFAR_RECORD_BYTES] if path == grown else raw
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        with pytest.raises(IngestionError, match=re.escape(str(grown)) + ": size changed"):
+            load_cifar10(tmp_path)
+
+    def test_downscale_never_holds_the_full_size_floats(self, tmp_path):
+        # one file, so converting it whole would hold the full-size floats;
+        # numpy reports its buffers to tracemalloc
+        records = random_records(np.random.default_rng(1), 2000)
+        (tmp_path / "data_batch_1.bin").write_bytes(records.tobytes())
+        tracemalloc.start()
+        try:
+            ds = load_cifar10(tmp_path, downscale=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.signals.shape == (2000, 256, 3)
+        assert peak < 2000 * 1024 * 3 * 8
+
+    def test_footprint_script_runs(self):
+        script = ROOT / "scripts" / "cifar_load_footprint.py"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, str(script), "600"], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert "600 records" in out and "(600, 256, 3)" in out
+        assert re.search(r"CPU: \d+\.\d+ s", out) and re.search(r"peak RSS: \d+ MB", out)
+
+
 class TestDownscale:
-    def test_block_means(self):
-        img = np.zeros((32, 32, 3))
+    def test_block_means(self, tmp_path):
+        img = np.zeros((32, 32, 3), dtype=np.uint8)
         img[0, 0, 0], img[0, 1, 0], img[1, 0, 0], img[1, 1, 0] = 1, 2, 3, 4
-        small = downscale_2x(img)
-        assert small.shape == (16, 16, 3)
-        assert small[0, 0, 0] == pytest.approx(2.5)
-        assert small[0, 0, 1] == 0.0
+        img[2:4, 4:6, 2] = 200                    # block (1, 2), vertex 1 * 16 + 2
+        write_cifar_batch(tmp_path / "data_batch_1.bin", [0], [img])
+        small = load_cifar10(tmp_path, downscale=True).signals[0]
+        assert small.shape == (256, 3)
+        assert small[0, 0] == pytest.approx(2.5 / 255.0)
+        assert small[0, 1] == 0.0
+        assert small[18, 2] == 200 / 255.0
+        assert np.count_nonzero(small) == 2
 
-    def test_constant_image_preserved(self):
-        assert np.allclose(downscale_2x(np.full((32, 32, 3), 0.7)), 0.7)
+    def test_constant_image_preserved(self, tmp_path):
+        write_cifar_batch(tmp_path / "data_batch_1.bin", [3],
+                          [np.full((32, 32, 3), 178, dtype=np.uint8)])
+        assert np.all(load_cifar10(tmp_path, downscale=True).signals == 178 / 255.0)
 
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
+    def test_shape_check(self, tmp_path):
+        rng = np.random.default_rng(5)
+        write_cifar_batch(tmp_path / "data_batch_1.bin",
+                          rng.integers(0, 10, 3), random_images(rng, 3))
+        assert load_cifar10(tmp_path).signals.shape == (3, 1024, 3)
+        assert load_cifar10(tmp_path, downscale=False).signals.shape == (3, 1024, 3)
+        assert load_cifar10(tmp_path, downscale=True).signals.shape == (3, 256, 3)
+        with pytest.raises(ValueError):           # the oracle takes 32x32 images only
             downscale_2x(np.zeros((16, 16, 3)))
 
     def test_downscale_dataset(self, tmp_path):
         rng = np.random.default_rng(4)
         write_cifar_batch(tmp_path / "data_batch_1.bin",
                           rng.integers(0, 10, 5), random_images(rng, 5))
-        ds = downscale_cifar(load_cifar10(tmp_path))
+        ds = load_cifar10(tmp_path, downscale=True)
         assert ds.signals.shape == (5, 256, 3)
         # global mean is preserved by 2x2 block averaging
         big = load_cifar10(tmp_path)
         assert np.mean(ds.signals[0]) == pytest.approx(np.mean(big.signals[0]))
-        # the whole-array downscale equals the per-image one, bit for bit
-        per_image = [downscale_2x(s.reshape(32, 32, 3)).reshape(256, 3)
-                     for s in big.signals]
-        assert np.array_equal(ds.signals, np.stack(per_image))
+        # the chunked downscale equals the oracle's mean over all images, bit for bit
+        records = np.frombuffer((tmp_path / "data_batch_1.bin").read_bytes(), np.uint8)
+        assert np.array_equal(ds.signals, oracle_signals(records.reshape(5, -1), True))
 
 
 def webkb_fixture_text():
