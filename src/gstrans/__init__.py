@@ -6,8 +6,7 @@ by relaxing the one-hot rows with a temperature-annealed masked softmax and
 hardening them after training.
 """
 from .data import Dataset, load_cifar10, load_webkb, make_ring_task, make_splits
-from .evaluate import (canonical_transforms, evaluate_accuracy,
-                       nearest_canonical, transform_distance)
+from .evaluate import canonical_distances, evaluate_accuracy, transform_distance
 from .graph import (Graph, build_grid_graph, build_knn_covariance_graph,
                     build_ring_graph)
 from .nn import Model, TrainConfig, train
@@ -19,8 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "load_cifar10", "load_webkb", "make_ring_task", "make_splits",
-    "canonical_transforms", "evaluate_accuracy", "nearest_canonical",
-    "transform_distance",
+    "canonical_distances", "evaluate_accuracy", "transform_distance",
     "Graph", "build_grid_graph", "build_knn_covariance_graph",
     "build_ring_graph",
     "Model", "TrainConfig", "train",

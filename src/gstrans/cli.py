@@ -235,6 +235,9 @@ def cmd_eval(args) -> int:
     if model.num_classes != ds.num_classes:
         raise ValueError(f"checkpoint has {model.num_classes} classes, "
                          f"dataset has {ds.num_classes}")
+    if model.mode != ds.mode:
+        raise ValueError(f"checkpoint is a {model.mode}-mode model, "
+                         f"dataset is in {ds.mode} mode")
     acc = evaluate.evaluate_accuracy(model, params, ds, args.split, sched.t_final)
     print(f"{args.split} accuracy: {acc:.4f}")
     return 0

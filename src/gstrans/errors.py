@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class InsufficientDataError(ValueError):
-    """Not enough samples to estimate the requested statistic."""
-
-
 class IngestionError(RuntimeError):
     """A dataset file is missing, truncated, or malformed."""
 

@@ -2,8 +2,6 @@
 translations, dilations, and contractions on grid graphs."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import _eval_split
@@ -13,14 +11,10 @@ CANONICAL_NAMES = ("identity", "up", "down", "left", "right",
                    "h-dilate", "h-contract", "v-dilate", "v-contract")
 
 
-@dataclass(frozen=True)
-class CanonicalTransform:
-    name: str
-    targets: np.ndarray  # (n,) target vertex per vertex
-
-
 def _canonical_maps(height: int, width: int) -> np.ndarray:
-    """(9, h*w) targets of the canonical transforms in CANONICAL_NAMES order."""
+    """(9, h*w) targets of the canonical transforms in CANONICAL_NAMES order,
+    boundary-clamped to self. Dilations move one step away from the centre
+    row/column, contractions one step toward it."""
     r, c = np.divmod(np.arange(height * width, dtype=np.int64), width)
 
     def flow(x, size, away):
@@ -37,18 +31,6 @@ def _canonical_maps(height: int, width: int) -> np.ndarray:
     return np.stack([rows * width + cols for rows, cols in rows_cols])
 
 
-def canonical_transforms(height: int, width: int) -> list[CanonicalTransform]:
-    """The nine reference transforms, boundary-clamped to self.
-
-    Dilations move one step away from the center row/column, contractions one
-    step toward it; the center line maps to itself.
-    """
-    if height < 2 or width < 2:
-        raise ValueError("canonical transforms need a grid of at least 2x2")
-    return [CanonicalTransform(name, targets) for name, targets
-            in zip(CANONICAL_NAMES, _canonical_maps(height, width))]
-
-
 def transform_distance(a: np.ndarray, b: np.ndarray, n: int) -> float:
     """Normalized Hamming distance: fraction of vertices where the maps differ."""
     a = np.asarray(a)
@@ -61,18 +43,13 @@ def transform_distance(a: np.ndarray, b: np.ndarray, n: int) -> float:
 def canonical_distances(targets: np.ndarray, height: int, width: int) -> np.ndarray:
     """(K, 9) normalized Hamming distances from each of the K maps in targets,
     shaped (K, h*w), to each canonical transform in CANONICAL_NAMES order."""
+    if height < 2 or width < 2:
+        raise ValueError("canonical transforms need a grid of at least 2x2")
     targets, n = np.asarray(targets), height * width
     if targets.ndim != 2 or targets.shape[1] != n:
         raise ValueError(f"transforms must be rows of length {n}, got shape {targets.shape}")
-    canon = np.stack([ct.targets for ct in canonical_transforms(height, width)])
+    canon = _canonical_maps(height, width)
     return np.count_nonzero(targets[:, None] != canon, axis=2) / n
-
-
-def nearest_canonical(targets: np.ndarray, height: int, width: int):
-    """(name, distance) of the closest canonical transform; ties go to list order."""
-    d = canonical_distances(np.asarray(targets)[None], height, width)[0]
-    i = int(d.argmin())
-    return CANONICAL_NAMES[i], float(d[i])
 
 
 def transform_report(distances: np.ndarray) -> str:

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -78,7 +76,7 @@ def build_knn_covariance_graph(samples: np.ndarray, k: int) -> Graph:
         raise ValueError("samples must be a 2D array")
     m, n = samples.shape
     if m < 2:
-        raise InsufficientDataError(f"need at least 2 samples to estimate covariance, got {m}")
+        raise ValueError(f"need at least 2 samples to estimate covariance, got {m}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     cov = np.cov(samples, rowvar=False)
@@ -106,8 +104,8 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_edge_list(text: str, n: int | None = None) -> Graph:
-    """Parse the edge-list text format; n defaults to max index + 1."""
+def read_edge_list(text: str, n: int) -> Graph:
+    """Parse the edge-list text format into a graph on n vertices."""
     pairs = []
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -118,10 +116,6 @@ def read_edge_list(text: str, n: int | None = None) -> Graph:
         except ValueError:
             raise ValueError(f"edge list line {ln}: expected 'i j', got {line!r}") from None
         pairs.append((i, j))
-    if not pairs and n is None:
-        raise ValueError("empty edge list and no vertex count given")
-    if n is None:
-        n = max(max(i, j) for i, j in pairs) + 1
     sets: list[set[int]] = [set() for _ in range(n)]
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):

@@ -414,7 +414,9 @@ def load_checkpoint(path, graph: Graph):
     fc_weight is (c_last, classes), fc_bias is (classes,)), a weight array
     is not float32 or float64 or differs in dtype from w0, or the logits do
     not fit the graph's support, or the file is no readable .npz archive.
-    The model keeps the checkpoint's dtype."""
+    The model keeps the checkpoint's dtype. The meta record must be a JSON
+    object whose version, k, num_layers and s_total are integers >= 1,
+    t_init and t_final positive finite numbers, and mode 'signal' or 'vertex'."""
     try:
         data = np.load(path)
     except (EOFError, ValueError, zipfile.BadZipFile):
@@ -424,12 +426,25 @@ def load_checkpoint(path, graph: Graph):
     with data:
         if "meta" not in data.files:
             raise ValueError(f"{path}: not a gstrans checkpoint (no 'meta' array)")
-        meta = json.loads(bytes(data["meta"]).decode())
+        try:
+            meta = json.loads(bytes(data["meta"]).decode())
+        except ValueError as exc:
+            raise ValueError(f"{path}: checkpoint meta is not JSON: {exc}") from None
         if not isinstance(meta, dict):
             raise ValueError(f"{path}: checkpoint meta is not a JSON object")
         missing = [key for key in _META_KEYS if key not in meta]
         if missing:
             raise ValueError(f"{path}: checkpoint meta lacks keys {', '.join(missing)}")
+        ints = [key for key in ("version", "k", "num_layers", "s_total")
+                if type(meta[key]) is not int or meta[key] < 1]
+        reals = [key for key in ("t_init", "t_final")
+                 if type(meta[key]) not in (int, float) or not 0 < meta[key] < math.inf]
+        modes = [] if meta["mode"] in ("signal", "vertex") else ["mode"]
+        for keys, expected in ((ints, "an integer >= 1"), (reals, "a positive finite number"),
+                               (modes, "'signal' or 'vertex'")):
+            if keys:
+                raise ValueError(f"{path}: checkpoint meta {keys[0]} is "
+                                 f"{meta[keys[0]]!r}, expected {expected}")
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
         if meta["graph_hash"] != graph_hash(graph):

@@ -46,15 +46,6 @@ def edge_index(graph: Graph) -> EdgeIndex:
                      np.argsort(dst, kind="stable"))
 
 
-def _stacked_transpose(index: EdgeIndex, data: np.ndarray) -> sp.csr_matrix:
-    """(K*N x N) CSR whose k-th block of rows is the transpose of the N x N
-    matrix that holds data[k] on the support."""
-    k, n = len(data), len(index.indptr) - 1
-    cols = np.tile(index.src[index.by_dst], k)
-    indptr = np.append(0, np.cumsum(np.tile(np.bincount(index.dst, minlength=n), k)))
-    return sp.csr_matrix((data[:, index.by_dst].ravel(), cols, indptr), shape=(k * n, n))
-
-
 @dataclass
 class EdgeLogits:
     """Raw parameters of the transformation tensor: one logit per slice and edge."""
@@ -98,7 +89,11 @@ class SoftTransforms:
         For x of shape (N, F), M @ x stacks every S_k^T x; for g of shape
         (K*N, F), M.T @ g is sum_k S_k g_k.
         """
-        return _stacked_transpose(self.index, self.probs.astype(dtype, copy=False))
+        index, k, n = self.index, self.k, self.graph.n
+        data = self.probs.astype(dtype, copy=False)[:, index.by_dst].ravel()
+        cols = np.tile(index.src[index.by_dst], k)
+        indptr = np.append(0, np.cumsum(np.tile(np.bincount(index.dst, minlength=n), k)))
+        return sp.csr_matrix((data, cols, indptr), shape=(k * n, n))
 
     def probs_grad(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Gradient of sum(g * (M @ x)) w.r.t. probs, for x of shape (N, F)
@@ -158,9 +153,9 @@ def harden(params: EdgeLogits) -> HardTransforms:
                           idx.dst[np.minimum.reduceat(entry, starts, axis=1)])
 
 
-def one_hot_soft(graph: Graph, targets: np.ndarray,
-                 temperature: float = 1.0) -> SoftTransforms:
-    """Exact one-hot SoftTransforms from explicit vertex -> neighbor maps."""
+def one_hot_soft(graph: Graph, targets: np.ndarray) -> SoftTransforms:
+    """Exact one-hot SoftTransforms from explicit vertex -> neighbor maps, at
+    temperature 1."""
     targets = np.asarray(targets, dtype=np.int64)
     idx = edge_index(graph)
     _, n = targets.shape
@@ -171,28 +166,30 @@ def one_hot_soft(graph: Graph, targets: np.ndarray,
     if len(missing):
         s, i = missing[0]
         raise ValueError(f"slice {s}: target {targets[s, i]} is not a neighbor of {i}")
-    return SoftTransforms(graph, probs, temperature, idx)
+    return SoftTransforms(graph, probs, 1.0, idx)
 
 
-def _weighted_transpose(s_soft: SoftTransforms, w: np.ndarray) -> sp.csr_matrix:
-    """(sum_k w[k] * S_k)^T: the shared pattern with data w @ probs."""
+def _slice_weights(s_soft: SoftTransforms, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (s_soft.k,):
         raise ValueError(f"expected weight vector of length {s_soft.k}, got shape {w.shape}")
-    return _stacked_transpose(s_soft.index, (w @ s_soft.probs)[None])
+    return w
 
 
 def mode3_product(s_soft: SoftTransforms, w: np.ndarray) -> np.ndarray:
-    """Weighted sum of slices: the N x N matrix sum_k w[k] * S_k."""
-    return _weighted_transpose(s_soft, w).T.toarray()
+    """Weighted sum of slices: the N x N matrix S x_3 w = sum_k w[k] * S_k,
+    from the K dense blocks S_k^T of the stacked operator."""
+    w, n = _slice_weights(s_soft, w), s_soft.graph.n
+    return (w @ s_soft.sparse().toarray().reshape(s_soft.k, n * n)).reshape(n, n).T
 
 
 def convolve(signal: np.ndarray, s_soft: SoftTransforms, w: np.ndarray) -> np.ndarray:
-    """Pseudo-convolution s^T (S x_3 w), returned as a vector."""
+    """Pseudo-convolution s^T (S x_3 w) = sum_k w[k] * S_k^T s, as a vector."""
+    w, n = _slice_weights(s_soft, w), s_soft.graph.n
     signal = np.asarray(signal, dtype=float)
-    if signal.shape != (s_soft.graph.n,):
-        raise ValueError(f"expected signal of length {s_soft.graph.n}, got shape {signal.shape}")
-    return _weighted_transpose(s_soft, w) @ signal
+    if signal.shape != (n,):
+        raise ValueError(f"expected signal of length {n}, got shape {signal.shape}")
+    return w @ (s_soft.sparse() @ signal).reshape(s_soft.k, n)
 
 
 @dataclass(frozen=True)
@@ -238,9 +235,14 @@ def transforms_to_json(t_hard: HardTransforms) -> str:
 
 def transforms_from_json(text: str) -> HardTransforms:
     doc = json.loads(text)
-    targets = np.asarray(doc["targets"], dtype=np.int64)
+    if type(doc["n"]) is not int or type(doc["k"]) is not int:
+        raise ValueError(f"n and k must be integers, got n={doc['n']!r}, k={doc['k']!r}")
+    targets = np.asarray(doc["targets"], dtype=object)
     if targets.shape != (doc["k"], doc["n"]):
         raise ValueError("targets shape does not match declared n and k")
+    if not all(type(t) is int for t in targets.flat):
+        raise ValueError("targets must be integers")
+    targets = targets.astype(np.int64)
     if targets.size and not 0 <= targets.min() <= targets.max() < doc["n"]:
         raise ValueError(f"targets outside [0, {doc['n']})")
     return HardTransforms(doc["n"], targets)

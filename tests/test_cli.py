@@ -8,10 +8,11 @@ import pytest
 
 from gstrans import cli
 from gstrans.cli import main
-from gstrans.evaluate import canonical_transforms, nearest_canonical, transform_distance
+from gstrans.evaluate import transform_distance
 from gstrans.transforms import (HardTransforms, Schedule, temperature_at,
                                 transforms_from_json, transforms_to_json)
 from gstrans.viz import read_ppm
+from oracles import canonical_maps
 
 FAST = ["--ring-n", "8", "--ring-classes", "2", "--ring-samples", "10",
         "--steps", "8", "--k", "2", "--layers", "4", "--batch-size", "8"]
@@ -30,6 +31,20 @@ def run_train(tmp_path, name="out", extra=()):
     rc = main(["train", "--out-dir", str(out)] + FAST + list(extra))
     assert rc == 0
     return out
+
+
+def trained_meta(tmp_path):
+    """A fresh checkpoint's path and its meta record."""
+    path = run_train(tmp_path) / "checkpoint.npz"
+    with np.load(path) as f:
+        return path, json.loads(f["meta"].tobytes())
+
+
+def replace_meta(path, raw: bytes):
+    with np.load(path) as f:
+        arrays = dict(f)
+    arrays["meta"] = np.frombuffer(raw, np.uint8)
+    np.savez(path, **arrays)
 
 
 class TestTrainCommand:
@@ -195,16 +210,12 @@ class TestEvalCommand:
     @pytest.mark.parametrize("key", ["version", "graph_hash", "mode", "k", "num_layers",
                                      "t_init", "t_final", "s_total", "not-an-object"])
     def test_incomplete_meta_rejected(self, tmp_path, capsys, key):
-        path = run_train(tmp_path) / "checkpoint.npz"
-        with np.load(path) as f:
-            arrays = dict(f)
-        meta = json.loads(arrays["meta"].tobytes())
+        path, meta = trained_meta(tmp_path)
         if key == "not-an-object":
             meta = list(meta)
         else:
             del meta[key]
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
-        np.savez(path, **arrays)
+        replace_meta(path, json.dumps(meta).encode())
         capsys.readouterr()
         rc = exit_code(["eval", "--checkpoint", str(path)] + FAST)
         assert rc == 2
@@ -212,6 +223,34 @@ class TestEvalCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1 and str(path) in err
         assert (f"lacks keys {key}\n" in err if key != "not-an-object"
                 else "not a JSON object" in err)
+
+    @pytest.mark.parametrize("key,value", [
+        ("num_layers", "1"), ("num_layers", True), ("s_total", 2.5), ("k", 0),
+        ("version", True), ("t_init", None), ("t_init", -1.0), ("t_final", float("inf")),
+        ("mode", "foo"), ("not-json", None)])
+    def test_bad_meta_value_rejected(self, tmp_path, capsys, key, value):
+        path, meta = trained_meta(tmp_path)
+        meta[key] = value
+        replace_meta(path, json.dumps(meta).encode()[:-1] if key == "not-json"
+                     else json.dumps(meta).encode())
+        capsys.readouterr()
+        rc = exit_code(["eval", "--checkpoint", str(path)] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and str(path) in err
+        assert (f"meta {key} is {value!r}, expected" in err if key != "not-json"
+                else "meta is not JSON" in err)
+
+    def test_mode_mismatch(self, tmp_path, capsys):
+        path, meta = trained_meta(tmp_path)      # a signal-mode ring model
+        meta["mode"] = "vertex"
+        replace_meta(path, json.dumps(meta).encode())
+        capsys.readouterr()
+        rc = exit_code(["eval", "--checkpoint", str(path)] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: checkpoint is a vertex-mode model, "
+                       "dataset is in signal mode\n")
 
     def test_weight_dtype_mismatch(self, tmp_path, capsys):
         out = run_train(tmp_path)
@@ -281,6 +320,22 @@ class TestVizCommand:
         assert err.startswith("error: malformed transforms file") and "[0, 16)" in err
         assert not (tmp_path / "v").exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 4, "k": 1, "targets": [[0, 1, 2, 3.5]]},
+        {"n": 4, "k": 1, "targets": [[True, 1, 2, 3]]},
+        {"n": 4.0, "k": 1, "targets": [[0, 1, 2, 3]]},
+        {"n": 4, "k": "1", "targets": [[0, 1, 2, 3]]}],
+        ids=["float-target", "bool-target", "float-n", "string-k"])
+    def test_non_integer_transforms(self, tmp_path, capsys, doc):
+        tf = tmp_path / "transforms.json"
+        tf.write_text(json.dumps(doc))
+        rc = exit_code(["viz", "--transforms", str(tf), "--height", "2", "--width", "2",
+                        "--out-dir", str(tmp_path / "v")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed transforms file") and "integers" in err
+        assert len(err.splitlines()) == 1 and not (tmp_path / "v").exists()
+
     def test_malformed_transforms(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -302,7 +357,7 @@ class TestSweepCommand:
                             "distance_up,distance_down,distance_dilation,"
                             "distance_mean")
         assert len(lines) == 3
-        canon = {c.name: c.targets for c in canonical_transforms(2, 4)}
+        canon = canonical_maps(2, 4)
         for line, t_init in zip(lines[1:], ("2", "1")):
             # a sweep point with one repeat is the train run at that t_init
             run = run_train(tmp_path, f"t{t_init}", grid + ["--t-init", t_init])
@@ -311,7 +366,8 @@ class TestSweepCommand:
             slices = [hard.targets[k] for k in range(hard.k)]
             expected = [min(transform_distance(s, canon[name], 8) for s in slices)
                         for name in ("identity", "up", "down", "h-dilate")]
-            expected.append(np.mean([nearest_canonical(s, 2, 4)[1] for s in slices]))
+            expected.append(np.mean([min(transform_distance(s, t, 8) for t in canon.values())
+                                     for s in slices]))
             vals = [float(v) for v in line.split(",")]
             assert vals[0] == float(t_init)
             assert vals[2] == pytest.approx(acc, abs=5e-5)

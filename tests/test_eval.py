@@ -2,23 +2,21 @@ import numpy as np
 import pytest
 
 from gstrans.data import make_ring_task
-from gstrans.evaluate import (CANONICAL_NAMES, canonical_distances,
-                              canonical_transforms, evaluate_accuracy,
-                              nearest_canonical, transform_distance,
-                              transform_report)
+from gstrans.evaluate import (CANONICAL_NAMES, _canonical_maps, canonical_distances,
+                              evaluate_accuracy, transform_distance, transform_report)
 from gstrans.nn import TrainConfig, _forward_batch, train
 from gstrans.transforms import Schedule, soften
 from oracles import canonical_maps
 
 
 def by_name(height, width):
-    return {ct.name: ct.targets for ct in canonical_transforms(height, width)}
+    """The table under test, one row per name of CANONICAL_NAMES."""
+    return dict(zip(CANONICAL_NAMES, _canonical_maps(height, width), strict=True))
 
 
 class TestCanonicalTransforms:
     def test_names_and_count(self):
-        cts = canonical_transforms(3, 3)
-        assert tuple(ct.name for ct in cts) == CANONICAL_NAMES
+        assert _canonical_maps(3, 3).shape == (len(CANONICAL_NAMES), 9)
 
     def test_identity(self):
         assert np.array_equal(by_name(2, 4)["identity"], np.arange(8))
@@ -51,13 +49,14 @@ class TestCanonicalTransforms:
 
     def test_all_maps_in_range(self):
         for h, w in [(2, 2), (4, 5), (16, 16)]:
-            for ct in canonical_transforms(h, w):
-                assert ct.targets.min() >= 0
-                assert ct.targets.max() < h * w
+            maps = _canonical_maps(h, w)
+            assert maps.min() >= 0
+            assert maps.max() < h * w
 
     def test_grid_too_small(self):
-        with pytest.raises(ValueError):
-            canonical_transforms(1, 5)
+        for shape in ((1, 5), (5, 1)):
+            with pytest.raises(ValueError, match="at least 2x2"):
+                canonical_distances(np.zeros((1, 5), dtype=int), *shape)
 
     @pytest.mark.parametrize("height", range(2, 13))
     def test_matches_per_pixel_oracle(self, height):
@@ -96,12 +95,13 @@ class TestCanonicalDistances:
         maps = random_maps(np.random.default_rng(5), 8, 4, 5)
         dist = canonical_distances(maps, 4, 5)
         lines = transform_report(dist).splitlines()
+        canon = canonical_maps(4, 5)
         for k, line in enumerate(lines[1:-1]):
-            name, d = nearest_canonical(maps[k], 4, 5)
             # the first minimal column, as a loop over CANONICAL_NAMES finds it
             j = min(range(len(CANONICAL_NAMES)), key=lambda j: (dist[k, j], j))
-            assert (name, d) == (CANONICAL_NAMES[j], dist[k, j])
-            assert line == f"{k},{name},{d:.10g}"
+            d = min(transform_distance(maps[k], t, 20) for t in canon.values())
+            assert dist[k, j] == d
+            assert line == f"{k},{CANONICAL_NAMES[j]},{d:.10g}"
         assert lines[-1] == f"mean,,{float(np.mean(dist.min(axis=1))):.10g}"
 
     def test_shape_check(self):
@@ -132,25 +132,37 @@ class TestTransformDistance:
         assert transform_distance(a, b, 9) == transform_distance(b, a, 9)
 
 
+def nearest(targets, height, width):
+    """(name, distance) of the first closest canonical transform."""
+    d = canonical_distances(np.asarray(targets)[None], height, width)[0]
+    return CANONICAL_NAMES[d.argmin()], d.min()
+
+
 class TestNearestCanonical:
     def test_exact_match(self):
-        for name, targets in by_name(4, 4).items():
-            got, d = nearest_canonical(targets, 4, 4)
+        canon = canonical_maps(4, 4)
+        for targets in canon.values():
+            got, d = nearest(targets, 4, 4)
             assert d == 0.0
             # some canonical maps coincide on tiny grids; distance is what counts
-            assert np.array_equal(by_name(4, 4)[got], targets)
+            assert np.array_equal(canon[got], targets)
 
     def test_perturbed_identity(self):
         targets = np.arange(16).copy()
         targets[5] = 6  # one vertex deviates
-        name, d = nearest_canonical(targets, 4, 4)
+        name, d = nearest(targets, 4, 4)
         assert name == "identity"
         assert d == pytest.approx(1 / 16)
 
     def test_tie_goes_to_list_order(self):
-        # a map equidistant from everything still returns a single name
-        name, d = nearest_canonical(np.zeros(16, dtype=int), 4, 4)
-        assert name in CANONICAL_NAMES
+        # on a 2x2 grid v-contract coincides with up, and h-dilate with the
+        # identity: the report names the one that comes first
+        canon = canonical_maps(2, 2)
+        dist = canonical_distances(np.stack([canon["v-contract"], canon["h-dilate"]]), 2, 2)
+        assert dist[0, CANONICAL_NAMES.index("up")] == 0.0
+        assert dist[1, CANONICAL_NAMES.index("identity")] == 0.0
+        lines = transform_report(dist).splitlines()
+        assert lines[1:3] == ["0,up,0", "1,identity,0"]
 
 
 class TestTransformReport:

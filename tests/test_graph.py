@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gstrans.errors import InsufficientDataError
 from gstrans.graph import (Graph, build_grid_graph, build_knn_covariance_graph,
                            build_ring_graph, read_edge_list, write_edge_list)
 from oracles import adjacency, bare_ring
@@ -89,7 +88,7 @@ class TestKnnCovarianceGraph:
         assert adjacency(g).all()
 
     def test_insufficient_samples(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValueError, match="at least 2 samples"):
             build_knn_covariance_graph(np.zeros((1, 4)), 2)
 
     def test_k_too_large(self):
@@ -129,4 +128,4 @@ class TestEdgeList:
 
     def test_malformed(self):
         with pytest.raises(ValueError):
-            read_edge_list("0 1 2\n")
+            read_edge_list("0 1 2\n", 3)

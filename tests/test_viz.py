@@ -3,15 +3,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gstrans.evaluate import canonical_transforms
 from gstrans.transforms import HardTransforms
 from gstrans.viz import (DIRECTIONS, _displacements, arrow_field_svg,
                          majority_direction, read_ppm, translated_image_ppm)
+from oracles import canonical_maps
 
 
 def canonical(name, h, w):
-    return next(ct.targets for ct in canonical_transforms(h, w)
-                if ct.name == name)
+    return canonical_maps(h, w)[name]
 
 
 class TestMajorityDirection:
