@@ -62,7 +62,7 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_layers(args) -> tuple[int, ...]:
-    text = args.layers or LAYER_DEFAULTS.get(args.dataset, "16,16")
+    text = args.layers or LAYER_DEFAULTS[args.dataset]
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
@@ -103,6 +103,9 @@ def _load_dataset(args):
     elif args.graph == "ring":
         g = graph_mod.build_ring_graph(n)
     elif args.graph == "knn-covariance":
+        if ds.mode == "vertex":
+            raise ValueError(f"the knn-covariance graph needs signal-mode samples, "
+                             f"and {args.dataset} is a vertex-mode dataset")
         samples = ds.signals[ds.splits["train"]].mean(axis=2)
         g = graph_mod.build_knn_covariance_graph(samples, args.knn)
     else:  # edge-list

@@ -138,9 +138,14 @@ def load_webkb(content_path, cites_path) -> tuple[Dataset, Graph]:
             raise IngestionError(f"{content_path}:{ln}: unknown class {cls!r}")
         ids.append(page_id)
         try:
-            feats.append(np.asarray(row, dtype=float))
+            values = np.asarray(row, dtype=float)
         except ValueError as exc:
             raise IngestionError(f"{content_path}:{ln}: {exc}") from None
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise IngestionError(
+                f"{content_path}:{ln}: non-finite feature value {row[bad[0]]!r}")
+        feats.append(values)
         labels.append(class_index[cls])
     if not ids:
         raise IngestionError(f"{content_path}: no content rows")
@@ -182,32 +187,19 @@ def make_ring_task(n: int, num_classes: int, samples_per_class: int,
         raise ValueError(f"degenerate sample count or noise level, got "
                          f"{samples_per_class} samples per class, noise {noise_std}")
     rng = np.random.default_rng(seed)
-    for _ in range(100):
-        waves = rng.standard_normal((num_classes, n))
-        if not _has_rotation_collision(waves):
-            break
-    else:
-        raise RuntimeError("could not draw rotation-distinct class waveforms")
-    signals, labels = [], []
-    for c in range(num_classes):
-        for _ in range(samples_per_class):
-            shift = int(rng.integers(n))
-            s = np.roll(waves[c], shift) + noise_std * rng.standard_normal(n)
-            signals.append(s[:, None])
-            labels.append(c)
-    dataset = Dataset("signal", np.stack(signals), np.asarray(labels), num_classes)
+    waves = rng.standard_normal((num_classes, n))
+    labels = np.repeat(np.arange(num_classes), samples_per_class)
+    shifts = np.empty(len(labels), dtype=np.int64)
+    noise = np.empty((len(labels), n))
+    # per sample, its shift and then its noise: each seed's data rests on this order
+    for i in range(len(labels)):
+        shifts[i] = rng.integers(n)
+        noise[i] = rng.standard_normal(n)
+    # np.roll(wave, shift)[j] == wave[(j - shift) % n]
+    signals = waves[labels[:, None], (np.arange(n) - shifts[:, None]) % n] + noise_std * noise
+    dataset = Dataset("signal", signals[:, :, None], labels, num_classes)
     dataset.splits = make_splits(dataset, (0.8, 0.1, 0.1), 1, seed=seed)[0]
     return dataset, build_ring_graph(n)
-
-
-def _has_rotation_collision(waves: np.ndarray) -> bool:
-    c, n = waves.shape
-    for a in range(c):
-        for b in range(a + 1, c):
-            for shift in range(n):
-                if np.allclose(waves[a], np.roll(waves[b], shift)):
-                    return True
-    return False
 
 
 def make_splits(dataset: Dataset, ratios: tuple[float, float, float],

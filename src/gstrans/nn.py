@@ -171,9 +171,9 @@ def _loss_grad_output(probs: np.ndarray, yb: np.ndarray):
     return float(loss / count), dlogits, correct / count
 
 
-def _backward_batch(xb, yb, soft, model, params, cache):
+def _backward_batch(yb, soft, model, cache):
     """Mean cross-entropy over the batch, accuracy, and the exact gradients
-    in model.param_arrays() + [params.logits] order."""
+    in model.param_arrays() + [edge logits] order."""
     loss, dlogits, acc = _loss_grad_output(cache["probs"], yb)
     pooled = cache["pooled"]
     if model.mode == "vertex":
@@ -197,7 +197,7 @@ def _backward_batch(xb, yb, soft, model, params, cache):
             (hbar,) = cache["layers"][li]
             dw = np.repeat((hbar.T @ dh)[None], len(layer.w), axis=0)
             db = dh.sum(axis=0)
-            dh = dh @ layer.w.sum(axis=0).T / xb.shape[1]
+            dh = dh @ layer.w.sum(axis=0).T / soft.graph.n
         else:
             h, u, z = cache["layers"][li]
             n, b, c = h.shape
@@ -211,7 +211,7 @@ def _backward_batch(xb, yb, soft, model, params, cache):
         grads = [dw, db] + grads
         if not all(np.isfinite(a).all() for a in (dw, db)):
             raise FloatingPointError(f"non-finite gradient in graph-signal layer {li}")
-    grads += [dfc_w, dfc_b, soften_backward(params, soft, dprobs)]
+    grads += [dfc_w, dfc_b, soften_backward(soft, dprobs)]
     return loss, acc, grads
 
 
@@ -225,9 +225,8 @@ class SGD:
 
 
 class Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float):
+        self.lr = lr
         self.t = 0
         self.m: list[np.ndarray] | None = None
         self.v: list[np.ndarray] | None = None
@@ -237,13 +236,13 @@ class Adam:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         for i, (p, g) in enumerate(zip(params, grads)):
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             m_hat = self.m[i] / (1 - b1 ** self.t)
             v_hat = self.v[i] / (1 - b2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 @dataclass
@@ -292,11 +291,12 @@ def _batches(dataset, idx, batch_size, rng=None):
         yield dataset.signals[chunk], dataset.labels[chunk]
 
 
-def _eval_split(model, params, dataset, idx, t, batch_size=256):
-    """Mean loss and accuracy over the given sample/vertex indices."""
+def _eval_split(model, params, dataset, idx, t):
+    """Mean loss and accuracy over the given sample/vertex indices, scored
+    in chunks of 256 samples."""
     soft = soften(params, t)
     losses, correct, count = [], 0, 0
-    for xb, yb in _batches(dataset, idx, batch_size):
+    for xb, yb in _batches(dataset, idx, 256):
         # `_` holds the previous chunk's cache until this forward returns;
         # freeing it first made the next chunk's forward slower
         probs, _ = _forward_batch(xb, soft, model)
@@ -356,7 +356,7 @@ def train(dataset, graph: Graph, config: TrainConfig):
                 stage = "forward"
                 _, cache = _forward_batch(xb, soft, model)
                 stage = "backward"
-                loss, _, grads = _backward_batch(xb, yb, soft, model, params, cache)
+                loss, _, grads = _backward_batch(yb, soft, model, cache)
                 if not np.isfinite(loss):
                     raise FloatingPointError("non-finite loss")
                 opt.step(model_arrays, grads[:-1])

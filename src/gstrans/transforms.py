@@ -119,10 +119,9 @@ def soften(params: EdgeLogits, t: float) -> SoftTransforms:
     return SoftTransforms(params.graph, z / np.repeat(total, counts, axis=1), t, idx)
 
 
-def soften_backward(params: EdgeLogits, soft: SoftTransforms,
-                    dprobs: np.ndarray) -> np.ndarray:
+def soften_backward(soft: SoftTransforms, dprobs: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. logits given the gradient w.r.t. the soft probabilities."""
-    idx = params.index
+    idx = soft.index
     p = soft.probs
     dot = np.add.reduceat(dprobs * p, idx.indptr[:-1], axis=1)
     return p * (dprobs - np.repeat(dot, idx.counts, axis=1)) / soft.temperature

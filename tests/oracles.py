@@ -71,3 +71,23 @@ def downscale_2x(image: np.ndarray) -> np.ndarray:
     if image.shape[-3:] != (32, 32, 3):
         raise ValueError(f"expected 32x32x3 images, got shape {image.shape}")
     return image.reshape(*image.shape[:-3], 16, 2, 16, 2, 3).mean(axis=(-4, -2))
+
+
+def ring_task_by_roll(n, num_classes, samples_per_class, noise_std, seed):
+    """The ring task's signals (S, n, 1), labels and splits, built one
+    np.roll at a time from the generator's draws: the waveforms, then for
+    each sample in label order its shift and its noise."""
+    from gstrans.data import Dataset, make_splits
+
+    rng = np.random.default_rng(seed)
+    waves = rng.standard_normal((num_classes, n))
+    signals, labels = [], []
+    for c in range(num_classes):
+        for _ in range(samples_per_class):
+            shift = int(rng.integers(n))
+            s = np.roll(waves[c], shift) + noise_std * rng.standard_normal(n)
+            signals.append(s[:, None])
+            labels.append(c)
+    dataset = Dataset("signal", np.stack(signals), np.asarray(labels), num_classes)
+    splits = make_splits(dataset, (0.8, 0.1, 0.1), 1, seed=seed)[0]
+    return dataset.signals, dataset.labels, splits

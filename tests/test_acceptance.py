@@ -76,7 +76,7 @@ class TestGradientCorrectness:
         yb, t = np.array([2]), 0.9
         soft = soften(params, t)
         _, cache = _forward_batch(xb, soft, model)
-        _, _, analytic = _backward_batch(xb, yb, soft, model, params, cache)
+        _, _, analytic = _backward_batch(yb, soft, model, cache)
         arrays = model.param_arrays() + [params.logits]
 
         def loss():

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from gstrans import data
+from gstrans.cli import main
 from gstrans.data import (CIFAR_RECORD_BYTES, Dataset, load_cifar10, load_webkb,
                           make_ring_task, make_splits)
 from gstrans.errors import IngestionError
-from oracles import downscale_2x
+from oracles import downscale_2x, ring_task_by_roll
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -290,9 +291,29 @@ class TestWebKB:
                                                  r"string to float: 'x'"):
             self.make(tmp_path, content=bad, cites="")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, value):
+        bad = f"pageA 1 0 1 course\npageB 0 {value} 1 student\n"
+        with pytest.raises(IngestionError, match=rf"x\.content:2: non-finite "
+                                                 rf"feature value '{value}'"):
+            self.make(tmp_path, content=bad, cites="")
+
     def test_malformed_citation(self, tmp_path):
         with pytest.raises(IngestionError, match="citation"):
             self.make(tmp_path, cites="pageA pageB pageC\n")
+
+    @pytest.mark.parametrize("command", [["train"], ["export-graph", "--out", "g.txt"]])
+    def test_covariance_graph_needs_signal_mode(self, tmp_path, monkeypatch, capsys,
+                                                command):
+        monkeypatch.chdir(tmp_path)
+        Path("x.content").write_text(WEBKB_CONTENT)
+        Path("x.cites").write_text(WEBKB_CITES)
+        rc = main(command + ["--dataset", "webkb", "--content", "x.content",
+                             "--cites", "x.cites", "--graph", "knn-covariance"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.splitlines() == ["error: the knn-covariance graph needs signal-mode "
+                                    "samples, and webkb is a vertex-mode dataset"]
 
 
 class TestRingTask:
@@ -329,6 +350,18 @@ class TestRingTask:
         b, _ = make_ring_task(10, 2, 8, 0.05, seed=3)
         assert all(np.array_equal(x, y) for x, y in zip(a.signals, b.signals))
         assert np.array_equal(a.labels, b.labels)
+
+    # test_ring_recovery's data, the ring benchmark at seed 1, the CLI
+    # tests' FAST ring, and the smallest ring without noise
+    @pytest.mark.parametrize("config", [(16, 4, 200, 0.05, 0), (16, 4, 200, 0.05, 1),
+                                        (8, 2, 10, 0.05, 0), (4, 3, 10, 0.0, 2)])
+    def test_matches_per_sample_roll_oracle(self, config):
+        ds, _ = make_ring_task(*config)
+        signals, labels, splits = ring_task_by_roll(*config)
+        assert np.array_equal(ds.signals, signals)
+        assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
+        assert ds.splits.keys() == splits.keys()
+        assert all(np.array_equal(ds.splits[p], splits[p]) for p in splits)
 
     def test_validation(self):
         with pytest.raises(ValueError):

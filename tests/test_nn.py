@@ -36,7 +36,7 @@ def batch_loss(xb, yb, model, params, t):
 def batch_grads(xb, yb, model, params, t):
     soft = soften(params, t)
     _, cache = _forward_batch(xb, soft, model)
-    return _backward_batch(xb, yb, soft, model, params, cache)[2]
+    return _backward_batch(yb, soft, model, cache)[2]
 
 
 class TestGSLForward:
@@ -453,7 +453,7 @@ class TestTrainConfigValidation:
             TrainConfig(Schedule(1.0, 0.5, 5), optimizer="rmsprop")
 
 
-def dense_oracle(xb, yb, soft, model, params):
+def dense_oracle(xb, yb, soft, model):
     """Probabilities, loss and gradients from dense per-sample passes: layer
     z = sum_k S_k^T x W_k + b with S_k = dense_slices(soft)[k], backpropagated
     by hand, one sample at a time."""
@@ -498,7 +498,7 @@ def dense_oracle(xb, yb, soft, model, params):
             dh = sum(s[k] @ dz @ w[k].T for k in range(soft.k))
     dprobs = ds[:, soft.index.src, soft.index.dst]
     grads = [a for pair in zip(dws, dbs) for a in pair] + [
-        dfc_w, dfc_b, soften_backward(params, soft, dprobs)]
+        dfc_w, dfc_b, soften_backward(soft, dprobs)]
     return np.array(probs), loss, grads
 
 
@@ -538,10 +538,10 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_batched_matches_dense_oracle(self, case):
         mode, hidden, one_hot = KERNEL_CASES[case]
-        model, params, soft, xb, yb = kernel_case(mode, np.float64, hidden, one_hot)
+        model, _, soft, xb, yb = kernel_case(mode, np.float64, hidden, one_hot)
         probs, cache = _forward_batch(xb, soft, model)
-        loss, _, grads = _backward_batch(xb, yb, soft, model, params, cache)
-        probs_o, loss_o, grads_o = dense_oracle(xb, yb, soft, model, params)
+        loss, _, grads = _backward_batch(yb, soft, model, cache)
+        probs_o, loss_o, grads_o = dense_oracle(xb, yb, soft, model)
         assert np.allclose(probs, probs_o, rtol=0, atol=1e-12)
         assert loss == pytest.approx(loss_o, abs=1e-12)
         for a, b in zip(grads, grads_o, strict=True):
@@ -554,9 +554,9 @@ class TestKernelEquivalence:
         # float32 (a float64 operator would upcast them); the logit gradient
         # stays float64
         mode, hidden, one_hot = KERNEL_CASES[case]
-        model, params, soft, xb, yb = kernel_case(mode, np.float32, hidden, one_hot)
+        model, _, soft, xb, yb = kernel_case(mode, np.float32, hidden, one_hot)
         probs, cache = _forward_batch(xb, soft, model)
-        loss, _, grads = _backward_batch(xb, yb, soft, model, params, cache)
+        loss, _, grads = _backward_batch(yb, soft, model, cache)
         assert probs.dtype == cache["pooled"].dtype == np.float32
         # full layers cache (h, u, z); a signal-mode last layer caches (mean_n h,)
         assert [len(lc) for lc in cache["layers"]] == \
@@ -564,7 +564,7 @@ class TestKernelEquivalence:
         assert all(a.dtype == np.float32 for lc in cache["layers"] for a in lc)
         assert [a.dtype for a in grads] == [np.float32] * (len(grads) - 1) + [np.float64]
         probs_o, loss_o, grads_o = dense_oracle(
-            xb, yb, soft, *kernel_case(mode, np.float64, hidden, one_hot)[:2])
+            xb, yb, soft, kernel_case(mode, np.float64, hidden, one_hot)[0])
         assert np.allclose(probs, probs_o, rtol=1e-4, atol=1e-5)
         assert loss == pytest.approx(loss_o, rel=1e-4, abs=1e-5)
         for a, b in zip(grads, grads_o, strict=True):
@@ -578,9 +578,9 @@ class TestVertexMeanIdentity:
 
     @pytest.mark.parametrize("hidden", [(4,), (4, 3)])
     def test_last_layer_weight_gradients_equal_over_slices(self, hidden):
-        model, params, soft, xb, yb = kernel_case("signal", np.float64, hidden)
+        model, _, soft, xb, yb = kernel_case("signal", np.float64, hidden)
         _, cache = _forward_batch(xb, soft, model)
-        dw = _backward_batch(xb, yb, soft, model, params, cache)[2][2 * len(hidden) - 2]
+        dw = _backward_batch(yb, soft, model, cache)[2][2 * len(hidden) - 2]
         assert dw.shape == model.gsl_layers[-1].w.shape
         assert all(np.array_equal(dw_k, dw[0]) for dw_k in dw[1:])
         assert np.any(dw[0] != 0)
@@ -588,6 +588,6 @@ class TestVertexMeanIdentity:
     def test_one_layer_logit_gradient_is_zero(self):
         model, params, soft, xb, yb = kernel_case("signal", np.float64, (4,))
         _, cache = _forward_batch(xb, soft, model)
-        dlogits = _backward_batch(xb, yb, soft, model, params, cache)[2][-1]
+        dlogits = _backward_batch(yb, soft, model, cache)[2][-1]
         assert dlogits.shape == params.logits.shape
         assert np.array_equal(dlogits, np.zeros_like(dlogits))

@@ -5,14 +5,16 @@ import pytest
 
 import gstrans
 
-# single-sample and test-only helpers that the batched kernel replaced, and
-# wrappers around the one canonical-map table and the one stacked operator
+# single-sample and test-only helpers that the batched kernel replaced,
+# wrappers around the one canonical-map table and the one stacked operator,
+# and the ring task's guard against rotation collisions of continuous draws
 REMOVED = {
     "nn": ("gsl_forward", "model_forward", "cross_entropy", "backward"),
     "graph": ("laplacian",),
     "evaluate": ("CanonicalTransform", "canonical_transforms", "nearest_canonical"),
     "errors": ("InsufficientDataError",),
     "transforms": ("_weighted_transpose", "_stacked_transpose"),
+    "data": ("_has_rotation_collision",),
 }
 
 
