@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IngestionError
-from .graph import Graph, _from_sets, build_ring_graph
+from .graph import Graph, build_ring_graph, from_pairs
 
 log = logging.getLogger(__name__)
 
@@ -116,9 +116,10 @@ def load_webkb(content_path, cites_path) -> tuple[Dataset, Graph]:
     """Parse the content/cites text pair into a vertex-mode dataset and graph.
 
     Hyperlink direction is discarded (edges symmetrized) and self-loops are
-    added. Citations mentioning unknown page ids are dropped and counted.
+    added. Citations mentioning unknown page ids are dropped and counted; a
+    page id given twice is an error.
     """
-    ids: list[str] = []
+    first_line: dict[str, int] = {}  # page id -> its content line, in vertex order
     feats: list[np.ndarray] = []
     labels: list[int] = []
     width = None
@@ -136,7 +137,10 @@ def load_webkb(content_path, cites_path) -> tuple[Dataset, Graph]:
                 f"{content_path}:{ln}: {len(row)} features, expected {width}")
         if cls not in class_index:
             raise IngestionError(f"{content_path}:{ln}: unknown class {cls!r}")
-        ids.append(page_id)
+        if page_id in first_line:
+            raise IngestionError(f"{content_path}:{ln}: page id {page_id!r} "
+                                 f"already given on line {first_line[page_id]}")
+        first_line[page_id] = ln
         try:
             values = np.asarray(row, dtype=float)
         except ValueError as exc:
@@ -147,11 +151,10 @@ def load_webkb(content_path, cites_path) -> tuple[Dataset, Graph]:
                 f"{content_path}:{ln}: non-finite feature value {row[bad[0]]!r}")
         feats.append(values)
         labels.append(class_index[cls])
-    if not ids:
+    if not first_line:
         raise IngestionError(f"{content_path}: no content rows")
-    index = {pid: i for i, pid in enumerate(ids)}
-    n = len(ids)
-    sets: list[set[int]] = [{i} for i in range(n)]
+    index = {pid: i for i, pid in enumerate(first_line)}
+    pairs = [(i, i) for i in index.values()]
     dropped = 0
     for line in Path(cites_path).read_text().splitlines():
         parts = line.split()
@@ -163,16 +166,13 @@ def load_webkb(content_path, cites_path) -> tuple[Dataset, Graph]:
         if a not in index or b not in index:
             dropped += 1
             continue
-        i, j = index[a], index[b]
-        sets[i].add(j)
-        sets[j].add(i)
+        pairs.append((index[a], index[b]))
     if dropped:
         log.info("dropped %d citations referencing unknown page ids", dropped)
-    graph = _from_sets(n, sets)
-    x = np.vstack(feats)
-    dataset = Dataset("vertex", x[None], np.asarray(labels), len(WEBKB_CLASSES))
+    dataset = Dataset("vertex", np.vstack(feats)[None], np.asarray(labels),
+                      len(WEBKB_CLASSES))
     dataset.splits = make_splits(dataset, (0.6, 0.2, 0.2), 1, seed=0)[0]
-    return dataset, graph
+    return dataset, from_pairs(len(index), *np.array(pairs).T)
 
 
 def make_ring_task(n: int, num_classes: int, samples_per_class: int,

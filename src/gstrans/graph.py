@@ -1,46 +1,76 @@
-"""Graph construction and neighbor-list representation.
-
-Graphs are stored as sorted per-vertex neighbor lists; every learned
-transformation downstream is constrained to this support.
-"""
+"""Graph construction: the support as one read-only CSR pattern, built from
+(i, j) pairs by ``from_pairs``. Every learned transformation downstream is
+constrained to this support and reads it from here."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph with sorted, duplicate-free neighbor lists."""
+    """Vertex i's neighbors are dst[indptr[i]:indptr[i+1]], sorted and unique,
+    in read-only int64 copies, so the cached views below never go stale."""
 
     n: int
-    neighbors: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray  # (n + 1,)
+    dst: np.ndarray     # (e,) the neighbor of each entry
 
     def __post_init__(self):
-        if self.n != len(self.neighbors):
+        for name in ("indptr", "dst"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        n, indptr, dst = self.n, self.indptr, self.dst
+        if indptr.shape != (n + 1,):
             raise ValueError("neighbor list count does not match vertex count")
-        for i, nbrs in enumerate(self.neighbors):
-            for j in nbrs:
-                if not 0 <= j < self.n:
-                    raise ValueError(f"neighbor {j} of vertex {i} out of range")
-            if list(nbrs) != sorted(set(nbrs)):
-                raise ValueError(f"neighbor list of vertex {i} not sorted/unique")
+        if dst.ndim != 1 or indptr[0] != 0 or (np.diff(indptr) < 0).any() \
+                or indptr[-1] != len(dst):
+            raise ValueError("indptr must rise from 0 to the number of entries")
+        bad = np.flatnonzero((dst < 0) | (dst >= n))
+        if bad.size:
+            raise ValueError(f"neighbor {dst[bad[0]]} of vertex {self.src[bad[0]]} "
+                             "out of range")
+        # neighbors in range: rows are sorted and unique iff src * n + dst rises
+        bad = np.flatnonzero(np.diff(self.src * n + dst) <= 0)
+        if bad.size:
+            raise ValueError(f"neighbor list of vertex {self.src[bad[0]]} not sorted/unique")
+
+    @cached_property
+    def src(self) -> np.ndarray:  # (e,) the row (vertex) of each entry
+        return _read_only(np.repeat(np.arange(self.n), np.diff(self.indptr)))
+
+    @cached_property
+    def by_dst(self) -> np.ndarray:  # (e,) entries by (dst, src): a transposed slice's rows
+        # src is already sorted, so a stable sort on dst orders ties by src
+        return _read_only(np.argsort(self.dst, kind="stable"))
 
     def num_entries(self) -> int:
         """Total number of (i, j) support entries, self-loops included."""
-        return sum(len(nbrs) for nbrs in self.neighbors)
+        return len(self.dst)
 
 
-def _from_sets(n: int, nbr_sets: list[set[int]]) -> Graph:
-    return Graph(n, tuple(tuple(sorted(s)) for s in nbr_sets))
+def from_pairs(n: int, i, j) -> Graph:
+    """The graph on n vertices whose support holds (i, j) and (j, i) for every pair."""
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    bad = np.flatnonzero((np.minimum(i, j) < 0) | (np.maximum(i, j) >= n))
+    if bad.size:
+        raise ValueError(f"edge ({i[bad[0]]}, {j[bad[0]]}) out of range for n={n}")
+    codes = np.unique(np.concatenate([i * n + j, j * n + i]))
+    return Graph(n, np.searchsorted(codes, np.arange(n + 1) * n), codes % n)
 
 
 def build_ring_graph(n: int) -> Graph:
     """Self-looped cycle graph: vertex i adjacent to i, (i-1) mod n and (i+1) mod n."""
     if n < 3:
         raise ValueError(f"ring graph needs n >= 3, got {n}")
-    return _from_sets(n, [{(i - 1) % n, i, (i + 1) % n} for i in range(n)])
+    return from_pairs(n, np.r_[:n, :n], np.r_[:n, 1:n, 0])  # (i, i) and (i, i + 1)
 
 
 def build_grid_graph(height: int, width: int) -> Graph:
@@ -48,20 +78,10 @@ def build_grid_graph(height: int, width: int) -> Graph:
     vertex r*width + c."""
     if height < 1 or width < 1:
         raise ValueError(f"grid dimensions must be positive, got {height}x{width}")
-    n = height * width
-    sets = [{i} for i in range(n)]
-    for r in range(height):
-        for c in range(width):
-            i = r * width + c
-            if r > 0:
-                sets[i].add(i - width)
-            if r < height - 1:
-                sets[i].add(i + width)
-            if c > 0:
-                sets[i].add(i - 1)
-            if c < width - 1:
-                sets[i].add(i + 1)
-    return _from_sets(n, sets)
+    n, v = height * width, np.arange(height * width).reshape(height, width)
+    # each vertex with itself, its right-hand and its lower neighbor
+    return from_pairs(n, np.r_[:n, v[:, :-1].ravel(), v[:-1].ravel()],
+                      np.r_[:n, v[:, 1:].ravel(), v[1:].ravel()])
 
 
 def build_knn_covariance_graph(samples: np.ndarray, k: int) -> Graph:
@@ -79,36 +99,23 @@ def build_knn_covariance_graph(samples: np.ndarray, k: int) -> Graph:
         raise ValueError(f"need at least 2 samples to estimate covariance, got {m}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    cov = np.cov(samples, rowvar=False)
-    cov = np.atleast_2d(cov)
-    mag = np.abs(cov)
-    sets: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        # stable sort so ties resolve to the smallest vertex index
-        order = np.argsort(-mag[i], kind="stable")[:k]
-        for j in order:
-            sets[i].add(int(j))
-            sets[int(j)].add(i)
-    for i in range(n):
-        sets[i].add(i)
-    return _from_sets(n, sets)
+    mag = np.abs(np.atleast_2d(np.cov(samples, rowvar=False)))
+    # stable sort so ties resolve to the smallest vertex index
+    top = np.argsort(-mag, axis=1, kind="stable")[:, :k]
+    return from_pairs(n, np.r_[np.repeat(np.arange(n), k), :n], np.r_[top.ravel(), :n])
 
 
 def write_edge_list(g: Graph) -> str:
     """Serialize as one 'i j' pair per line (0-based); self-loops as 'i i'."""
-    lines = []
-    for i, nbrs in enumerate(g.neighbors):
-        for j in nbrs:
-            if j >= i:
-                lines.append(f"{i} {j}")
-    return "\n".join(lines) + "\n"
+    upper = g.dst >= g.src
+    pairs = zip(g.src[upper].tolist(), g.dst[upper].tolist())
+    return "".join(f"{i} {j}\n" for i, j in pairs) or "\n"
 
 
 def read_edge_list(text: str, n: int) -> Graph:
     """Parse the edge-list text format into a graph on n vertices."""
     pairs = []
-    for ln, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
+    for ln, line in enumerate(map(str.strip, text.splitlines()), 1):
         if not line:
             continue
         try:  # a token that is not an integer, or a count other than two
@@ -116,10 +123,8 @@ def read_edge_list(text: str, n: int) -> Graph:
         except ValueError:
             raise ValueError(f"edge list line {ln}: expected 'i j', got {line!r}") from None
         pairs.append((i, j))
-    sets: list[set[int]] = [set() for _ in range(n)]
+    # checked on Python ints, so a value past int64 is named, not overflowed
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        sets[i].add(j)
-        sets[j].add(i)
-    return _from_sets(n, sets)
+    return from_pairs(n, *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)

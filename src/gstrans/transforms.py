@@ -1,14 +1,13 @@
 """The learnable edge-constrained transformation tensor.
 
-All K slices share one support, the graph's edges: they are stored as one
-(K, E) array over it and applied as one sparse operator, so the edge
-constraint is structural. No other module knows this layout.
-"""
+All K slices share the graph's CSR support: one (K, E) array aligned with
+``Graph.dst``, applied as one sparse operator, so the edge constraint is
+structural. No other module knows this layout."""
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,34 +15,11 @@ import scipy.sparse as sp
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class EdgeIndex:
-    """CSR arrays describing the row-wise support shared by every slice."""
-
-    indptr: np.ndarray  # (n + 1,)
-    src: np.ndarray     # (e,) row index of each entry
-    dst: np.ndarray     # (e,) column index (the neighbor), sorted within a row
-    by_dst: np.ndarray  # (e,) the entries sorted by (dst, src): a transposed slice's rows
-
-    @property
-    def num_entries(self) -> int:
-        return len(self.src)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-
-def edge_index(graph: Graph) -> EdgeIndex:
-    counts = np.array([len(nbrs) for nbrs in graph.neighbors], dtype=np.int64)
+def _require_support(graph: Graph):
+    counts = np.diff(graph.indptr)
     if not counts.all():
         raise ValueError(f"vertex {int(np.argmin(counts))} has no neighbors; "
                          "every row needs support")
-    dst = np.array([j for nbrs in graph.neighbors for j in nbrs], dtype=np.int64)
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), counts)
-    # src is already sorted, so a stable sort on dst orders ties by src
-    return EdgeIndex(np.append(0, np.cumsum(counts)), src, dst,
-                     np.argsort(dst, kind="stable"))
 
 
 @dataclass
@@ -52,12 +28,11 @@ class EdgeLogits:
 
     graph: Graph
     k: int
-    logits: np.ndarray  # (k, e), aligned with index.dst
-    index: EdgeIndex = field(init=False, repr=False)
+    logits: np.ndarray  # (k, e), aligned with graph.dst
 
     def __post_init__(self):
-        self.index = edge_index(self.graph)
-        expected = (self.k, self.index.num_entries)
+        _require_support(self.graph)
+        expected = (self.k, self.graph.num_entries())
         if self.logits.shape != expected:
             raise ValueError(f"logits have shape {self.logits.shape}, expected "
                              f"{expected} for this graph")
@@ -76,7 +51,6 @@ class SoftTransforms:
     graph: Graph
     probs: np.ndarray  # (k, e)
     temperature: float
-    index: EdgeIndex = field(repr=False)
 
     @property
     def k(self) -> int:
@@ -89,19 +63,19 @@ class SoftTransforms:
         For x of shape (N, F), M @ x stacks every S_k^T x; for g of shape
         (K*N, F), M.T @ g is sum_k S_k g_k.
         """
-        index, k, n = self.index, self.k, self.graph.n
-        data = self.probs.astype(dtype, copy=False)[:, index.by_dst].ravel()
-        cols = np.tile(index.src[index.by_dst], k)
-        indptr = np.append(0, np.cumsum(np.tile(np.bincount(index.dst, minlength=n), k)))
+        g, k, n = self.graph, self.k, self.graph.n
+        data = self.probs.astype(dtype, copy=False)[:, g.by_dst].ravel()
+        cols = np.tile(g.src[g.by_dst], k)
+        indptr = np.append(0, np.cumsum(np.tile(np.bincount(g.dst, minlength=n), k)))
         return sp.csr_matrix((data, cols, indptr), shape=(k * n, n))
 
     def probs_grad(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Gradient of sum(g * (M @ x)) w.r.t. probs, for x of shape (N, F)
         and g of shape (K*N, F): entry (k, e) is x[src_e] . g_k[dst_e]."""
-        xs = x[self.index.src]
+        xs = x[self.graph.src]
         out = np.empty_like(self.probs)
         for k, g_k in enumerate(g.reshape(self.k, -1, g.shape[1])):
-            out[k] = np.vecdot(xs, g_k[self.index.dst])
+            out[k] = np.vecdot(xs, g_k[self.graph.dst])
         return out
 
 
@@ -111,20 +85,18 @@ def soften(params: EdgeLogits, t: float) -> SoftTransforms:
         raise ValueError(f"temperature must be positive, got {t}")
     if not np.all(np.isfinite(params.logits)):
         raise FloatingPointError("non-finite logits")
-    idx = params.index
-    starts, counts = idx.indptr[:-1], idx.counts
+    starts, counts = params.graph.indptr[:-1], np.diff(params.graph.indptr)
     top = np.maximum.reduceat(params.logits, starts, axis=1)
     z = np.exp((params.logits - np.repeat(top, counts, axis=1)) / t)
     total = np.add.reduceat(z, starts, axis=1)
-    return SoftTransforms(params.graph, z / np.repeat(total, counts, axis=1), t, idx)
+    return SoftTransforms(params.graph, z / np.repeat(total, counts, axis=1), t)
 
 
 def soften_backward(soft: SoftTransforms, dprobs: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. logits given the gradient w.r.t. the soft probabilities."""
-    idx = soft.index
-    p = soft.probs
-    dot = np.add.reduceat(dprobs * p, idx.indptr[:-1], axis=1)
-    return p * (dprobs - np.repeat(dot, idx.counts, axis=1)) / soft.temperature
+    p, indptr = soft.probs, soft.graph.indptr
+    dot = np.add.reduceat(dprobs * p, indptr[:-1], axis=1)
+    return p * (dprobs - np.repeat(dot, np.diff(indptr), axis=1)) / soft.temperature
 
 
 @dataclass(frozen=True)
@@ -143,29 +115,28 @@ def harden(params: EdgeLogits) -> HardTransforms:
     """Row-wise argmax of the logits; ties go to the smallest vertex index."""
     if not np.all(np.isfinite(params.logits)):
         raise FloatingPointError("non-finite logits")
-    idx = params.index
-    starts, counts = idx.indptr[:-1], idx.counts
+    g = params.graph
+    starts, counts, e = g.indptr[:-1], np.diff(g.indptr), g.num_entries()
     top = np.repeat(np.maximum.reduceat(params.logits, starts, axis=1), counts, axis=1)
     # neighbor lists are sorted, so the first maximal entry has the smallest index
-    entry = np.where(params.logits == top, np.arange(idx.num_entries), idx.num_entries)
-    return HardTransforms(params.graph.n,
-                          idx.dst[np.minimum.reduceat(entry, starts, axis=1)])
+    entry = np.where(params.logits == top, np.arange(e), e)
+    return HardTransforms(g.n, g.dst[np.minimum.reduceat(entry, starts, axis=1)])
 
 
 def one_hot_soft(graph: Graph, targets: np.ndarray) -> SoftTransforms:
     """Exact one-hot SoftTransforms from explicit vertex -> neighbor maps, at
     temperature 1."""
     targets = np.asarray(targets, dtype=np.int64)
-    idx = edge_index(graph)
+    _require_support(graph)
     _, n = targets.shape
     if n != graph.n:
         raise ValueError(f"targets cover {n} vertices, graph has {graph.n}")
-    probs = (idx.dst == targets[:, idx.src]).astype(float)
-    missing = np.argwhere(np.add.reduceat(probs, idx.indptr[:-1], axis=1) == 0)
+    probs = (graph.dst == targets[:, graph.src]).astype(float)
+    missing = np.argwhere(np.add.reduceat(probs, graph.indptr[:-1], axis=1) == 0)
     if len(missing):
         s, i = missing[0]
         raise ValueError(f"slice {s}: target {targets[s, i]} is not a neighbor of {i}")
-    return SoftTransforms(graph, probs, 1.0, idx)
+    return SoftTransforms(graph, probs, 1.0)
 
 
 def _slice_weights(s_soft: SoftTransforms, w: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Dense reference objects for the tests, built from neighbor and entry
-lists alone, so that they share no code path with the sparse operator."""
+lists alone, so that they share no code path with the sparse operator or
+the array graph builders."""
 import numpy as np
 
 from gstrans.graph import Graph
@@ -10,23 +11,64 @@ def dense_slices(soft):
     that vertex i maps to its neighbor j."""
     n = soft.graph.n
     s = np.zeros((soft.k, n, n))
-    s[:, soft.index.src, soft.index.dst] = soft.probs
+    s[:, soft.graph.src, soft.graph.dst] = soft.probs
     return s
+
+
+def graph_of(lists):
+    """The Graph whose vertex i has the neighbor list lists[i], as given."""
+    return Graph(len(lists), np.cumsum([0, *map(len, lists)]),
+                 np.array([j for nbrs in lists for j in nbrs], dtype=np.int64))
+
+
+def neighbors(graph):
+    """The graph's neighbor lists as a tuple of tuples of ints."""
+    bounds = graph.indptr.tolist()
+    return tuple(tuple(graph.dst[a:b].tolist()) for a, b in zip(bounds, bounds[1:]))
 
 
 def adjacency(graph):
     """Dense boolean support of the neighbor lists, diagonal included where
     a vertex lists itself."""
     a = np.zeros((graph.n, graph.n), dtype=bool)
-    for i, nbrs in enumerate(graph.neighbors):
+    for i, nbrs in enumerate(neighbors(graph)):
         a[i, list(nbrs)] = True
     return a
 
 
 def bare_ring(n):
     """Cycle graph without self-loops: vertex i adjacent to i - 1 and i + 1."""
-    return Graph(n, tuple(tuple(sorted({(i - 1) % n, (i + 1) % n}))
-                          for i in range(n)))
+    return graph_of([sorted({(i - 1) % n, (i + 1) % n}) for i in range(n)])
+
+
+def ring_by_sets(n):
+    """Self-looped cycle graph, one neighbor set per vertex."""
+    return graph_of([sorted({(i - 1) % n, i, (i + 1) % n}) for i in range(n)])
+
+
+def grid_by_sets(height, width):
+    """Self-looped 4-connected grid without wrap-around, one neighbor set
+    per pixel (r, c) -> vertex r*width + c."""
+    sets = []
+    for r in range(height):
+        for c in range(width):
+            sets.append({r2 * width + c2 for r2, c2 in
+                         ((r, c), (r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+                         if 0 <= r2 < height and 0 <= c2 < width})
+    return graph_of([sorted(s) for s in sets])
+
+
+def knn_covariance_by_sets(samples, k):
+    """Each vertex linked to the k vertices of largest |covariance|, one row
+    at a time, ties to the smallest index; symmetrized and self-looped."""
+    mag = np.abs(np.atleast_2d(np.cov(np.asarray(samples, dtype=float), rowvar=False)))
+    n = len(mag)
+    sets = [{i} for i in range(n)]
+    for i in range(n):
+        for j in np.argsort(-mag[i], kind="stable")[:k].tolist():
+            sets[i].add(j)
+            sets[j].add(i)
+    return graph_of([sorted(s) for s in sets])
 
 
 def canonical_maps(height, width):

@@ -13,7 +13,7 @@ from gstrans.cli import main
 from gstrans.data import (CIFAR_RECORD_BYTES, Dataset, load_cifar10, load_webkb,
                           make_ring_task, make_splits)
 from gstrans.errors import IngestionError
-from oracles import downscale_2x, ring_task_by_roll
+from oracles import downscale_2x, neighbors, ring_task_by_roll
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -270,11 +270,12 @@ class TestWebKB:
 
     def test_edges_symmetrized_and_self_looped(self, tmp_path):
         _, g = self.make(tmp_path)
-        assert all(i in g.neighbors[i] for i in range(g.n))
+        nbrs = neighbors(g)
+        assert all(i in nbrs[i] for i in range(g.n))
         # page00=0, page10=4, page40=16 form a triangle in the citation list
-        assert 16 in g.neighbors[0] and 0 in g.neighbors[16]
-        assert 4 in g.neighbors[16] and 0 in g.neighbors[4]
-        assert g.neighbors[12] == (12,)  # unknown citation target dropped
+        assert 16 in nbrs[0] and 0 in nbrs[16]
+        assert 4 in nbrs[16] and 0 in nbrs[4]
+        assert nbrs[12] == (12,)  # unknown citation target dropped
 
     def test_unknown_class(self, tmp_path):
         with pytest.raises(IngestionError, match="class"):
@@ -290,6 +291,17 @@ class TestWebKB:
         with pytest.raises(IngestionError, match=r"x\.content:2: could not convert "
                                                  r"string to float: 'x'"):
             self.make(tmp_path, content=bad, cites="")
+
+    def test_duplicate_page_id_names_both_lines(self, tmp_path, monkeypatch, capsys):
+        lines = WEBKB_CONTENT.splitlines()
+        content = "\n".join(lines + [lines[3]]) + "\n"
+        with pytest.raises(IngestionError, match=r"x\.content:21: page id 'page03' "
+                                                 r"already given on line 4"):
+            self.make(tmp_path, content=content)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["export-graph", "--out", "g.txt", "--dataset", "webkb",
+                   "--content", "x.content", "--cites", "x.cites"])
+        assert rc == 2 and "already given on line 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_names_file_and_line(self, tmp_path, value):
@@ -319,7 +331,7 @@ class TestWebKB:
 class TestRingTask:
     def test_shapes_and_splits(self):
         ds, g = make_ring_task(12, 3, 20, 0.05, seed=0)
-        assert g.n == 12 and all(i in g.neighbors[i] for i in range(12))
+        assert g.n == 12 and all(i in neighbors(g)[i] for i in range(12))
         assert len(ds.signals) == 60
         assert all(s.shape == (12, 1) for s in ds.signals)
         total = sum(len(ds.splits[p]) for p in ("train", "val", "test"))

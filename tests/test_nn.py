@@ -11,7 +11,7 @@ from gstrans.nn import (TRAIN_DTYPE, Adam, GSLayerParams, Model, SGD,
                         graph_hash, load_checkpoint, save_checkpoint, train)
 from gstrans.transforms import (EdgeLogits, Schedule, convolve, one_hot_soft,
                                 soften, soften_backward, temperature_at)
-from oracles import bare_ring, dense_slices
+from oracles import bare_ring, dense_slices, neighbors
 
 
 def identity_soft(graph):
@@ -496,7 +496,7 @@ def dense_oracle(xb, yb, soft, model):
                 ds[k] += hs[li] @ (dz @ w[k].T).T
             dbs[li] += dz.sum(axis=0)
             dh = sum(s[k] @ dz @ w[k].T for k in range(soft.k))
-    dprobs = ds[:, soft.index.src, soft.index.dst]
+    dprobs = ds[:, soft.graph.src, soft.graph.dst]
     grads = [a for pair in zip(dws, dbs) for a in pair] + [
         dfc_w, dfc_b, soften_backward(soft, dprobs)]
     return np.array(probs), loss, grads
@@ -513,8 +513,8 @@ def kernel_case(mode, dtype, hidden=(4, 3), one_hot=False):
     params = EdgeLogits.init(g, 5, rng, scale=1.0)
     soft = soften(params, 0.6)
     if one_hot:
-        pick = np.random.default_rng(21)
-        soft = one_hot_soft(g, [[pick.choice(g.neighbors[i]) for i in range(g.n)]
+        pick, nbrs = np.random.default_rng(21), neighbors(g)
+        soft = one_hot_soft(g, [[pick.choice(nbrs[i]) for i in range(g.n)]
                                 for _ in range(5)])
     xb = rng.standard_normal((3, g.n, 2))
     yb = (rng.integers(0, 3, size=3) if mode == "signal"

@@ -7,13 +7,15 @@ import gstrans
 
 # single-sample and test-only helpers that the batched kernel replaced,
 # wrappers around the one canonical-map table and the one stacked operator,
-# and the ring task's guard against rotation collisions of continuous draws
+# the ring task's guard against rotation collisions of continuous draws, and
+# the second copy of the support that Graph's own CSR arrays replaced
 REMOVED = {
     "nn": ("gsl_forward", "model_forward", "cross_entropy", "backward"),
-    "graph": ("laplacian",),
+    "graph": ("laplacian", "_from_sets"),
     "evaluate": ("CanonicalTransform", "canonical_transforms", "nearest_canonical"),
     "errors": ("InsufficientDataError",),
-    "transforms": ("_weighted_transpose", "_stacked_transpose"),
+    "transforms": ("_weighted_transpose", "_stacked_transpose", "EdgeIndex",
+                   "edge_index"),
     "data": ("_has_rotation_collision",),
 }
 
@@ -30,8 +32,10 @@ class TestPublicSurface:
                 assert name not in gstrans.__all__
                 assert not hasattr(gstrans, name)
                 assert not hasattr(module, name), f"gstrans.{module_name}.{name}"
-        assert [f.name for f in fields(gstrans.Graph)] == ["n", "neighbors"]
-        for cls, attrs in ((gstrans.Graph, ("adjacency", "degree")),
+        assert [f.name for f in fields(gstrans.Graph)] == ["n", "indptr", "dst"]
+        for cls in (gstrans.EdgeLogits, gstrans.SoftTransforms):
+            assert "index" not in [f.name for f in fields(cls)], cls.__name__
+        for cls, attrs in ((gstrans.Graph, ("adjacency", "degree", "neighbors")),
                            (gstrans.SoftTransforms, ("row", "dense")),
                            (gstrans.HardTransforms, ("slice",))):
             for attr in attrs:
