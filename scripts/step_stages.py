@@ -1,0 +1,109 @@
+"""Minimum time of each stage of one training step, printed as JSON.
+
+    PYTHONPATH=src python3 scripts/step_stages.py [--reps R]
+
+Builds the classifier of two benchmark shapes on random inputs, batch 32:
+
+- ``ring``: N=16 ring, K=3, layers 16,16,16, one channel, 4 classes;
+- ``grid``: 16x16 grid, K=5, layers 32,64, three channels, 10 classes.
+
+Then it times each stage of one step of ``nn.train``: ``soften``, the
+stacked operator's build (``sparse``), the forward pass of each
+graph-signal layer (GSL) and the whole forward pass, each GSL's backward
+split into dW/db, g = dz W^T, ``probs_grad`` and dh = M^T g, the whole
+backward pass, ``soften_backward`` and the optimizer (Adam on the model,
+then on the edge logits). In signal mode the last layer runs after the
+vertex mean and is no GSL; it is timed only inside the whole passes. A
+stage's number is its milliseconds per call, the minimum over R rounds
+(default 100) of ten calls each, in one BLAS thread.
+"""
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # read once, when numpy loads its BLAS
+
+import argparse
+import json
+import sys
+import timeit
+
+import numpy as np
+import scipy
+
+from gstrans import nn
+from gstrans.graph import build_grid_graph, build_ring_graph
+from gstrans.transforms import EdgeLogits, soften, soften_backward
+
+SHAPES = {
+    "ring": (lambda: build_ring_graph(16), 3, (16, 16, 16), 1, 4),
+    "grid": (lambda: build_grid_graph(16, 16), 5, (32, 64), 3, 10),
+}
+BATCH, CALLS = 32, 10
+
+
+def stages(name: str) -> dict:
+    """The stage functions of one step on the named shape, in step order."""
+    make_graph, k, hidden, c_in, classes = SHAPES[name]
+    graph, rng = make_graph(), np.random.default_rng(0)
+    model = nn.build_model(c_in, hidden, classes, k, "signal", rng, nn.TRAIN_DTYPE)
+    params = EdgeLogits.init(graph, k, rng)
+    xb = rng.standard_normal((BATCH, graph.n, c_in))
+    yb = rng.integers(0, classes, BATCH)
+    t = 1.0
+    soft = soften(params, t)
+    m = soft.sparse(model.dtype)
+    _, cache = nn._forward_batch(xb, soft, model)
+    out = {"soften": lambda: soften(params, t),
+           "sparse": lambda: soft.sparse(model.dtype)}
+    gsls = range(len(hidden) - 1)  # the last layer runs after the vertex mean
+    for li in gsls:
+        h, _, _ = cache["layers"][li]
+        out[f"forward.gsl{li}"] = lambda h=h, layer=model.gsl_layers[li]: nn._gsl(m, h, layer)
+    out["forward"] = lambda: nn._forward_batch(xb, soft, model)
+    for li in reversed(gsls):
+        h, u, _ = cache["layers"][li]
+        w = model.gsl_layers[li].w
+        n, b, c = h.shape
+        dz = rng.standard_normal((n * b, w.shape[2])).astype(model.dtype)
+        g = (dz @ w.transpose(0, 2, 1)).reshape(-1, b * c)
+        hs = h.reshape(n, b * c)
+        out[f"backward.gsl{li}.dW_db"] = \
+            lambda u=u, dz=dz: (u.transpose(0, 2, 1) @ dz, dz.sum(axis=0))
+        out[f"backward.gsl{li}.g"] = \
+            lambda dz=dz, w=w, b=b, c=c: (dz @ w.transpose(0, 2, 1)).reshape(-1, b * c)
+        out[f"backward.gsl{li}.probs_grad"] = lambda hs=hs, g=g: soft.probs_grad(hs, g)
+        if li > 0:
+            out[f"backward.gsl{li}.dh"] = lambda g=g: m.T @ g
+    out["backward"] = lambda: nn._backward_batch(yb, soft, model, cache)
+    dprobs = rng.standard_normal(soft.probs.shape)
+    out["soften_backward"] = lambda: soften_backward(soft, dprobs)
+    grads = nn._backward_batch(yb, soft, model, cache)[2]
+    opt, opt_logits = nn.Adam(1e-3), nn.Adam(1e-3)
+    arrays = model.param_arrays()
+
+    def optimizer():
+        opt.step(arrays, grads[:-1])
+        opt_logits.step([params.logits], grads[-1:])
+    out["optimizer"] = optimizer
+    return out
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--reps", type=int, default=100, help="rounds of ten calls")
+    reps = parser.parse_args(argv).reps
+    result = {"context": {"reps": reps, "calls_per_rep": CALLS, "batch": BATCH,
+                          "numpy": np.__version__, "scipy": scipy.__version__,
+                          "blas_threads": 1}}
+    for name in SHAPES:
+        result[name] = {stage: round(min(timeit.repeat(fn, number=CALLS, repeat=reps))
+                                     / CALLS * 1e3, 4)
+                        for stage, fn in stages(name).items()}
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -66,6 +66,16 @@ def _parse_layers(args) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+def _warn_if_one_layer(ds, args):
+    """Printed once a run has trained: a signal-mode model's last layer runs
+    after the vertex mean, where no translation reaches it, so with one
+    layer the edge logits get no gradient at all."""
+    if ds.mode == "signal" and len(_parse_layers(args)) == 1:
+        print("warning: a one-layer signal-mode model learns no translations: the "
+              "edge logits get no gradient and harden as initialised; pass two or "
+              "more --layers", file=sys.stderr)
+
+
 def _load_dataset(args):
     """Returns (dataset, graph, grid_dims or None)."""
     if args.dataset == "ring":
@@ -148,6 +158,7 @@ def cmd_train(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model, params, hard, history = nn.train(ds, g, config)
+    _warn_if_one_layer(ds, args)
     nn.save_checkpoint(out / "checkpoint.npz", model, params, g, config.schedule)
     _write_metrics(out / "metrics.csv", history)
     (out / "transforms.json").write_text(transforms_to_json(hard))
@@ -192,6 +203,7 @@ def cmd_sweep(args) -> int:
                 row[f"distance_{label}"] = float(dist[:, :, j].min(axis=1).mean())
             row["distance_mean"] = float(dist.min(axis=2).mean(axis=1).mean())
         rows.append(row)
+    _warn_if_one_layer(ds, args)
     cols = ["t_init", "t_final", "accuracy", "distance_identity", "distance_up",
             "distance_down", "distance_dilation", "distance_mean"]
     with open(out / "sweep.csv", "w") as f:

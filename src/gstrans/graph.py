@@ -9,8 +9,8 @@ from functools import cached_property
 import numpy as np
 
 
-def _read_only(a) -> np.ndarray:
-    a = np.array(a, dtype=np.int64)
+def _read_only(a, dtype=np.int64) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -50,6 +50,27 @@ class Graph:
     def by_dst(self) -> np.ndarray:  # (e,) entries by (dst, src): a transposed slice's rows
         # src is already sorted, so a stable sort on dst orders ties by src
         return _read_only(np.argsort(self.dst, kind="stable"))
+
+    @cached_property
+    def _stacked(self) -> dict:  # k -> stacked_pattern(k)
+        return {}
+
+    def stacked_pattern(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, order) of the (k*n x n) CSR operator whose k-th
+        block of rows holds every slice's transpose: row k*n + j lists the i
+        of each entry (i, j), in rising order, and order[p] is the position,
+        in a flattened (k, e) array of entry values, of the p-th stored
+        value. Built once per k and read-only; indptr and indices are in the
+        index dtype SciPy keeps (int32 while it holds k*e), so that building
+        the operator copies neither."""
+        if k not in self._stacked:
+            e = self.num_entries()
+            dtype = np.int32 if k * max(self.n, e) <= np.iinfo(np.int32).max else np.int64
+            counts = np.tile(np.bincount(self.dst, minlength=self.n), k)
+            self._stacked[k] = (_read_only(np.append(0, np.cumsum(counts)), dtype),
+                                _read_only(np.tile(self.src[self.by_dst], k), dtype),
+                                _read_only((np.arange(k)[:, None] * e + self.by_dst).ravel()))
+        return self._stacked[k]
 
     def num_entries(self) -> int:
         """Total number of (i, j) support entries, self-loops included."""

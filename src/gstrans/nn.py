@@ -215,34 +215,52 @@ def _backward_batch(yb, soft, model, cache):
     return loss, acc, grads
 
 
-class SGD:
+class _FlatOptimizer:
+    """Steps a fixed list of arrays of one dtype from one flat copy of their
+    gradients: the subclass's _update computes the flat update into
+    self.update, whose blocks are views shaped like the arrays. The update
+    is elementwise, so each array moves by the same bits as under an update
+    computed array by array."""
+
     def __init__(self, lr: float):
         self.lr = lr
+        self.update: np.ndarray | None = None
+        self.blocks: list[np.ndarray] = []
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+        g = np.concatenate([a.ravel() for a in grads])
+        if self.update is None:
+            self.update = np.empty_like(g)
+            bounds = np.cumsum([0] + [p.size for p in params])
+            self.blocks = [self.update[lo:hi].reshape(p.shape)
+                           for p, lo, hi in zip(params, bounds, bounds[1:])]
+        self._update(g)
+        for p, u in zip(params, self.blocks):
+            p -= u
 
 
-class Adam:
+class SGD(_FlatOptimizer):
+    def _update(self, g: np.ndarray):
+        np.multiply(self.lr, g, out=self.update)
+
+
+class Adam(_FlatOptimizer):
     def __init__(self, lr: float):
-        self.lr = lr
+        super().__init__(lr)
         self.t = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None  # flat first and second moments
+        self.v: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
+    def _update(self, g: np.ndarray):
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m, self.v = np.zeros_like(g), np.zeros_like(g)
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+        self.m = b1 * self.m + (1 - b1) * g
+        self.v = b2 * self.v + (1 - b2) * g * g
+        m_hat = self.m / (1 - b1 ** self.t)
+        v_hat = self.v / (1 - b2 ** self.t)
+        np.divide(self.lr * m_hat, np.sqrt(v_hat) + eps, out=self.update)
 
 
 @dataclass
@@ -318,8 +336,11 @@ def train(dataset, graph: Graph, config: TrainConfig):
     config (seed included). A non-finite value anywhere in a
     step or an evaluation raises TrainingDivergedError.
     """
-    if not dataset.splits["train"].size:
-        raise ValueError("empty training split")
+    train_idx = dataset.splits["train"]
+    val_idx = dataset.splits.get("val", train_idx)
+    for name, idx in (("training", train_idx), ("validation", val_idx)):
+        if not idx.size:
+            raise ValueError(f"empty {name} split")
     rng = np.random.default_rng(config.seed)
     in_channels = dataset.signals.shape[2]
     model = build_model(in_channels, tuple(config.hidden), dataset.num_classes,
@@ -331,8 +352,6 @@ def train(dataset, graph: Graph, config: TrainConfig):
     else:
         opt, opt_logits = SGD(config.lr), SGD(logit_lr)
     sched = config.schedule
-    train_idx = dataset.splits["train"]
-    val_idx = dataset.splits.get("val", train_idx)
     model_arrays = model.param_arrays()
     # an epoch is one pass over train_idx: a whole-graph step in vertex mode,
     # which records about twenty times a run; both modes record the last step

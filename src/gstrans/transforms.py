@@ -63,11 +63,10 @@ class SoftTransforms:
         For x of shape (N, F), M @ x stacks every S_k^T x; for g of shape
         (K*N, F), M.T @ g is sum_k S_k g_k.
         """
-        g, k, n = self.graph, self.k, self.graph.n
-        data = self.probs.astype(dtype, copy=False)[:, g.by_dst].ravel()
-        cols = np.tile(g.src[g.by_dst], k)
-        indptr = np.append(0, np.cumsum(np.tile(np.bincount(g.dst, minlength=n), k)))
-        return sp.csr_matrix((data, cols, indptr), shape=(k * n, n))
+        indptr, indices, order = self.graph.stacked_pattern(self.k)
+        data = self.probs.astype(dtype, copy=False).ravel().take(order)
+        n = self.graph.n
+        return sp.csr_matrix((data, indices, indptr), shape=(self.k * n, n))
 
     def probs_grad(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Gradient of sum(g * (M @ x)) w.r.t. probs, for x of shape (N, F)

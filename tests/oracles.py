@@ -2,6 +2,7 @@
 lists alone, so that they share no code path with the sparse operator or
 the array graph builders."""
 import numpy as np
+import scipy.sparse as sp
 
 from gstrans.graph import Graph
 
@@ -133,3 +134,44 @@ def ring_task_by_roll(n, num_classes, samples_per_class, noise_std, seed):
     dataset = Dataset("signal", np.stack(signals), np.asarray(labels), num_classes)
     splits = make_splits(dataset, (0.8, 0.1, 0.1), 1, seed=seed)[0]
     return dataset.signals, dataset.labels, splits
+
+
+def stacked_operator_by_tile(soft, dtype=np.float64):
+    """SoftTransforms.sparse(dtype) with its pattern tiled and summed afresh
+    from the graph's entries on every call, in SciPy's own index dtype."""
+    g, k, n = soft.graph, soft.k, soft.graph.n
+    data = soft.probs.astype(dtype, copy=False)[:, g.by_dst].ravel()
+    cols = np.tile(g.src[g.by_dst], k)
+    indptr = np.append(0, np.cumsum(np.tile(np.bincount(g.dst, minlength=n), k)))
+    return sp.csr_matrix((data, cols, indptr), shape=(k * n, n))
+
+
+class SGDPerArray:
+    """Plain SGD, one array at a time."""
+
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params, grads):
+        for p, g in zip(params, grads):
+            p -= self.lr * g
+
+
+class AdamPerArray:
+    """Adam with one moment pair per array, updated one array at a time."""
+
+    def __init__(self, lr):
+        self.lr, self.t, self.m, self.v = lr, 0, None, None
+
+    def step(self, params, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            m_hat = self.m[i] / (1 - b1 ** self.t)
+            v_hat = self.v[i] / (1 - b2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + eps)

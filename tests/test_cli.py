@@ -127,6 +127,25 @@ class TestTrainCommand:
         assert lines[-1].split(",")[0] == "4"
 
 
+class TestOneLayerWarning:
+    """A one-layer signal-mode model trains, but its edge logits get no
+    gradient; train and sweep say so on stderr and change nothing else."""
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("layers,warned", [("4", True), ("4,4", False)])
+    def test_warning_on_stderr_only(self, tmp_path, capsys, command, layers, warned):
+        extra = ["--sweep-axis", "t-init", "--sweep-values", "2"] if command == "sweep" else []
+        rc = main([command, "--out-dir", str(tmp_path / "o")] + FAST
+                  + ["--layers", layers] + extra)
+        assert rc == 0
+        captured = capsys.readouterr()
+        expected = (["warning: a one-layer signal-mode model learns no translations: "
+                     "the edge logits get no gradient and harden as initialised; "
+                     "pass two or more --layers"] if warned else [])
+        assert captured.err.splitlines() == expected
+        assert "learns no translations" not in captured.out
+
+
 class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -447,6 +466,19 @@ class TestErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: training diverged at step")
         assert "evaluation): non-finite logits of the fully-connected layer" in lines[0]
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_empty_validation_split(self, tmp_path, capsys, command):
+        # four records hold out round(0.1 * 4) = 0 of them for validation
+        data_dir = tmp_path / "cifar"
+        data_dir.mkdir()
+        (data_dir / "data_batch_1.bin").write_bytes(bytes(4 * 3073))
+        extra = ["--sweep-axis", "t-init", "--sweep-values", "2"] if command == "sweep" else []
+        rc = exit_code([command, "--dataset", "cifar10", "--data-dir", str(data_dir),
+                        "--k", "2", "--layers", "4,4", "--steps", "2",
+                        "--out-dir", str(tmp_path / "o")] + extra)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: empty validation split"]
 
     def test_missing_cifar_dir(self, tmp_path, capsys):
         rc = main(["train", "--dataset", "cifar10", "--data-dir",

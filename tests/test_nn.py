@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +17,9 @@ from gstrans.nn import (TRAIN_DTYPE, Adam, GSLayerParams, Model, SGD,
                         graph_hash, load_checkpoint, save_checkpoint, train)
 from gstrans.transforms import (EdgeLogits, Schedule, convolve, one_hot_soft,
                                 soften, soften_backward, temperature_at)
-from oracles import bare_ring, dense_slices, neighbors
+from oracles import AdamPerArray, SGDPerArray, bare_ring, dense_slices, neighbors
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def identity_soft(graph):
@@ -220,6 +228,45 @@ class TestOptimizers:
         for _ in range(500):
             opt.step([p], [2 * p])
         assert np.all(np.abs(p) < 1e-3)
+
+    @pytest.mark.parametrize("flat,per_array", [(Adam, AdamPerArray), (SGD, SGDPerArray)],
+                             ids=["adam", "sgd"])
+    @pytest.mark.parametrize("shapes,dtype", [
+        ([(3, 1, 16), (16,), (3, 16, 16), (16,), (16, 4), (4,)], np.float32),
+        ([(3, 48)], np.float64),
+    ], ids=["float32-model", "float64-logits"])
+    def test_flat_state_matches_per_array(self, flat, per_array, shapes, dtype):
+        # the flat update is elementwise, so it moves every array by the same bits
+        rng = np.random.default_rng(4)
+        params = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        ref = [p.copy() for p in params]
+        opt, opt_ref = flat(0.01), per_array(0.01)
+        for _ in range(4):
+            grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
+            opt.step(params, grads)
+            opt_ref.step(ref, grads)
+        for p, r in zip(params, ref):
+            assert p.dtype == r.dtype == dtype and np.array_equal(p, r)
+
+
+class TestStepStagesScript:
+    def test_script_runs(self):
+        script = ROOT / "scripts" / "step_stages.py"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, str(script), "--reps", "1"], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        result = json.loads(out)
+        assert result["context"]["blas_threads"] == 1
+        for shape, gsls in (("ring", 2), ("grid", 1)):
+            stages = result[shape]
+            for name in ("soften", "sparse", "forward", "backward", "soften_backward",
+                         "optimizer", *(f"forward.gsl{i}" for i in range(gsls)),
+                         *(f"backward.gsl{i}.{part}" for i in range(gsls)
+                           for part in ("dW_db", "g", "probs_grad"))):
+                assert stages[name] > 0, (shape, name)
+            # layer 0 needs no dh
+            assert [f"backward.gsl{i}.dh" in stages for i in range(gsls)] == \
+                [i > 0 for i in range(gsls)]
 
 
 def tiny_ring_dataset(seed=0):

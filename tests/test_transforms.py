@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gstrans.graph import build_grid_graph, build_ring_graph
+from gstrans.graph import (build_grid_graph, build_knn_covariance_graph,
+                           build_ring_graph, read_edge_list)
 from gstrans.transforms import (EdgeLogits, HardTransforms, Schedule, apply_hard,
                                 convolve, harden, mode3_product, one_hot_soft,
                                 soften, soften_backward, temperature_at,
                                 transforms_from_json, transforms_to_json)
-from oracles import adjacency, bare_ring, dense_slices, graph_of, neighbors
+from oracles import (adjacency, bare_ring, dense_slices, graph_of, neighbors,
+                     stacked_operator_by_tile)
 
 
 def ring_rotation_soft(n):
@@ -85,6 +87,45 @@ class TestSoften:
             rows.append(row)
         soft = soften(single_slice_logits(g, rows), 1e-4)
         assert np.all(dense_slices(soft)[0].max(axis=1) >= 1 - 1e-6)
+
+
+def pattern_cases():
+    knn = build_knn_covariance_graph(np.random.default_rng(3).standard_normal((30, 12)), 3)
+    edges = read_edge_list("0 1\n1 2\n2 3\n3 4\n4 0\n0 2\n5 5\n5 1\n"
+                           + "".join(f"{i} {i}\n" for i in range(5)), 6)
+    return ([pytest.param(build_ring_graph(16), k, id=f"ring16-k{k}") for k in range(1, 6)]
+            + [pytest.param(build_grid_graph(16, 16), 5, id="grid16x16-k5"),
+               pytest.param(knn, 4, id="knn-k4"), pytest.param(edges, 2, id="edge-list-k2")])
+
+
+class TestStackedPattern:
+    """The stacked operator built on the graph's cached pattern against the
+    pattern built afresh on every call."""
+
+    @pytest.mark.parametrize("graph,k", pattern_cases())
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_to_tiled_pattern(self, graph, k, dtype):
+        params = EdgeLogits.init(graph, k, np.random.default_rng(k), scale=3.0)
+        soft = soften(params, 0.7)
+        m, ref = soft.sparse(dtype), stacked_operator_by_tile(soft, dtype)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(m, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert m.shape == ref.shape
+
+    def test_cached_per_k_and_read_only(self):
+        g = build_ring_graph(16)
+        three = g.stacked_pattern(3)
+        assert g.stacked_pattern(3) is three
+        two = g.stacked_pattern(2)
+        assert two is not three and len(two[0]) == 2 * 16 + 1
+        for a in three + two:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        # the operator reads the cached index arrays without copying them
+        m = soften(EdgeLogits.init(g, 3, np.random.default_rng(0)), 1.0).sparse()
+        assert np.shares_memory(m.indptr, three[0])
+        assert np.shares_memory(m.indices, three[1])
 
 
 class TestHarden:
