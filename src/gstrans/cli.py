@@ -76,6 +76,16 @@ def _warn_if_one_layer(ds, args):
               "more --layers", file=sys.stderr)
 
 
+def _cifar_splits(args) -> tuple[str, ...]:
+    """The CIFAR-10 splits whose records the command reads: the loader
+    converts only those, and the vertex count needs none of them."""
+    if args.command in ("train", "sweep"):
+        return ("train", "val")
+    # the covariance graph is built from the train split
+    graph = ("train",) if args.graph == "knn-covariance" else ()
+    return graph + ((args.split,) if args.command == "eval" else ())
+
+
 def _load_dataset(args):
     """Returns (dataset, graph, grid_dims or None)."""
     if args.dataset == "ring":
@@ -86,7 +96,8 @@ def _load_dataset(args):
         if not args.data_dir or not Path(args.data_dir).is_dir():
             raise FileNotFoundError(
                 f"--data-dir {args.data_dir!r} does not exist or is not a directory")
-        ds = data.load_cifar10(args.data_dir, downscale=args.downscale)
+        ds = data.load_cifar10(args.data_dir, downscale=args.downscale,
+                               splits=_cifar_splits(args), max_train=args.max_train)
         grid = (16, 16) if args.downscale else (32, 32)
         g = None
     else:  # webkb
@@ -96,7 +107,8 @@ def _load_dataset(args):
         ds, g = data.load_webkb(args.content, args.cites)
         grid = None
 
-    if args.max_train is not None:
+    # the CIFAR-10 loader converted no more of the train split than the cap
+    if args.max_train is not None and args.dataset != "cifar10":
         ds.splits["train"] = ds.splits["train"][:args.max_train]
 
     height = args.height if args.height is not None else (grid[0] if grid else None)

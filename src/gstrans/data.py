@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ log = logging.getLogger(__name__)
 CIFAR_RECORD_BYTES = 3073
 # records converted at a time; below about 1024 the size hardly moves the load time
 _CHUNK_RECORDS = 256
+CIFAR_SPLITS = ("train", "val", "test")
 WEBKB_CLASSES = ("course", "faculty", "project", "staff", "student")
 
 
@@ -27,6 +29,10 @@ class Dataset:
     Signal mode: one (N, C) matrix per sample, one label per sample.
     Vertex mode: a single (N, C) matrix; labels indexed by vertex, and the
     splits partition the labeled vertices.
+
+    S is the number of samples held. For CIFAR-10 these are only the
+    records load_cifar10 converted, those of the splits it was asked for,
+    and the splits index into them.
     """
 
     mode: str                      # "signal" | "vertex"
@@ -68,48 +74,69 @@ def _parse_cifar_batch(raw: bytes, path) -> np.ndarray:
     return records
 
 
-def load_cifar10(path, val_fraction: float = 0.1, downscale: bool = False) -> Dataset:
+def _convert(chunk: np.ndarray, downscale: bool) -> np.ndarray:
+    """(n, 1024 or 256, 3) float64 signals of n uint8 records."""
+    # channel-planar R,G,B planes of 1024 bytes each, row-major 32x32
+    pixels = chunk[:, 1:].reshape(-1, 3, 1024).transpose(0, 2, 1) / 255.0
+    if downscale:
+        # the order in which numpy's mean over the block axes of the
+        # whole planar-strided float array adds: the bits are the same
+        q = pixels.reshape(-1, 16, 2, 16, 2, 3)
+        pixels = ((q[:, :, 0, :, 0] + q[:, :, 0, :, 1])
+                  + (q[:, :, 1, :, 0] + q[:, :, 1, :, 1])) / 4
+    return pixels.reshape(len(chunk), -1, 3)
+
+
+def load_cifar10(path, val_fraction: float = 0.1, downscale: bool = False,
+                 splits=CIFAR_SPLITS, max_train: int | None = None) -> Dataset:
     """Load the standard binary batches under ``path``, converting one file
     at a time, in chunks of records, straight into the float output.
 
     Training batches are split train/val by the trailing ``val_fraction``;
     test_batch.bin, when present, becomes the test split. ``downscale`` gives
-    each image's 16x16 grid of 2x2 block means, (S, 256, 3), not (S, 1024, 3)."""
+    each image's 16x16 grid of 2x2 block means, (S, 256, 3), not (S, 1024, 3).
+
+    Every file is read, and its size and every label byte checked, but only
+    the records of the named ``splits`` are converted, the train split cut
+    to its first ``max_train`` records. The Dataset holds those records in
+    file order, its splits index into them, and a split not named is absent."""
     path = Path(path)
     train_files = sorted(path.glob("data_batch_*.bin"))
     if not train_files:
         raise IngestionError(f"no data_batch_*.bin files found in {path}")
+    if not set(splits) <= set(CIFAR_SPLITS):
+        raise ValueError(f"CIFAR-10 splits are {CIFAR_SPLITS}, got {tuple(splits)}")
+    if max_train is not None and max_train < 0:
+        raise ValueError(f"max_train must be >= 0, got {max_train}")
     test_file = path / "test_batch.bin"
     files = train_files + ([test_file] if test_file.exists() else [])
     counts = [f.stat().st_size // CIFAR_RECORD_BYTES for f in files]
-    signals = np.empty((sum(counts), 256 if downscale else 1024, 3))
-    labels = np.empty(sum(counts), dtype=np.int64)
-    start = 0
+    n_train_total = sum(counts[:len(train_files)])
+    n_val = int(round(val_fraction * n_train_total))
+    n_train = n_train_total - n_val
+    bounds = {"train": (0, n_train if max_train is None else min(n_train, max_train)),
+              "val": (n_train, n_train_total), "test": (n_train_total, sum(counts))}
+    # the splits asked for, in file order (their record ranges do not
+    # overlap), and the place in the output where each begins
+    wanted = sorted(set(splits), key=bounds.get)
+    starts = list(accumulate((bounds[s][1] - bounds[s][0] for s in wanted), initial=0))
+    signals = np.empty((starts[-1], 256 if downscale else 1024, 3))
+    labels = np.empty(starts[-1], dtype=np.int64)
+    start = offset = 0
     for f, count in zip(files, counts):
         records = _parse_cifar_batch(f.read_bytes(), f)
         if len(records) != count:
             raise IngestionError(f"{f}: size changed while loading")
-        labels[start:start + count] = records[:, 0]
-        for lo in range(0, count, _CHUNK_RECORDS):
-            chunk = records[lo:lo + _CHUNK_RECORDS]
-            # channel-planar R,G,B planes of 1024 bytes each, row-major 32x32
-            pixels = chunk[:, 1:].reshape(-1, 3, 1024).transpose(0, 2, 1) / 255.0
-            if downscale:
-                # the order in which numpy's mean over the block axes of the
-                # whole planar-strided float array adds: the bits are the same
-                q = pixels.reshape(-1, 16, 2, 16, 2, 3)
-                pixels = ((q[:, :, 0, :, 0] + q[:, :, 0, :, 1])
-                          + (q[:, :, 1, :, 0] + q[:, :, 1, :, 1])) / 4
-            signals[start:start + len(chunk)] = pixels.reshape(len(chunk), -1, 3)
-            start += len(chunk)
-    n_train_total = sum(counts[:len(train_files)])
-    n_val = int(round(val_fraction * n_train_total))
-    splits = {
-        "train": np.arange(0, n_train_total - n_val),
-        "val": np.arange(n_train_total - n_val, n_train_total),
-        "test": np.arange(n_train_total, len(labels)),
-    }
-    return Dataset("signal", signals, labels, 10, splits)
+        for first, end in map(bounds.get, wanted):
+            for lo in range(max(first - offset, 0), min(end - offset, count),
+                            _CHUNK_RECORDS):
+                chunk = records[lo:min(lo + _CHUNK_RECORDS, end - offset)]
+                labels[start:start + len(chunk)] = chunk[:, 0]
+                signals[start:start + len(chunk)] = _convert(chunk, downscale)
+                start += len(chunk)
+        offset += count
+    index = {s: np.arange(a, b) for s, a, b in zip(wanted, starts, starts[1:])}
+    return Dataset("signal", signals, labels, 10, index)
 
 
 def load_webkb(content_path, cites_path) -> tuple[Dataset, Graph]:

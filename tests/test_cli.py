@@ -6,9 +6,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gstrans import cli
+from gstrans import cli, nn
 from gstrans.cli import main
-from gstrans.evaluate import transform_distance
+from gstrans.data import CIFAR_RECORD_BYTES, load_cifar10
+from gstrans.evaluate import evaluate_accuracy, transform_distance
+from gstrans.graph import build_grid_graph, build_knn_covariance_graph, write_edge_list
 from gstrans.transforms import (HardTransforms, Schedule, temperature_at,
                                 transforms_from_json, transforms_to_json)
 from gstrans.viz import read_ppm
@@ -540,6 +542,120 @@ class TestErrors:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and value in errors[0]
         assert not (tmp_path / "o").exists()
+
+
+# records per file of the small CIFAR-10 directory: 70 train records, of
+# which round(0.1 * 70) = 7 are held out for validation, and 20 test records
+CIFAR_FILES = {"data_batch_1.bin": 40, "data_batch_2.bin": 30, "test_batch.bin": 20}
+CIFAR_FAST = ["--dataset", "cifar10", "--max-train", "25"]
+
+
+def write_cifar_dir(path):
+    path.mkdir()
+    rng = np.random.default_rng(0)
+    for name, count in CIFAR_FILES.items():
+        records = rng.integers(0, 256, (count, CIFAR_RECORD_BYTES), dtype=np.uint8)
+        records[:, 0] %= 10
+        (path / name).write_bytes(records.tobytes())
+    return path
+
+
+def capped_full_load(data_dir):
+    """Every record converted, then the train split cut to --max-train."""
+    full = load_cifar10(data_dir, downscale=True)
+    full.splits["train"] = full.splits["train"][:25]
+    return full
+
+
+def full_load_graph(full, graph):
+    """The graph a command builds, from a load of every record."""
+    if graph == "knn-covariance":
+        return build_knn_covariance_graph(full.signals[full.splits["train"]].mean(axis=2), 5)
+    return build_grid_graph(16, 16)
+
+
+@pytest.fixture(scope="module")
+def cifar_run(tmp_path_factory):
+    """The small CIFAR-10 directory and, per graph, a checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("cifar")
+    data_dir = write_cifar_dir(root / "data")
+    checkpoints = {}
+    for graph in ("grid", "knn-covariance"):
+        out = root / graph
+        assert main(["train", "--data-dir", str(data_dir), "--graph", graph, "--k", "2",
+                     "--layers", "4,4", "--steps", "2", "--out-dir", str(out)]
+                    + CIFAR_FAST) == 0
+        checkpoints[graph] = out / "checkpoint.npz"
+    return data_dir, checkpoints
+
+
+class TestCifarCommands:
+    """Commands convert only the records they read; their results are those
+    of a load of every record."""
+
+    @pytest.mark.parametrize("graph", ["grid", "knn-covariance"])
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_eval_matches_full_load(self, cifar_run, capsys, monkeypatch, split, graph):
+        data_dir, checkpoints = cifar_run
+        checkpoint = checkpoints[graph]
+        capsys.readouterr()
+        scored = []
+
+        def spy(model, params, ds, name, t):
+            scored.append(ds.signals[ds.splits[name]])
+            return evaluate_accuracy(model, params, ds, name, t)
+
+        monkeypatch.setattr(cli.evaluate, "evaluate_accuracy", spy)
+        assert main(["eval", "--data-dir", str(data_dir), "--checkpoint", str(checkpoint),
+                     "--graph", graph, "--split", split] + CIFAR_FAST) == 0
+        full = capped_full_load(data_dir)
+        model, params, sched = nn.load_checkpoint(checkpoint, full_load_graph(full, graph))
+        acc = evaluate_accuracy(model, params, full, split, sched.t_final)
+        assert np.array_equal(scored[0], full.signals[full.splits[split]])
+        assert capsys.readouterr().out == f"{split} accuracy: {acc:.4f}\n"
+
+    @pytest.mark.parametrize("graph", ["grid", "knn-covariance"])
+    def test_export_graph_matches_full_load(self, cifar_run, tmp_path, graph):
+        data_dir, _ = cifar_run
+        out = tmp_path / "graph.txt"
+        assert main(["export-graph", "--data-dir", str(data_dir), "--graph", graph,
+                     "--out", str(out)] + CIFAR_FAST) == 0
+        assert out.read_text() == write_edge_list(
+            full_load_graph(capped_full_load(data_dir), graph))
+
+    @pytest.mark.parametrize("fault", ["test-label", "label-past-cap", "truncated-test"])
+    def test_unconverted_records_still_checked(self, tmp_path, capsys, monkeypatch,
+                                               fault):
+        data_dir = write_cifar_dir(tmp_path / "data")
+        name = "data_batch_1.bin" if fault == "label-past-cap" else "test_batch.bin"
+        f = data_dir / name
+        raw = bytearray(f.read_bytes())
+        if fault == "truncated-test":
+            del raw[-100:]
+            message = f"{f}: truncated record at byte offset {19 * CIFAR_RECORD_BYTES}"
+        else:
+            record = 30 if fault == "label-past-cap" else 4   # the cap is 25
+            raw[record * CIFAR_RECORD_BYTES] = 11
+            message = f"{f}: record {record} has label byte 11 > 9"
+        f.write_bytes(bytes(raw))
+        monkeypatch.setattr(cli.nn, "train", lambda *a: pytest.fail("trained"))
+        rc = exit_code(["train", "--data-dir", str(data_dir), "--out-dir",
+                        str(tmp_path / "o")] + CIFAR_FAST)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_empty_eval_split(self, cifar_run, tmp_path, capsys, split):
+        # four records hold out none for validation, and there is no test file
+        checkpoint = cifar_run[1]["grid"]
+        data_dir = tmp_path / "small"
+        data_dir.mkdir()
+        (data_dir / "data_batch_1.bin").write_bytes(bytes(4 * CIFAR_RECORD_BYTES))
+        capsys.readouterr()
+        rc = exit_code(["eval", "--data-dir", str(data_dir), "--checkpoint",
+                        str(checkpoint), "--split", split] + CIFAR_FAST)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: empty evaluation split"]
 
 
 class TestEntryPoint:

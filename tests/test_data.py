@@ -185,6 +185,52 @@ class TestChunkedLoad:
                              capture_output=True, text=True, check=True).stdout
         assert "600 records" in out and "(600, 256, 3)" in out
         assert re.search(r"CPU: \d+\.\d+ s", out) and re.search(r"peak RSS: \d+ MB", out)
+        # the capped row: the first 320 of 450 train records and the 50 val ones
+        assert "370 records converted" in out and "(370, 256, 3)" in out
+
+    # caps that cross the first 256-record chunk, the first file boundary and
+    # the five-record second file, one at the train split's end, one past it
+    @pytest.mark.parametrize("splits,max_train", [
+        (("train",), 257), (("train", "val"), 302), (("val", "train"), 306),
+        (("train", "test"), 740), (("test", "val", "train"), 5000),
+        (("val",), None), (("test",), 3), ((), None)])
+    @pytest.mark.parametrize("downscale", [True, False], ids=["downscale", "full"])
+    def test_subset_matches_full_load(self, tmp_path, downscale, splits, max_train):
+        self.write(tmp_path)
+        full = load_cifar10(tmp_path, downscale=downscale)
+        sub = load_cifar10(tmp_path, downscale=downscale, splits=splits,
+                           max_train=max_train)
+        assert set(sub.splits) == set(splits)
+        rows, start = [], 0
+        for name in ("train", "val", "test"):            # file order
+            if name not in splits:
+                continue
+            idx = full.splits[name][:max_train] if name == "train" else full.splits[name]
+            assert np.array_equal(sub.splits[name], np.arange(start, start + len(idx)))
+            rows.append(idx)
+            start += len(idx)
+        rows = np.concatenate(rows) if rows else np.arange(0)
+        assert np.array_equal(sub.signals, full.signals[rows])
+        assert np.array_equal(sub.labels, full.labels[rows])
+        assert sub.signals.shape[1:] == full.signals.shape[1:]
+
+    def test_unconverted_records_are_still_checked(self, tmp_path):
+        self.write(tmp_path)
+        f = tmp_path / "data_batch_3.bin"
+        raw = bytearray(f.read_bytes())
+        raw[5 * CIFAR_RECORD_BYTES] = 10                 # a train record past the cap
+        f.write_bytes(bytes(raw))
+        with pytest.raises(IngestionError, match="record 5 has label byte 10"):
+            load_cifar10(tmp_path, splits=("train",), max_train=4)
+        with pytest.raises(IngestionError, match="record 5 has label byte 10"):
+            load_cifar10(tmp_path, splits=())
+
+    @pytest.mark.parametrize("kwargs", [{"splits": ("train", "valid")},
+                                        {"max_train": -1}])
+    def test_bad_subset_rejected(self, tmp_path, kwargs):
+        self.write(tmp_path)
+        with pytest.raises(ValueError):
+            load_cifar10(tmp_path, **kwargs)
 
 
 class TestDownscale:
