@@ -54,14 +54,14 @@ def stages(name: str) -> dict:
     t = 1.0
     soft = soften(params, t)
     m = soft.sparse(model.dtype)
-    _, cache = nn._forward_batch(xb, soft, model)
+    _, cache = nn._forward_batch(xb, m, model)
     out = {"soften": lambda: soften(params, t),
            "sparse": lambda: soft.sparse(model.dtype)}
     gsls = range(len(hidden) - 1)  # the last layer runs after the vertex mean
     for li in gsls:
         h, _, _ = cache["layers"][li]
         out[f"forward.gsl{li}"] = lambda h=h, layer=model.gsl_layers[li]: nn._gsl(m, h, layer)
-    out["forward"] = lambda: nn._forward_batch(xb, soft, model)
+    out["forward"] = lambda: nn._forward_batch(xb, m, model)
     for li in reversed(gsls):
         h, u, _ = cache["layers"][li]
         w = model.gsl_layers[li].w

@@ -10,7 +10,7 @@ from .evaluate import canonical_distances, evaluate_accuracy, transform_distance
 from .graph import (Graph, build_grid_graph, build_knn_covariance_graph,
                     build_ring_graph)
 from .nn import Model, TrainConfig, train
-from .transforms import (EdgeLogits, HardTransforms, Schedule, SoftTransforms,
+from .transforms import (EdgeLogits, Schedule, SoftTransforms,
                          apply_hard, convolve, harden, mode3_product, soften,
                          temperature_at, transforms_from_json, transforms_to_json)
 
@@ -22,7 +22,7 @@ __all__ = [
     "Graph", "build_grid_graph", "build_knn_covariance_graph",
     "build_ring_graph",
     "Model", "TrainConfig", "train",
-    "EdgeLogits", "HardTransforms", "Schedule", "SoftTransforms",
+    "EdgeLogits", "Schedule", "SoftTransforms",
     "apply_hard", "convolve", "harden", "mode3_product", "soften",
     "temperature_at", "transforms_from_json", "transforms_to_json",
 ]

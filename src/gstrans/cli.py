@@ -115,10 +115,8 @@ def _load_dataset(args):
     width = args.width if args.width is not None else (grid[1] if grid else None)
     n = ds.signals.shape[1]
 
-    if args.graph == "auto":
-        if g is None:
-            g = graph_mod.build_grid_graph(height, width)
-    elif args.graph == "grid":
+    # "auto" keeps the loader's graph, and CIFAR-10's loader gives none
+    if args.graph == "grid" or (args.graph == "auto" and g is None):
         if height is None or width is None or height * width != n:
             raise ValueError("grid graph needs --height/--width with h*w = n")
         g = graph_mod.build_grid_graph(height, width)
@@ -130,12 +128,10 @@ def _load_dataset(args):
                              f"and {args.dataset} is a vertex-mode dataset")
         samples = ds.signals[ds.splits["train"]].mean(axis=2)
         g = graph_mod.build_knn_covariance_graph(samples, args.knn)
-    else:  # edge-list
+    elif args.graph == "edge-list":
         if not args.edge_list or not Path(args.edge_list).is_file():
             raise FileNotFoundError(f"edge list file {args.edge_list!r} not found")
         g = graph_mod.read_edge_list(Path(args.edge_list).read_text(), n)
-    if g.n != n:
-        raise ValueError(f"graph has {g.n} vertices but signals have {n}")
     grid_dims = ((height, width) if height and width and min(height, width) >= 2
                  and height * width == n else None)
     return ds, g, grid_dims
@@ -176,7 +172,7 @@ def cmd_train(args) -> int:
     (out / "transforms.json").write_text(transforms_to_json(hard))
     print(f"final val accuracy: {history[-1].val_acc:.4f}")
     if grid_dims is not None:
-        dist = evaluate.canonical_distances(hard.targets, *grid_dims)
+        dist = evaluate.canonical_distances(hard, *grid_dims)
         (out / "eval_report.csv").write_text(evaluate.transform_report(dist))
         for k, row in enumerate(dist):
             i = row.argmin()
@@ -204,7 +200,7 @@ def cmd_sweep(args) -> int:
             _, _, hard, history = nn.train(ds, g, _train_config(point, ds))
             accs.append(history[-1].val_acc)
             if grid_dims is not None:
-                dists.append(evaluate.canonical_distances(hard.targets, *grid_dims))
+                dists.append(evaluate.canonical_distances(hard, *grid_dims))
         row = {"t_init": point.t_init, "t_final": point.t_final,
                "accuracy": float(np.mean(accs))}
         if dists:
@@ -235,8 +231,8 @@ def cmd_viz(args) -> int:
         raise
     except Exception as exc:
         raise ValueError(f"malformed transforms file {args.transforms}: {exc}") from exc
-    if hard.n != args.height * args.width:
-        raise ValueError(f"transforms cover {hard.n} vertices, "
+    if hard.shape[1] != args.height * args.width:
+        raise ValueError(f"transforms cover {hard.shape[1]} vertices, "
                          f"grid is {args.height}x{args.width}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -245,13 +241,13 @@ def cmd_viz(args) -> int:
         image, h, w = viz.read_ppm(Path(args.image).read_bytes())
         if (h, w) != (args.height, args.width):
             raise ValueError(f"image is {h}x{w}, grid is {args.height}x{args.width}")
-    for k in range(hard.k):
-        svg = viz.arrow_field_svg(hard.targets[k], args.height, args.width)
+    for k, row in enumerate(hard):
+        svg = viz.arrow_field_svg(row, args.height, args.width)
         (out / f"T{k}.svg").write_text(svg)
         if image is not None:
-            ppm = viz.translated_image_ppm(hard, k, image, args.height, args.width)
+            ppm = viz.translated_image_ppm(row, image, args.height, args.width)
             (out / f"T{k}.ppm").write_bytes(ppm)
-    n_files = hard.k * (2 if image is not None else 1)
+    n_files = len(hard) * (2 if image is not None else 1)
     print(f"wrote {n_files} files to {out}")
     return 0
 
@@ -265,7 +261,13 @@ def cmd_eval(args) -> int:
     if model.mode != ds.mode:
         raise ValueError(f"checkpoint is a {model.mode}-mode model, "
                          f"dataset is in {ds.mode} mode")
-    acc = evaluate.evaluate_accuracy(model, params, ds, args.split, sched.t_final)
+    # a checkpoint's weights can turn the forward pass non-finite, which it
+    # raises; numpy's warnings would only repeat that
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = evaluate.evaluate_accuracy(model, params, ds, args.split, sched.t_final)
+    except FloatingPointError as exc:
+        raise ValueError(f"{args.checkpoint}: {exc}") from None
     print(f"{args.split} accuracy: {acc:.4f}")
     return 0
 

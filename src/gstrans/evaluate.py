@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nn import _eval_split
-from .transforms import EdgeLogits
+from .transforms import EdgeLogits, soften
 
 CANONICAL_NAMES = ("identity", "up", "down", "left", "right",
                    "h-dilate", "h-contract", "v-dilate", "v-contract")
@@ -31,13 +31,13 @@ def _canonical_maps(height: int, width: int) -> np.ndarray:
     return np.stack([rows * width + cols for rows, cols in rows_cols])
 
 
-def transform_distance(a: np.ndarray, b: np.ndarray, n: int) -> float:
+def transform_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Normalized Hamming distance: fraction of vertices where the maps differ."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != (n,) or b.shape != (n,):
-        raise ValueError("transforms must be vectors of length n")
-    return float(np.count_nonzero(a != b)) / n
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"transforms must be vectors of one length, got shapes "
+                         f"{a.shape} and {b.shape}")
+    return float(np.count_nonzero(a != b)) / len(a)
 
 
 def canonical_distances(targets: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -69,5 +69,5 @@ def evaluate_accuracy(model, params: EdgeLogits, dataset, split, t: float) -> fl
     idx = dataset.splits[split] if isinstance(split, str) else np.asarray(split)
     if idx.size == 0:
         raise ValueError("empty evaluation split")
-    _, acc = _eval_split(model, params, dataset, idx, t)
+    _, acc = _eval_split(model, soften(params, t), dataset, idx)
     return acc

@@ -108,20 +108,20 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams):
     return u, z.reshape(n, b, -1)
 
 
-def _forward_batch(xb: np.ndarray, soft: SoftTransforms, model: Model):
-    """Forward pass on a (B, N, C_in) batch; returns (probs, cache).
+def _forward_batch(xb: np.ndarray, m, model: Model):
+    """Forward pass on a (B, N, C_in) batch through the stacked operator m,
+    SoftTransforms.sparse(model.dtype); returns (probs, cache).
 
     Activations are node-major, (N, B, C), so that the stacked operator
     reads and writes them without copies; probs are (B, cls) in signal
     mode and (B, N, cls) in vertex mode. Everything is computed in
-    model.dtype: the batch and the stacked operator are cast to it.
+    model.dtype: the batch is cast to it.
 
     In signal mode the last layer runs after the vertex mean. It has no
     ReLU, and every S_k is row-stochastic, so S_k^T preserves the vertex
     sum: mean_n(sum_k S_k^T h W_k + b) = mean_n(h) sum_k W_k + b. Its
     cache entry is (mean_n(h),), shaped (B, C_in), instead of (h, u, z).
     """
-    m = soft.sparse(model.dtype)
     h = np.ascontiguousarray(xb.transpose(1, 0, 2), dtype=model.dtype)
     layer_cache = []
     last = len(model.gsl_layers) - 1
@@ -309,15 +309,15 @@ def _batches(dataset, idx, batch_size, rng=None):
         yield dataset.signals[chunk], dataset.labels[chunk]
 
 
-def _eval_split(model, params, dataset, idx, t):
+def _eval_split(model, soft: SoftTransforms, dataset, idx):
     """Mean loss and accuracy over the given sample/vertex indices, scored
-    in chunks of 256 samples."""
-    soft = soften(params, t)
+    in chunks of 256 samples through one stacked operator."""
+    m = soft.sparse(model.dtype)
     losses, correct, count = [], 0, 0
     for xb, yb in _batches(dataset, idx, 256):
         # `_` holds the previous chunk's cache until this forward returns;
         # freeing it first made the next chunk's forward slower
-        probs, _ = _forward_batch(xb, soft, model)
+        probs, _ = _forward_batch(xb, m, model)
         loss, c, n = _score(probs, yb)[:3]
         losses.append(loss)
         correct += c
@@ -331,10 +331,10 @@ def _eval_split(model, params, dataset, idx, t):
 def train(dataset, graph: Graph, config: TrainConfig):
     """Anneal the shared temperature over s_total optimizer steps.
 
-    Returns (model, edge_logits, hard_transforms, history); the model is in
-    TRAIN_DTYPE, the edge logits in float64. Deterministic for a fixed
-    config (seed included). A non-finite value anywhere in a
-    step or an evaluation raises TrainingDivergedError.
+    Returns (model, edge_logits, targets, history), targets being harden()'s
+    (K, N) array; the model is in TRAIN_DTYPE, the edge logits in float64.
+    Deterministic for a fixed config (seed included). A non-finite value
+    anywhere in a step or an evaluation raises TrainingDivergedError.
     """
     train_idx = dataset.splits["train"]
     val_idx = dataset.splits.get("val", train_idx)
@@ -362,8 +362,9 @@ def train(dataset, graph: Graph, config: TrainConfig):
 
     def record():
         t = temperature_at(step, sched)
-        tl, ta = _eval_split(model, params, dataset, train_idx, t)
-        _, va = _eval_split(model, params, dataset, val_idx, t)
+        soft = soften(params, t)
+        tl, ta = _eval_split(model, soft, dataset, train_idx)
+        _, va = _eval_split(model, soft, dataset, val_idx)
         history.append(HistoryRow(step, t, tl, ta, va))
 
     try:
@@ -373,7 +374,7 @@ def train(dataset, graph: Graph, config: TrainConfig):
                 stage = "soften"
                 soft = soften(params, temperature_at(step, sched))
                 stage = "forward"
-                _, cache = _forward_batch(xb, soft, model)
+                _, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
                 stage = "backward"
                 loss, _, grads = _backward_batch(yb, soft, model, cache)
                 if not np.isfinite(loss):
@@ -390,8 +391,7 @@ def train(dataset, graph: Graph, config: TrainConfig):
     except FloatingPointError as exc:
         raise TrainingDivergedError(step, temperature_at(step, sched), stage,
                                     str(exc)) from exc
-    hard = harden(params)
-    return model, params, hard, history
+    return model, params, harden(params), history
 
 
 CHECKPOINT_VERSION = 1

@@ -98,20 +98,10 @@ def soften_backward(soft: SoftTransforms, dprobs: np.ndarray) -> np.ndarray:
     return p * (dprobs - np.repeat(dot, np.diff(indptr), axis=1)) / soft.temperature
 
 
-@dataclass(frozen=True)
-class HardTransforms:
-    """K discrete pseudo-translations: each vertex maps to one of its neighbors."""
-
-    n: int
-    targets: np.ndarray  # (k, n) int
-
-    @property
-    def k(self) -> int:
-        return self.targets.shape[0]
-
-
-def harden(params: EdgeLogits) -> HardTransforms:
-    """Row-wise argmax of the logits; ties go to the smallest vertex index."""
+def harden(params: EdgeLogits) -> np.ndarray:
+    """The K discrete pseudo-translations as a (K, N) int64 array: row k maps
+    each vertex to one of its neighbors, the row-wise argmax of the logits;
+    ties go to the smallest vertex index."""
     if not np.all(np.isfinite(params.logits)):
         raise FloatingPointError("non-finite logits")
     g = params.graph
@@ -119,7 +109,7 @@ def harden(params: EdgeLogits) -> HardTransforms:
     top = np.repeat(np.maximum.reduceat(params.logits, starts, axis=1), counts, axis=1)
     # neighbor lists are sorted, so the first maximal entry has the smallest index
     entry = np.where(params.logits == top, np.arange(e), e)
-    return HardTransforms(g.n, g.dst[np.minimum.reduceat(entry, starts, axis=1)])
+    return g.dst[np.minimum.reduceat(entry, starts, axis=1)]
 
 
 def one_hot_soft(graph: Graph, targets: np.ndarray) -> SoftTransforms:
@@ -184,25 +174,24 @@ def temperature_at(step: int, sched: Schedule) -> float:
     return sched.t_init * (sched.t_final / sched.t_init) ** (step / sched.s_total)
 
 
-def apply_hard(t_hard: HardTransforms, k: int, signal: np.ndarray) -> np.ndarray:
-    """Apply slice k to a signal: out[j] is the sum of signal rows mapping to j."""
-    if not 0 <= k < t_hard.k:
-        raise ValueError(f"slice index {k} outside [0, {t_hard.k})")
-    signal = np.asarray(signal, dtype=float)
-    if signal.shape[0] != t_hard.n:
-        raise ValueError(f"signal has {signal.shape[0]} rows, expected {t_hard.n}")
+def apply_hard(targets: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    """Apply one hard map, a row of harden()'s array, to a signal: out[j] is
+    the sum of signal rows mapping to j."""
+    targets, signal = np.asarray(targets), np.asarray(signal, dtype=float)
+    if targets.shape != signal.shape[:1]:
+        raise ValueError(f"signal has {signal.shape[0]} rows, map has shape {targets.shape}")
     out = np.zeros_like(signal)
-    np.add.at(out, t_hard.targets[k], signal)
+    np.add.at(out, targets, signal)
     return out
 
 
-def transforms_to_json(t_hard: HardTransforms) -> str:
-    doc = {"n": t_hard.n, "k": t_hard.k,
-           "targets": t_hard.targets.tolist()}
-    return json.dumps(doc)
+def transforms_to_json(targets: np.ndarray) -> str:
+    k, n = targets.shape
+    return json.dumps({"n": n, "k": k, "targets": targets.tolist()})
 
 
-def transforms_from_json(text: str) -> HardTransforms:
+def transforms_from_json(text: str) -> np.ndarray:
+    """The (K, N) int64 targets of a transforms_to_json() document."""
     doc = json.loads(text)
     if type(doc["n"]) is not int or type(doc["k"]) is not int:
         raise ValueError(f"n and k must be integers, got n={doc['n']!r}, k={doc['k']!r}")
@@ -214,4 +203,4 @@ def transforms_from_json(text: str) -> HardTransforms:
     targets = targets.astype(np.int64)
     if targets.size and not 0 <= targets.min() <= targets.max() < doc["n"]:
         raise ValueError(f"targets outside [0, {doc['n']})")
-    return HardTransforms(doc["n"], targets)
+    return targets

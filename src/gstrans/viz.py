@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluate import _canonical_maps
-from .transforms import HardTransforms, apply_hard
+from .transforms import apply_hard
 
 # displacement categories in tie-break order for the majority vote: the
 # first five canonical transforms, with the identity shown as "self"
@@ -71,9 +71,9 @@ def arrow_field_svg(hard_slice: np.ndarray, height: int, width: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-def translated_image_ppm(t_hard: HardTransforms, k: int, image: np.ndarray,
+def translated_image_ppm(hard_slice: np.ndarray, image: np.ndarray,
                          height: int, width: int) -> bytes:
-    """Apply hard slice k to an (N, 3) image in [0, 1] and encode as binary PPM.
+    """Apply one hard map to an (N, 3) image in [0, 1] and encode as binary PPM.
 
     Non-injective targets accumulate; channel sums are clamped to [0, 1]
     before 8-bit quantization.
@@ -82,9 +82,7 @@ def translated_image_ppm(t_hard: HardTransforms, k: int, image: np.ndarray,
     if image.shape != (height * width, 3):
         raise ValueError(
             f"expected image of shape ({height * width}, 3), got {image.shape}")
-    if t_hard.n != height * width:
-        raise ValueError("transform size does not match grid dimensions")
-    moved = np.clip(apply_hard(t_hard, k, image), 0.0, 1.0)
+    moved = np.clip(apply_hard(hard_slice, image), 0.0, 1.0)
     header = f"P6\n{width} {height}\n255\n".encode()
     body = np.round(moved.reshape(height, width, 3) * 255).astype(np.uint8)
     return header + body.tobytes()

@@ -11,7 +11,7 @@ from gstrans.cli import main
 from gstrans.data import CIFAR_RECORD_BYTES, load_cifar10
 from gstrans.evaluate import evaluate_accuracy, transform_distance
 from gstrans.graph import build_grid_graph, build_knn_covariance_graph, write_edge_list
-from gstrans.transforms import (HardTransforms, Schedule, temperature_at,
+from gstrans.transforms import (Schedule, temperature_at,
                                 transforms_from_json, transforms_to_json)
 from gstrans.viz import read_ppm
 from oracles import canonical_maps
@@ -127,6 +127,21 @@ class TestTrainCommand:
         lines = (out / "metrics.csv").read_text().splitlines()
         # 16 train samples, batch 8 -> 2 steps per epoch, 4 total
         assert lines[-1].split(",")[0] == "4"
+
+    def test_ring_graph(self, tmp_path):
+        out = run_train(tmp_path, "ring", ["--graph", "ring"])
+        assert (out / "transforms.json").exists()
+
+    def test_max_train_caps_the_ring_task(self, tmp_path):
+        out = tmp_path / "cap"
+        rc = main(["train", "--ring-n", "8", "--ring-classes", "2", "--k", "2",
+                   "--layers", "4", "--max-train", "64", "--batch-size", "32",
+                   "--epochs", "1", "--out-dir", str(out)])
+        assert rc == 0
+        # 64 of the 200 samples' train split, batch 32 -> 2 steps per epoch
+        steps = [line.split(",")[0] for line in
+                 (out / "metrics.csv").read_text().splitlines()[1:]]
+        assert steps[-1] == "2"
 
 
 class TestOneLayerWarning:
@@ -286,13 +301,43 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fc_weight has dtype float64" in err
 
+    def test_unsupported_version(self, tmp_path, capsys):
+        path, meta = trained_meta(tmp_path)
+        meta["version"] = 2
+        replace_meta(path, json.dumps(meta).encode())
+        capsys.readouterr()
+        assert exit_code(["eval", "--checkpoint", str(path)] + FAST) == 2
+        assert capsys.readouterr().err == "error: unsupported checkpoint version 2\n"
+
+    @pytest.mark.parametrize("case,message", [
+        ("nan-logits", "non-finite logits"),
+        ("inf-w0", "non-finite activations after graph-signal layers"),
+        ("huge-weights", "non-finite activations after graph-signal layers"),
+    ], ids=["nan-logits", "inf-w0", "huge-weights"])
+    def test_non_finite_checkpoint(self, tmp_path, capsys, case, message):
+        # two layers, so that a GSL output feeds the weights of a second layer
+        path = run_train(tmp_path, extra=["--layers", "4,4"]) / "checkpoint.npz"
+        with np.load(path) as f:
+            arrays = dict(f)
+        if case == "nan-logits":
+            arrays["logits"][0, 0] = np.nan
+        elif case == "inf-w0":
+            arrays["w0"][0, 0, 0] = np.inf
+        else:  # finite, but their products overflow float32
+            for name in ("w0", "w1"):
+                arrays[name] = np.full_like(arrays[name], 1e30)
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        assert exit_code(["eval", "--checkpoint", str(path)] + FAST) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
 
 class TestVizCommand:
     def grid_transforms(self, tmp_path, h=2, w=3):
         targets = np.stack([np.arange(h * w),
                             [min(i + w, (h - 1) * w + i % w) for i in range(h * w)]])
         path = tmp_path / "transforms.json"
-        path.write_text(transforms_to_json(HardTransforms(h * w, targets)))
+        path.write_text(transforms_to_json(targets))
         return path
 
     def test_svg_written(self, tmp_path):
@@ -322,6 +367,15 @@ class TestVizCommand:
         rc = main(["viz", "--transforms", str(tf), "--out-dir",
                    str(tmp_path / "v")])
         assert rc == 2
+
+    def test_vertex_count_mismatch(self, tmp_path, capsys):
+        tf = self.grid_transforms(tmp_path)           # 6 vertices
+        out = tmp_path / "v"
+        rc = main(["viz", "--transforms", str(tf), "--height", "3",
+                   "--width", "3", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: transforms cover 6 vertices, grid is 3x3\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("vertex,target", [(15, 19), (0, -4)])
     @pytest.mark.parametrize("image", [False, True], ids=["svg", "image"])
@@ -384,11 +438,10 @@ class TestSweepCommand:
             run = run_train(tmp_path, f"t{t_init}", grid + ["--t-init", t_init])
             acc = float(capsys.readouterr().out.split("final val accuracy:")[1].split()[0])
             hard = transforms_from_json((run / "transforms.json").read_text())
-            slices = [hard.targets[k] for k in range(hard.k)]
-            expected = [min(transform_distance(s, canon[name], 8) for s in slices)
+            expected = [min(transform_distance(s, canon[name]) for s in hard)
                         for name in ("identity", "up", "down", "h-dilate")]
-            expected.append(np.mean([min(transform_distance(s, t, 8) for t in canon.values())
-                                     for s in slices]))
+            expected.append(np.mean([min(transform_distance(s, t) for t in canon.values())
+                                     for s in hard]))
             vals = [float(v) for v in line.split(",")]
             assert vals[0] == float(t_init)
             assert vals[2] == pytest.approx(acc, abs=5e-5)
@@ -455,6 +508,15 @@ class TestErrors:
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"error: edge list line 2: expected 'i j', got {bad_line!r}"]
 
+    def test_isolated_edge_list_vertex(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"                # FAST's ring has 8 vertices
+        edges.write_text("".join(f"{i} {i + 1}\n" for i in range(6)))
+        rc = exit_code(["train", "--graph", "edge-list", "--edge-list", str(edges),
+                        "--out-dir", str(tmp_path / "o")] + FAST)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: vertex 7 has no neighbors; every row needs support"]
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):
@@ -510,7 +572,7 @@ class TestErrors:
             argv += FAST
         else:
             tf = tmp_path / "transforms.json"
-            tf.write_text(transforms_to_json(HardTransforms(8, np.arange(8)[None])))
+            tf.write_text(transforms_to_json(np.arange(8)[None]))
             argv += ["--transforms", str(tf)]
         rc = exit_code(argv + ["--out-dir", str(tmp_path / "o")])
         assert rc == 2
@@ -656,6 +718,15 @@ class TestCifarCommands:
                         str(checkpoint), "--split", split] + CIFAR_FAST)
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == ["error: empty evaluation split"]
+
+    def test_auto_grid_checks_its_dims(self, cifar_run, tmp_path, capsys, monkeypatch):
+        # --graph auto builds CIFAR-10's grid with the grid graph's h*w = n check
+        monkeypatch.setattr(cli.nn, "train", lambda *a: pytest.fail("trained"))
+        rc = exit_code(["train", "--data-dir", str(cifar_run[0]), "--height", "8",
+                        "--width", "8", "--out-dir", str(tmp_path / "o")] + CIFAR_FAST)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grid graph needs --height/--width with h*w = n"]
 
 
 class TestEntryPoint:

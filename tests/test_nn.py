@@ -32,18 +32,18 @@ def layer_z(x, soft, layer):
     vertex mode: a signal-mode last layer runs after the vertex mean and
     caches no z."""
     model = Model([layer], np.zeros((layer.w.shape[2], 2)), np.zeros(2), "vertex")
-    _, cache = _forward_batch(x[None], soft, model)
+    _, cache = _forward_batch(x[None], soft.sparse(model.dtype), model)
     return cache["layers"][0][2][:, 0]
 
 
 def batch_loss(xb, yb, model, params, t):
-    probs, _ = _forward_batch(xb, soften(params, t), model)
+    probs, _ = _forward_batch(xb, soften(params, t).sparse(model.dtype), model)
     return _loss_grad_output(probs, yb)[0]
 
 
 def batch_grads(xb, yb, model, params, t):
     soft = soften(params, t)
-    _, cache = _forward_batch(xb, soft, model)
+    _, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
     return _backward_batch(yb, soft, model, cache)[2]
 
 
@@ -125,7 +125,7 @@ class TestModelForward:
         model = build_model(2, (4, 4), 3, 2, "signal", rng)
         params = EdgeLogits.init(g, 2, rng)
         xb = rng.standard_normal((1, 6, 2))
-        p = _forward_batch(xb, soften(params, 1.0), model)[0][0]
+        p = _forward_batch(xb, soften(params, 1.0).sparse(model.dtype), model)[0][0]
         assert p.shape == (3,)
         assert p.sum() == pytest.approx(1.0)
         assert np.all(p > 0)
@@ -136,7 +136,7 @@ class TestModelForward:
         model = build_model(1, (4,), 2, 3, "vertex", rng)
         params = EdgeLogits.init(g, 3, rng)
         xb = rng.standard_normal((1, 6, 1))
-        p = _forward_batch(xb, soften(params, 0.5), model)[0][0]
+        p = _forward_batch(xb, soften(params, 0.5).sparse(model.dtype), model)[0][0]
         assert p.shape == (6, 2)
         assert np.allclose(p.sum(axis=1), 1.0)
 
@@ -275,12 +275,36 @@ def tiny_ring_dataset(seed=0):
 
 
 class TestTrain:
+    def test_one_relaxation_per_record_one_operator_per_pass(self, monkeypatch):
+        # a training step softens once and builds one operator; a record
+        # softens once for both splits and builds one operator per split,
+        # although the train split is scored in two chunks of 256
+        ds, g = make_ring_task(8, 2, 200, 0.02, 0)
+        assert 256 < len(ds.splits["train"]) <= 512
+        calls = {"soften": 0, "sparse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(nn, "soften", counted("soften", nn.soften))
+        monkeypatch.setattr(nn.SoftTransforms, "sparse",
+                            counted("sparse", nn.SoftTransforms.sparse))
+        steps = 3
+        cfg = TrainConfig(Schedule(2.0, 0.5, steps), batch_size=256, k=2,
+                          hidden=(4,), seed=0)
+        records = len(train(ds, g, cfg)[3])
+        assert records == 3          # steps 0, 2 (an epoch of two batches) and 3
+        assert calls == {"soften": steps + records, "sparse": steps + 2 * records}
+
     def test_smoke_and_history(self):
         ds, g = tiny_ring_dataset()
         cfg = TrainConfig(Schedule(2.0, 0.5, 12), lr=5e-3, batch_size=8,
                           k=3, hidden=(4,), seed=1)
         model, params, hard, history = train(ds, g, cfg)
-        assert hard.targets.shape == (3, 8)
+        assert hard.shape == (3, 8) and hard.dtype == np.int64
         assert history[0].step == 0
         assert history[0].temperature == pytest.approx(2.0)
         assert history[-1].temperature == pytest.approx(0.5)
@@ -293,7 +317,7 @@ class TestTrain:
         r1 = train(ds, g, cfg)
         r2 = train(ds, g, cfg)
         assert np.array_equal(r1[1].logits, r2[1].logits)
-        assert np.array_equal(r1[2].targets, r2[2].targets)
+        assert np.array_equal(r1[2], r2[2])
         assert [h.train_loss for h in r1[3]] == [h.train_loss for h in r2[3]]
 
     def test_zero_lr_keeps_params(self):
@@ -446,8 +470,8 @@ class TestCheckpoint:
         assert all(a.dtype == np.float64 for a in model2.param_arrays())
         dtypes = []
 
-        def recording_forward(xb, soft, model):
-            probs, cache = _forward_batch(xb, soft, model)
+        def recording_forward(xb, m, model):
+            probs, cache = _forward_batch(xb, m, model)
             # a signal-mode last layer caches only the vertex mean of its input
             assert [len(lc) for lc in cache["layers"]] == [1]
             dtypes.extend(a.dtype for lc in cache["layers"] for a in lc)
@@ -456,8 +480,8 @@ class TestCheckpoint:
 
         monkeypatch.setattr(nn, "_forward_batch", recording_forward)
         idx = ds.splits["val"]
-        assert _eval_split(model2, params2, ds, idx, 0.5) == \
-            _eval_split(model, params, ds, idx, 0.5)
+        assert _eval_split(model2, soften(params2, 0.5), ds, idx) == \
+            _eval_split(model, soften(params, 0.5), ds, idx)
         assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("name,dtype,match", [
@@ -586,7 +610,7 @@ class TestKernelEquivalence:
     def test_batched_matches_dense_oracle(self, case):
         mode, hidden, one_hot = KERNEL_CASES[case]
         model, _, soft, xb, yb = kernel_case(mode, np.float64, hidden, one_hot)
-        probs, cache = _forward_batch(xb, soft, model)
+        probs, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
         loss, _, grads = _backward_batch(yb, soft, model, cache)
         probs_o, loss_o, grads_o = dense_oracle(xb, yb, soft, model)
         assert np.allclose(probs, probs_o, rtol=0, atol=1e-12)
@@ -602,7 +626,7 @@ class TestKernelEquivalence:
         # stays float64
         mode, hidden, one_hot = KERNEL_CASES[case]
         model, _, soft, xb, yb = kernel_case(mode, np.float32, hidden, one_hot)
-        probs, cache = _forward_batch(xb, soft, model)
+        probs, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
         loss, _, grads = _backward_batch(yb, soft, model, cache)
         assert probs.dtype == cache["pooled"].dtype == np.float32
         # full layers cache (h, u, z); a signal-mode last layer caches (mean_n h,)
@@ -626,7 +650,7 @@ class TestVertexMeanIdentity:
     @pytest.mark.parametrize("hidden", [(4,), (4, 3)])
     def test_last_layer_weight_gradients_equal_over_slices(self, hidden):
         model, _, soft, xb, yb = kernel_case("signal", np.float64, hidden)
-        _, cache = _forward_batch(xb, soft, model)
+        _, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
         dw = _backward_batch(yb, soft, model, cache)[2][2 * len(hidden) - 2]
         assert dw.shape == model.gsl_layers[-1].w.shape
         assert all(np.array_equal(dw_k, dw[0]) for dw_k in dw[1:])
@@ -634,7 +658,7 @@ class TestVertexMeanIdentity:
 
     def test_one_layer_logit_gradient_is_zero(self):
         model, params, soft, xb, yb = kernel_case("signal", np.float64, (4,))
-        _, cache = _forward_batch(xb, soft, model)
+        _, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
         dlogits = _backward_batch(yb, soft, model, cache)[2][-1]
         assert dlogits.shape == params.logits.shape
         assert np.array_equal(dlogits, np.zeros_like(dlogits))

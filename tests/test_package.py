@@ -7,15 +7,16 @@ import gstrans
 
 # single-sample and test-only helpers that the batched kernel replaced,
 # wrappers around the one canonical-map table and the one stacked operator,
-# the ring task's guard against rotation collisions of continuous draws, and
-# the second copy of the support that Graph's own CSR arrays replaced
+# the ring task's guard against rotation collisions of continuous draws,
+# the second copy of the support that Graph's own CSR arrays replaced, and
+# the wrapper around the (K, N) array of hardened maps
 REMOVED = {
     "nn": ("gsl_forward", "model_forward", "cross_entropy", "backward"),
     "graph": ("laplacian", "_from_sets"),
     "evaluate": ("CanonicalTransform", "canonical_transforms", "nearest_canonical"),
     "errors": ("InsufficientDataError",),
     "transforms": ("_weighted_transpose", "_stacked_transpose", "EdgeIndex",
-                   "edge_index"),
+                   "edge_index", "HardTransforms"),
     "data": ("_has_rotation_collision",),
 }
 
@@ -36,7 +37,6 @@ class TestPublicSurface:
         for cls in (gstrans.EdgeLogits, gstrans.SoftTransforms):
             assert "index" not in [f.name for f in fields(cls)], cls.__name__
         for cls, attrs in ((gstrans.Graph, ("adjacency", "degree", "neighbors")),
-                           (gstrans.SoftTransforms, ("row", "dense")),
-                           (gstrans.HardTransforms, ("slice",))):
+                           (gstrans.SoftTransforms, ("row", "dense"))):
             for attr in attrs:
                 assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"

@@ -5,7 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 from gstrans.graph import (build_grid_graph, build_knn_covariance_graph,
                            build_ring_graph, read_edge_list)
-from gstrans.transforms import (EdgeLogits, HardTransforms, Schedule, apply_hard,
+from gstrans.transforms import (EdgeLogits, Schedule, apply_hard,
                                 convolve, harden, mode3_product, one_hot_soft,
                                 soften, soften_backward, temperature_at,
                                 transforms_from_json, transforms_to_json)
@@ -134,7 +134,7 @@ class TestHarden:
         g = graph_of([(2, 5, 7)] + [(0,)] * 7)
         params = single_slice_logits(
             g, [np.array([0.1, 2.0, -1.0])] + [np.array([0.0])] * 7)
-        assert harden(params).targets[0, 0] == 5
+        assert harden(params)[0, 0] == 5
 
     def test_tie_break_smallest_index(self):
         g = graph_of([(0, 3), (1,), (2,), (0, 3)])
@@ -142,8 +142,8 @@ class TestHarden:
             g, [np.array([1.0, 1.0]), np.array([0.]), np.array([0.]),
                 np.array([0.5, 0.5])])
         hard = harden(params)
-        assert hard.targets[0, 0] == 0
-        assert hard.targets[0, 3] == 0
+        assert hard[0, 0] == 0
+        assert hard[0, 3] == 0
 
     def test_non_finite_logits(self):
         params = EdgeLogits.init(build_ring_graph(4), 2, np.random.default_rng(0))
@@ -157,7 +157,7 @@ class TestHarden:
         params = EdgeLogits.init(g, 3, np.random.default_rng(7), scale=1.0)
         hard = harden(params)
         soft = soften(params, t)
-        assert np.array_equal(dense_slices(soft).argmax(axis=2), hard.targets)
+        assert np.array_equal(dense_slices(soft).argmax(axis=2), hard)
 
 
 class TestMode3Product:
@@ -269,40 +269,39 @@ class TestTemperatureSchedule:
 
 class TestApplyHard:
     def test_identity(self):
-        hard = HardTransforms(5, np.arange(5)[None])
         x = np.random.default_rng(13).standard_normal((5, 2))
-        assert np.array_equal(apply_hard(hard, 0, x), x)
+        assert np.array_equal(apply_hard(np.arange(5), x), x)
 
     def test_ring_rotation_dirac(self):
         n = 4
-        hard = HardTransforms(n, np.array([[(i - 1) % n for i in range(n)],
-                                           [(i + 1) % n for i in range(n)]]))
+        hard = np.array([[(i - 1) % n for i in range(n)],
+                         [(i + 1) % n for i in range(n)]])
         dirac = np.zeros(n)
         dirac[0] = 1.0
-        assert np.array_equal(apply_hard(hard, 0, dirac), [0, 0, 0, 1])
-        assert np.array_equal(apply_hard(hard, 1, dirac), [0, 1, 0, 0])
+        assert np.array_equal(apply_hard(hard[0], dirac), [0, 0, 0, 1])
+        assert np.array_equal(apply_hard(hard[1], dirac), [0, 1, 0, 0])
 
     def test_preimage_sum(self):
-        hard = HardTransforms(4, np.array([[0, 3, 3, 2]]))
-        out = apply_hard(hard, 0, np.ones(4))
+        out = apply_hard(np.array([0, 3, 3, 2]), np.ones(4))
         assert np.array_equal(out, [1, 0, 1, 2])
 
     def test_invalid_slice(self):
-        hard = HardTransforms(3, np.arange(3)[None])
-        with pytest.raises(ValueError):
-            apply_hard(hard, 1, np.zeros(3))
+        # one map per call: the whole (K, N) array, or a row of another length
+        for targets in (np.arange(3)[None], np.arange(4)):
+            with pytest.raises(ValueError, match="signal has 3 rows"):
+                apply_hard(targets, np.zeros(3))
 
 
 class TestTransformsJson:
     def test_roundtrip(self):
-        hard = HardTransforms(4, np.array([[0, 1, 2, 3], [1, 2, 3, 0]]))
+        hard = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
         hard2 = transforms_from_json(transforms_to_json(hard))
-        assert hard2.n == 4 and hard2.k == 2
-        assert np.array_equal(hard2.targets, hard.targets)
+        assert hard2.dtype == np.int64
+        assert np.array_equal(hard2, hard)
 
     def test_format_fields(self):
         import json
-        doc = json.loads(transforms_to_json(HardTransforms(2, np.array([[0, 1]]))))
+        doc = json.loads(transforms_to_json(np.array([[0, 1]])))
         assert doc == {"n": 2, "k": 1, "targets": [[0, 1]]}
 
     def test_shape_mismatch(self):
@@ -366,4 +365,4 @@ class TestSoftenProperties:
         # logits on a 1/8 grid: distinct values stay distinct at t = 1e-4,
         # equal ones tie, and np.argmax takes the first (smallest) neighbor
         soft, hard = soften(params, 1e-4), harden(params)
-        assert np.array_equal(dense_slices(soft).argmax(axis=2), hard.targets)
+        assert np.array_equal(dense_slices(soft).argmax(axis=2), hard)

@@ -3,7 +3,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gstrans.transforms import HardTransforms
 from gstrans.viz import (DIRECTIONS, _displacements, arrow_field_svg,
                          majority_direction, read_ppm, translated_image_ppm)
 from oracles import canonical_maps
@@ -88,35 +87,31 @@ class TestArrowFieldSvg:
 
 class TestPpm:
     def test_header_and_size(self):
-        hard = HardTransforms(6, np.arange(6)[None])
         img = np.random.default_rng(0).uniform(0, 1, (6, 3))
-        raw = translated_image_ppm(hard, 0, img, 2, 3)
+        raw = translated_image_ppm(np.arange(6), img, 2, 3)
         assert raw.startswith(b"P6\n3 2\n255\n")
         assert len(raw) == len(b"P6\n3 2\n255\n") + 6 * 3
 
     def test_identity_roundtrip(self):
-        hard = HardTransforms(12, np.arange(12)[None])
         img = np.random.default_rng(1).uniform(0, 1, (12, 3))
-        back, h, w = read_ppm(translated_image_ppm(hard, 0, img, 3, 4))
+        back, h, w = read_ppm(translated_image_ppm(np.arange(12), img, 3, 4))
         assert (h, w) == (3, 4)
         # 8-bit quantization error only
         assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
 
     def test_shift_moves_pixels(self):
         # map every vertex one column right on a 1-row grid, clamped at the end
-        targets = np.array([[1, 2, 3, 3]])
-        hard = HardTransforms(4, targets)
+        targets = np.array([1, 2, 3, 3])
         img = np.zeros((4, 3))
         img[0] = [1.0, 0.5, 0.25]
-        back, _, _ = read_ppm(translated_image_ppm(hard, 0, img, 1, 4))
+        back, _, _ = read_ppm(translated_image_ppm(targets, img, 1, 4))
         assert np.allclose(back[1], img[0], atol=1 / 255)
         assert np.allclose(back[0], 0.0)
 
     def test_accumulation_clamped(self):
         # two bright pixels land on the same vertex; sum clips to 1
-        hard = HardTransforms(2, np.array([[0, 0]]))
         img = np.full((2, 3), 0.8)
-        back, _, _ = read_ppm(translated_image_ppm(hard, 0, img, 1, 2))
+        back, _, _ = read_ppm(translated_image_ppm(np.array([0, 0]), img, 1, 2))
         assert np.allclose(back[0], 1.0)
 
     def test_read_ppm_handles_comments(self):
@@ -152,6 +147,5 @@ class TestPpm:
         assert np.allclose(img, [[1.0, 1 / 3, 0.0]])
 
     def test_image_shape_check(self):
-        hard = HardTransforms(4, np.arange(4)[None])
         with pytest.raises(ValueError):
-            translated_image_ppm(hard, 0, np.zeros((4, 1)), 2, 2)
+            translated_image_ppm(np.arange(4), np.zeros((4, 1)), 2, 2)
