@@ -13,9 +13,12 @@ graph-signal layer (GSL) and the whole forward pass, each GSL's backward
 split into dW/db, g = dz W^T, ``probs_grad`` and dh = M^T g, the whole
 backward pass, ``soften_backward`` and the optimizer (Adam on the model,
 then on the edge logits). In signal mode the last layer runs after the
-vertex mean and is no GSL; it is timed only inside the whole passes. A
-stage's number is its milliseconds per call, the minimum over R rounds
-(default 100) of ten calls each, in one BLAS thread.
+vertex mean and is no GSL; it is timed only inside the whole passes.
+``eval_forward.64`` and ``eval_forward.256`` time the forward pass of an
+evaluation chunk of that many rows, called as ``nn._eval_split`` calls
+it, with no backward pass to follow. A stage's number is its
+milliseconds per call, the minimum over R rounds (default 100) of ten
+calls each, in one BLAS thread.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ SHAPES = {
     "grid": (lambda: build_grid_graph(16, 16), 5, (32, 64), 3, 10),
 }
 BATCH, CALLS = 32, 10
+EVAL_ROWS = (64, 256)
 
 
 def stages(name: str) -> dict:
@@ -60,8 +64,14 @@ def stages(name: str) -> dict:
     gsls = range(len(hidden) - 1)  # the last layer runs after the vertex mean
     for li in gsls:
         h, _, _ = cache["layers"][li]
-        out[f"forward.gsl{li}"] = lambda h=h, layer=model.gsl_layers[li]: nn._gsl(m, h, layer)
+        out[f"forward.gsl{li}"] = \
+            lambda h=h, layer=model.gsl_layers[li]: nn._gsl(m, h, layer, True)
     out["forward"] = lambda: nn._forward_batch(xb, m, model)
+    eval_rng = np.random.default_rng(1)
+    for rows in EVAL_ROWS:
+        xe = eval_rng.standard_normal((rows, graph.n, c_in))
+        out[f"eval_forward.{rows}"] = \
+            lambda xe=xe: nn._forward_batch(xe, m, model, backward=False)
     for li in reversed(gsls):
         h, u, _ = cache["layers"][li]
         w = model.gsl_layers[li].w

@@ -85,58 +85,116 @@ def build_model(in_channels: int, hidden: tuple[int, ...], num_classes: int,
     return Model(layers, fc_w, np.zeros(num_classes, dtype), mode)
 
 
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _gsl(m, h: np.ndarray, layer: GSLayerParams):
+# _gsl computes z in blocks of whole vertices whose rows take at most this
+# many bytes, so that a block and the product buffer stay in a core's L2
+BLOCK_BYTES = 256 * 1024
+
+
+def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False):
     """One graph-signal layer on node-major h, shaped (N, B, C_in), where m
     is the stacked operator of SoftTransforms.sparse(). Returns u, every
-    S_k^T h as (K, N*B, C_in), and z = sum_k (S_k^T h) W_k + b as (N, B, C_out)."""
+    S_k^T h as (K, N*B, C_in), and z = sum_k (S_k^T h) W_k + b as
+    (N, B, C_out), put through ReLU in place if relu. With pool, the vertex
+    mean of z, (B, C_out), takes the place of z, which is never made whole.
+
+    z is computed in blocks of whole vertices, one product buffer serving
+    every slice and block, so that the products of a narrow layer stay in
+    cache. A block's rows get the bits of the same rows of the whole
+    product (the tests check it), and a z that fits in one block takes
+    exactly the unblocked products. The pooled sum adds the vertices in
+    order, as z.mean(axis=0) does.
+    """
     n, b, c = h.shape
-    u = (m @ h.reshape(n, b * c)).reshape(len(layer.w), n * b, c)
-    z = u[0] @ layer.w[0]
-    for u_k, w_k in zip(u[1:], layer.w[1:]):
-        z += u_k @ w_k
-    z += layer.b
-    return u, z.reshape(n, b, -1)
+    w = layer.w
+    c_out = w.shape[2]
+    u = (m @ h.reshape(n, b * c)).reshape(len(w), n * b, c)
+    # OpenBLAS rounds the rows of a block differently from those of the
+    # whole product for some layers with C_in >= 16, and for C_out = 1 (a
+    # matrix-vector product, whose z numpy also averages pairwise); those
+    # layers, on which blocking gains less, are computed whole
+    whole = c >= 16 or c_out == 1
+    step = n if whole else max(1, BLOCK_BYTES // (b * c_out * h.itemsize))
+    if step >= n:
+        z = u[0] @ w[0]
+        for u_k, w_k in zip(u[1:], w[1:]):
+            z += u_k @ w_k
+        z += layer.b
+        if relu:
+            np.maximum(z, 0.0, out=z)
+        z = z.reshape(n, b, c_out)
+        return u, (z.mean(axis=0) if pool else z)
+    rows = step * b
+    prod = np.empty((rows, c_out), h.dtype)
+    if pool:
+        # slab 0 carries the running vertex sum into the next block's sum
+        slabs = np.empty((step + 1, b, c_out), h.dtype)
+        total = np.empty((b, c_out), h.dtype)
+        block = slabs[1:].reshape(rows, c_out)
+    else:
+        z = np.empty((n * b, c_out), h.dtype)
+    for lo in range(0, n * b, rows):
+        hi = min(lo + rows, n * b)
+        zb = block[:hi - lo] if pool else z[lo:hi]
+        p = prod[:hi - lo]
+        np.matmul(u[0, lo:hi], w[0], out=zb)
+        for u_k, w_k in zip(u[1:], w[1:]):
+            np.matmul(u_k[lo:hi], w_k, out=p)
+            zb += p
+        zb += layer.b
+        if relu:
+            np.maximum(zb, 0.0, out=zb)
+        if pool:
+            if lo:
+                slabs[0] = total
+            np.add.reduce(slabs[0 if lo else 1:1 + (hi - lo) // b], axis=0, out=total)
+    if not pool:
+        return u, z.reshape(n, b, c_out)
+    # ndarray.mean's division: by an intp, rounded to the dtype
+    return u, np.true_divide(total, np.intp(n), out=total, casting="unsafe")
 
 
-def _forward_batch(xb: np.ndarray, m, model: Model):
+def _forward_batch(xb: np.ndarray, m, model: Model, backward: bool = True):
     """Forward pass on a (B, N, C_in) batch through the stacked operator m,
-    SoftTransforms.sparse(model.dtype); returns (probs, cache).
+    SoftTransforms.sparse(model.dtype); returns (probs, cache), the cache
+    being None unless a backward pass follows.
 
     Activations are node-major, (N, B, C), so that the stacked operator
     reads and writes them without copies; probs are (B, cls) in signal
     mode and (B, N, cls) in vertex mode. Everything is computed in
-    model.dtype: the batch is cast to it.
+    model.dtype: the batch is cast to it. A layer's cache entry is
+    (h, u, z), z after its ReLU: the mask z > 0 is unchanged by it, and
+    that z is the next layer's h.
 
     In signal mode the last layer runs after the vertex mean. It has no
     ReLU, and every S_k is row-stochastic, so S_k^T preserves the vertex
     sum: mean_n(sum_k S_k^T h W_k + b) = mean_n(h) sum_k W_k + b. Its
     cache entry is (mean_n(h),), shaped (B, C_in), instead of (h, u, z).
+    Without a backward pass the layer below it computes that mean block
+    by block, and its z is never made whole.
     """
     h = np.ascontiguousarray(xb.transpose(1, 0, 2), dtype=model.dtype)
     layer_cache = []
     last = len(model.gsl_layers) - 1
+    pool_at = last - 1 if model.mode == "signal" and not backward else None
     for li, layer in enumerate(model.gsl_layers):
-        if h.shape[2] != layer.w.shape[1]:
+        if h.shape[-1] != layer.w.shape[1]:
             raise ValueError(
-                f"layer {li}: input has {h.shape[2]} channels, expected {layer.w.shape[1]}")
+                f"layer {li}: input has {h.shape[-1]} channels, expected {layer.w.shape[1]}")
         if li == last and model.mode == "signal":
-            hbar = h.mean(axis=0)
+            hbar = h.mean(axis=0) if h.ndim == 3 else h   # pooled by _gsl
             layer_cache.append((hbar,))
             h = hbar @ layer.w.sum(axis=0) + layer.b
         else:
-            u, z = _gsl(m, h, layer)
-            layer_cache.append((h, u, z))
-            h = _relu(z) if li < last else z
+            u, z = _gsl(m, h, layer, li < last, li == pool_at)
+            if backward:
+                layer_cache.append((h, u, z))
+            h = z
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("non-finite activations after graph-signal layers")
     pooled = h   # the fc input: (B, C) in signal mode, (N, B, C) in vertex mode
@@ -146,6 +204,8 @@ def _forward_batch(xb: np.ndarray, m, model: Model):
     probs = _softmax(logits)
     if model.mode == "vertex":
         probs = probs.transpose(1, 0, 2)
+    if not backward:
+        return probs, None
     cache = {"m": m, "layers": layer_cache, "pooled": pooled, "probs": probs}
     return probs, cache
 
@@ -311,13 +371,13 @@ def _batches(dataset, idx, batch_size, rng=None):
 
 def _eval_split(model, soft: SoftTransforms, dataset, idx):
     """Mean loss and accuracy over the given sample/vertex indices, scored
-    in chunks of 256 samples through one stacked operator."""
+    in chunks of 256 samples through one stacked operator. No backward
+    pass follows, so each forward keeps no cache, and in signal mode the
+    last graph-signal layer hands on only its vertex mean."""
     m = soft.sparse(model.dtype)
     losses, correct, count = [], 0, 0
     for xb, yb in _batches(dataset, idx, 256):
-        # `_` holds the previous chunk's cache until this forward returns;
-        # freeing it first made the next chunk's forward slower
-        probs, _ = _forward_batch(xb, m, model)
+        probs = _forward_batch(xb, m, model, backward=False)[0]
         loss, c, n = _score(probs, yb)[:3]
         losses.append(loss)
         correct += c

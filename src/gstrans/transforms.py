@@ -176,10 +176,15 @@ def temperature_at(step: int, sched: Schedule) -> float:
 
 def apply_hard(targets: np.ndarray, signal: np.ndarray) -> np.ndarray:
     """Apply one hard map, a row of harden()'s array, to a signal: out[j] is
-    the sum of signal rows mapping to j."""
+    the sum of signal rows mapping to j. Every target must be an integer in
+    [0, n), n being the signal's row count; ValueError otherwise."""
     targets, signal = np.asarray(targets), np.asarray(signal, dtype=float)
+    n = signal.shape[0]
     if targets.shape != signal.shape[:1]:
-        raise ValueError(f"signal has {signal.shape[0]} rows, map has shape {targets.shape}")
+        raise ValueError(f"signal has {n} rows, map has shape {targets.shape}")
+    if targets.size and (targets.dtype.kind not in "iu"
+                         or not 0 <= targets.min() <= targets.max() < n):
+        raise ValueError(f"targets must be integers in [0, {n})")
     out = np.zeros_like(signal)
     np.add.at(out, targets, signal)
     return out

@@ -175,3 +175,32 @@ class AdamPerArray:
             m_hat = self.m[i] / (1 - b1 ** self.t)
             v_hat = self.v[i] / (1 - b2 ** self.t)
             p -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def unblocked_forward(xb, m, model):
+    """probs of the classifier on a (B, N, C_in) batch, and each
+    graph-signal layer's (u, z), computed whole in the order of the
+    unblocked kernel: u = m h, z = u_0 W_0, z += u_k W_k slice by slice,
+    z += b, ReLU into a new array below the last layer, and in signal mode
+    the vertex mean of the whole activation before the last layer, which
+    sees only that mean."""
+    h = np.ascontiguousarray(xb.transpose(1, 0, 2), dtype=model.dtype)
+    layers, last = model.gsl_layers, len(model.gsl_layers) - 1
+    uz = []
+    for li, layer in enumerate(layers):
+        if li == last and model.mode == "signal":
+            h = h.mean(axis=0) @ layer.w.sum(axis=0) + layer.b
+            break
+        n, b, c = h.shape
+        u = (m @ h.reshape(n, b * c)).reshape(len(layer.w), n * b, c)
+        z = u[0] @ layer.w[0]
+        for u_k, w_k in zip(u[1:], layer.w[1:]):
+            z += u_k @ w_k
+        z += layer.b
+        z = z.reshape(n, b, -1)
+        h = np.maximum(z, 0.0) if li < last else z
+        uz.append((u, h))
+    logits = h @ model.fc_weight + model.fc_bias
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return (probs.transpose(1, 0, 2) if model.mode == "vertex" else probs), uz

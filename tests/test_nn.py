@@ -17,7 +17,8 @@ from gstrans.nn import (TRAIN_DTYPE, Adam, GSLayerParams, Model, SGD,
                         graph_hash, load_checkpoint, save_checkpoint, train)
 from gstrans.transforms import (EdgeLogits, Schedule, convolve, one_hot_soft,
                                 soften, soften_backward, temperature_at)
-from oracles import AdamPerArray, SGDPerArray, bare_ring, dense_slices, neighbors
+from oracles import (AdamPerArray, SGDPerArray, bare_ring, dense_slices, neighbors,
+                     unblocked_forward)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -259,7 +260,8 @@ class TestStepStagesScript:
         assert result["context"]["blas_threads"] == 1
         for shape, gsls in (("ring", 2), ("grid", 1)):
             stages = result[shape]
-            for name in ("soften", "sparse", "forward", "backward", "soften_backward",
+            for name in ("soften", "sparse", "forward", "eval_forward.64",
+                         "eval_forward.256", "backward", "soften_backward",
                          "optimizer", *(f"forward.gsl{i}" for i in range(gsls)),
                          *(f"backward.gsl{i}.{part}" for i in range(gsls)
                            for part in ("dW_db", "g", "probs_grad"))):
@@ -470,12 +472,11 @@ class TestCheckpoint:
         assert all(a.dtype == np.float64 for a in model2.param_arrays())
         dtypes = []
 
-        def recording_forward(xb, m, model):
-            probs, cache = _forward_batch(xb, m, model)
-            # a signal-mode last layer caches only the vertex mean of its input
-            assert [len(lc) for lc in cache["layers"]] == [1]
-            dtypes.extend(a.dtype for lc in cache["layers"] for a in lc)
-            dtypes.extend([cache["pooled"].dtype, probs.dtype])
+        def recording_forward(xb, m, model, *args, **kwargs):
+            probs, cache = _forward_batch(xb, m, model, *args, **kwargs)
+            # no backward pass follows an evaluation, so it keeps no cache
+            assert cache is None
+            dtypes.append(probs.dtype)
             return probs, cache
 
         monkeypatch.setattr(nn, "_forward_batch", recording_forward)
@@ -662,3 +663,78 @@ class TestVertexMeanIdentity:
         dlogits = _backward_batch(yb, soft, model, cache)[2][-1]
         assert dlogits.shape == params.logits.shape
         assert np.array_equal(dlogits, np.zeros_like(dlogits))
+
+
+# name: (graph, K, hidden, C_in, mode) of the block kernel's cases
+BLOCK_SHAPES = {
+    "ring": (lambda: build_ring_graph(16), 3, (16, 16, 16), 1, "signal"),
+    "grid": (lambda: build_grid_graph(16, 16), 5, (32, 64), 3, "signal"),
+    # 256 vertices in blocks of 10 at B = 250: the last block holds 6
+    "ragged": (lambda: build_grid_graph(16, 16), 4, (24, 5), 3, "signal"),
+    # three graph-signal layers, each of them blocked at B >= 64
+    "signal-3-gsl": (lambda: build_grid_graph(16, 16), 5, (12, 10, 8, 6), 3, "signal"),
+    # a second layer with C_in = 33 and C_out = 17, whose row blocks
+    # OpenBLAS would round differently, so it is computed whole
+    "wide": (lambda: build_grid_graph(16, 16), 5, (33, 17, 9), 6, "signal"),
+    # 4096 vertices: blocked in vertex mode even at B = 1
+    "vertex": (lambda: build_grid_graph(64, 64), 5, (32, 4), 3, "vertex"),
+}
+BLOCK_BATCHES = (1, 7, 32, 64, 250, 256)
+BLOCK_CASES = [(s, b) for s in ("ring", "grid") for b in BLOCK_BATCHES] + [
+    ("ragged", 250), ("signal-3-gsl", 7), ("signal-3-gsl", 256), ("wide", 33),
+    ("vertex", 1), ("vertex", 3)]
+
+
+def block_case(shape, batch, dtype):
+    """Model, stacked operator and batch of a BLOCK_SHAPES entry."""
+    make_graph, k, hidden, c_in, mode = BLOCK_SHAPES[shape]
+    g, rng = make_graph(), np.random.default_rng(30)
+    model = build_model(c_in, hidden, 4, k, mode, rng, dtype)
+    m = soften(EdgeLogits.init(g, k, rng, scale=1.0), 0.7).sparse(model.dtype)
+    return model, m, rng.standard_normal((batch, g.n, c_in))
+
+
+class TestBlockedKernel:
+    """The block kernel against the whole-array layer of
+    oracles.unblocked_forward: the same bits in float32, the training dtype."""
+
+    @pytest.mark.parametrize("shape,batch", BLOCK_CASES)
+    def test_float32_bits_equal_unblocked(self, shape, batch):
+        model, m, xb = block_case(shape, batch, np.float32)
+        probs_o, uz = unblocked_forward(xb, m, model)
+        probs, cache = _forward_batch(xb, m, model)
+        assert probs.dtype == np.float32
+        assert np.array_equal(probs, probs_o)
+        assert len(cache["layers"]) == len(model.gsl_layers)
+        for (u_o, z_o), (_, u, z) in zip(uz, cache["layers"], strict=False):
+            assert np.array_equal(u, u_o)
+            assert np.array_equal(z, z_o)
+        # evaluation's forward pools block by block and keeps no u or z
+        probs_e, cache_e = _forward_batch(xb, m, model, backward=False)
+        assert cache_e is None
+        assert np.array_equal(probs_e, probs)
+
+    @pytest.mark.parametrize("shape,batch", BLOCK_CASES)
+    def test_float64_matches_unblocked(self, shape, batch):
+        model, m, xb = block_case(shape, batch, np.float64)
+        probs_o, uz = unblocked_forward(xb, m, model)
+        probs, cache = _forward_batch(xb, m, model)
+        for (u_o, z_o), (_, u, z) in zip(uz, cache["layers"], strict=False):
+            assert np.allclose(u, u_o, rtol=0, atol=1e-12)
+            assert np.allclose(z, z_o, rtol=0, atol=1e-12)
+        for p in (probs, _forward_batch(xb, m, model, backward=False)[0]):
+            assert p.dtype == np.float64
+            assert np.allclose(p, probs_o, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block_bytes", [1, 4096, 2 ** 40],
+                             ids=["vertex-blocks", "small-blocks", "one-block"])
+    @pytest.mark.parametrize("shape,batch", [("grid", 32), ("signal-3-gsl", 64)])
+    def test_any_block_size_same_bits(self, monkeypatch, shape, batch, block_bytes):
+        model, m, xb = block_case(shape, batch, np.float32)
+        probs_o, uz = unblocked_forward(xb, m, model)
+        monkeypatch.setattr(nn, "BLOCK_BYTES", block_bytes)
+        probs, cache = _forward_batch(xb, m, model)
+        assert np.array_equal(probs, probs_o)
+        for (_, z_o), (_, _, z) in zip(uz, cache["layers"], strict=False):
+            assert np.array_equal(z, z_o)
+        assert np.array_equal(_forward_batch(xb, m, model, backward=False)[0], probs_o)

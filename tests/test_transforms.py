@@ -291,6 +291,13 @@ class TestApplyHard:
             with pytest.raises(ValueError, match="signal has 3 rows"):
                 apply_hard(targets, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [-1, 3, 0.5], ids=["negative", "n", "float"])
+    def test_target_outside_range(self, bad):
+        # np.add.at would wrap -1 round to the last row and fail on n or 0.5
+        targets = np.array([0, 1, bad])
+        with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+            apply_hard(targets, np.arange(3.0))
+
 
 class TestTransformsJson:
     def test_roundtrip(self):
