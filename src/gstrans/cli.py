@@ -227,9 +227,7 @@ def cmd_viz(args) -> int:
         raise ValueError("viz needs --height and --width")
     try:
         hard = transforms_from_json(Path(args.transforms).read_text())
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed transforms file {args.transforms}: {exc}") from exc
     if hard.shape[1] != args.height * args.width:
         raise ValueError(f"transforms cover {hard.shape[1]} vertices, "

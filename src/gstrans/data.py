@@ -57,7 +57,7 @@ class Dataset:
             raise ValueError(f"labels have shape {self.labels.shape}, expected {expected}: "
                              f"one per {'sample' if signal else 'vertex'}")
         labeled = self.labels[self.labels >= 0]
-        if labeled.size and (labeled.min() < 0 or labeled.max() >= self.num_classes):
+        if labeled.size and labeled.max() >= self.num_classes:
             raise ValueError("labels out of range")
 
 

@@ -92,7 +92,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 # _gsl computes z in blocks of whole vertices whose rows take at most this
-# many bytes, so that a block and the product buffer stay in a core's L2
+# many bytes, so that a block and its products stay in a core's L2
 BLOCK_BYTES = 256 * 1024
 
 
@@ -103,11 +103,10 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
     (N, B, C_out), put through ReLU in place if relu. With pool, the vertex
     mean of z, (B, C_out), takes the place of z, which is never made whole.
 
-    z is computed in blocks of whole vertices, one product buffer serving
-    every slice and block, so that the products of a narrow layer stay in
-    cache. A block's rows get the bits of the same rows of the whole
-    product (the tests check it), and a z that fits in one block takes
-    exactly the unblocked products. The pooled sum adds the vertices in
+    z is computed in blocks of whole vertices, so that the products of a
+    narrow layer stay in cache; a layer that is not blocked is one block of
+    all N vertices. A block's rows get the bits of the same rows of the
+    whole product (the tests check it). The pooled sum adds the vertices in
     order, as z.mean(axis=0) does.
     """
     n, b, c = h.shape
@@ -119,18 +118,8 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
     # matrix-vector product, whose z numpy also averages pairwise); those
     # layers, on which blocking gains less, are computed whole
     whole = c >= 16 or c_out == 1
-    step = n if whole else max(1, BLOCK_BYTES // (b * c_out * h.itemsize))
-    if step >= n:
-        z = u[0] @ w[0]
-        for u_k, w_k in zip(u[1:], w[1:]):
-            z += u_k @ w_k
-        z += layer.b
-        if relu:
-            np.maximum(z, 0.0, out=z)
-        z = z.reshape(n, b, c_out)
-        return u, (z.mean(axis=0) if pool else z)
+    step = n if whole else min(n, max(1, BLOCK_BYTES // (b * c_out * h.itemsize)))
     rows = step * b
-    prod = np.empty((rows, c_out), h.dtype)
     if pool:
         # slab 0 carries the running vertex sum into the next block's sum
         slabs = np.empty((step + 1, b, c_out), h.dtype)
@@ -141,11 +130,9 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
     for lo in range(0, n * b, rows):
         hi = min(lo + rows, n * b)
         zb = block[:hi - lo] if pool else z[lo:hi]
-        p = prod[:hi - lo]
         np.matmul(u[0, lo:hi], w[0], out=zb)
         for u_k, w_k in zip(u[1:], w[1:]):
-            np.matmul(u_k[lo:hi], w_k, out=p)
-            zb += p
+            zb += u_k[lo:hi] @ w_k
         zb += layer.b
         if relu:
             np.maximum(zb, 0.0, out=zb)

@@ -196,16 +196,26 @@ def transforms_to_json(targets: np.ndarray) -> str:
 
 
 def transforms_from_json(text: str) -> np.ndarray:
-    """The (K, N) int64 targets of a transforms_to_json() document."""
-    doc = json.loads(text)
-    if type(doc["n"]) is not int or type(doc["k"]) is not int:
-        raise ValueError(f"n and k must be integers, got n={doc['n']!r}, k={doc['k']!r}")
+    """The (K, N) int64 targets of a transforms_to_json() document; a
+    malformed document raises ValueError."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    missing = [key for key in ("n", "k", "targets") if key not in doc]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+    n, k = doc["n"], doc["k"]
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
     targets = np.asarray(doc["targets"], dtype=object)
-    if targets.shape != (doc["k"], doc["n"]):
+    if targets.shape != (k, n):
         raise ValueError("targets shape does not match declared n and k")
     if not all(type(t) is int for t in targets.flat):
         raise ValueError("targets must be integers")
-    targets = targets.astype(np.int64)
-    if targets.size and not 0 <= targets.min() <= targets.max() < doc["n"]:
-        raise ValueError(f"targets outside [0, {doc['n']})")
-    return targets
+    # checked on Python ints, so a value past int64 is named, not overflowed
+    if not all(0 <= t < n for t in targets.flat):
+        raise ValueError(f"targets outside [0, {n})")
+    return targets.astype(np.int64)

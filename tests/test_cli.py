@@ -419,6 +419,15 @@ class TestVizCommand:
         assert rc == 2
         assert "malformed" in capsys.readouterr().err
 
+    def test_unreadable_transforms_path(self, tmp_path, capsys):
+        # an error reading the file is the OS's, not a malformed document
+        rc = exit_code(["viz", "--transforms", str(tmp_path), "--height", "2",
+                        "--width", "3", "--out-dir", str(tmp_path / "v")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and str(tmp_path) in err
+        assert "malformed" not in err and len(err.splitlines()) == 1
+
 
 class TestSweepCommand:
     def test_grid_rows(self, tmp_path, capsys):

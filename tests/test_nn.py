@@ -678,11 +678,14 @@ BLOCK_SHAPES = {
     "wide": (lambda: build_grid_graph(16, 16), 5, (33, 17, 9), 6, "signal"),
     # 4096 vertices: blocked in vertex mode even at B = 1
     "vertex": (lambda: build_grid_graph(64, 64), 5, (32, 4), 3, "vertex"),
+    # a C_out = 1 layer, computed whole: blocked at B = 17, it would be cut
+    # into blocks of 65 535 rows, the last of them ragged
+    "c-out-1": (lambda: build_grid_graph(64, 64), 5, (8, 1, 3), 3, "signal"),
 }
 BLOCK_BATCHES = (1, 7, 32, 64, 250, 256)
 BLOCK_CASES = [(s, b) for s in ("ring", "grid") for b in BLOCK_BATCHES] + [
     ("ragged", 250), ("signal-3-gsl", 7), ("signal-3-gsl", 256), ("wide", 33),
-    ("vertex", 1), ("vertex", 3)]
+    ("vertex", 1), ("vertex", 3), ("c-out-1", 17)]
 
 
 def block_case(shape, batch, dtype):
@@ -728,7 +731,8 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("block_bytes", [1, 4096, 2 ** 40],
                              ids=["vertex-blocks", "small-blocks", "one-block"])
-    @pytest.mark.parametrize("shape,batch", [("grid", 32), ("signal-3-gsl", 64)])
+    @pytest.mark.parametrize("shape,batch", [("grid", 32), ("signal-3-gsl", 64), ("ring", 32),
+                                             ("ring", 256), ("wide", 33)])
     def test_any_block_size_same_bits(self, monkeypatch, shape, batch, block_bytes):
         model, m, xb = block_case(shape, batch, np.float32)
         probs_o, uz = unblocked_forward(xb, m, model)

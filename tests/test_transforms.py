@@ -315,6 +315,18 @@ class TestTransformsJson:
         with pytest.raises(ValueError):
             transforms_from_json('{"n": 3, "k": 1, "targets": [[0, 1]]}')
 
+    @pytest.mark.parametrize("text,match", [
+        ("null", "expected a JSON object, got NoneType"),
+        ("[]", "expected a JSON object, got list"),
+        ('{"k": 1, "targets": [[0]]}', "missing key.* n"),
+        ('{"n": 1, "k": 1}', "missing key.* targets"),
+        ('{"n": 1, "k": 1, "targets": [[%d]]}' % 2 ** 70, r"targets outside \[0, 1\)"),
+        ("[" * 100_000 + "]" * 100_000, "nested too deeply")],
+        ids=["null", "list", "no-n", "no-targets", "past-int64", "deep"])
+    def test_malformed_document(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            transforms_from_json(text)
+
     @pytest.mark.parametrize("targets", [[0, 1, 3], [-1, 1, 2]], ids=["n", "negative"])
     def test_target_out_of_range(self, targets):
         with pytest.raises(ValueError, match=r"targets outside \[0, 3\)"):
