@@ -90,12 +90,12 @@ def stages(name: str) -> dict:
     dprobs = rng.standard_normal(soft.probs.shape)
     out["soften_backward"] = lambda: soften_backward(soft, dprobs)
     grads = nn._backward_batch(yb, soft, model, cache)[2]
-    opt, opt_logits = nn.Adam(1e-3), nn.Adam(1e-3)
-    arrays = model.param_arrays()
+    opt = nn.Adam(model.param_arrays(), 1e-3)
+    opt_logits = nn.Adam([params.logits], 1e-3)
 
     def optimizer():
-        opt.step(arrays, grads[:-1])
-        opt_logits.step([params.logits], grads[-1:])
+        opt.step(grads[:-1])
+        opt_logits.step(grads[-1:])
     out["optimizer"] = optimizer
     return out
 

@@ -167,7 +167,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model, params, hard, history = nn.train(ds, g, config)
     _warn_if_one_layer(ds, args)
-    nn.save_checkpoint(out / "checkpoint.npz", model, params, g, config.schedule)
+    nn.save_checkpoint(out / "checkpoint.npz", model, params, config.schedule)
     _write_metrics(out / "metrics.csv", history)
     (out / "transforms.json").write_text(transforms_to_json(hard))
     print(f"final val accuracy: {history[-1].val_acc:.4f}")

@@ -6,7 +6,7 @@ class IngestionError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """A loss, activation, gradient or logit became non-finite in training."""
+    """An activation, gradient or logit became non-finite in training."""
 
     def __init__(self, step: int, temperature: float, stage: str, detail: str):
         self.step, self.temperature, self.stage = step, temperature, stage

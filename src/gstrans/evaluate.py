@@ -69,5 +69,5 @@ def evaluate_accuracy(model, params: EdgeLogits, dataset, split, t: float) -> fl
     idx = dataset.splits[split] if isinstance(split, str) else np.asarray(split)
     if idx.size == 0:
         raise ValueError("empty evaluation split")
-    _, acc = _eval_split(model, soften(params, t), dataset, idx)
+    _, acc = _eval_split(model, soften(params, t).sparse(model.dtype), dataset, idx)
     return acc

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import TrainingDivergedError
 from .graph import Graph, write_edge_list
-from .transforms import (EdgeLogits, Schedule, SoftTransforms, harden, soften,
-                         soften_backward, temperature_at)
+from .transforms import (EdgeLogits, Schedule, harden, soften, soften_backward,
+                         temperature_at)
 
 EPS_LOG = 1e-12
 # train() keeps weights, activations and their gradients in float32, which
@@ -262,45 +262,40 @@ def _backward_batch(yb, soft, model, cache):
     return loss, acc, grads
 
 
-class _FlatOptimizer:
-    """Steps a fixed list of arrays of one dtype from one flat copy of their
-    gradients: the subclass's _update computes the flat update into
-    self.update, whose blocks are views shaped like the arrays. The update
-    is elementwise, so each array moves by the same bits as under an update
-    computed array by array."""
+class SGD:
+    """Steps a fixed list of arrays of one dtype, given when it is built,
+    from one flat copy of their gradients: _update computes the flat update
+    into self.update, whose blocks are views shaped like the arrays. The
+    update is elementwise, so each array moves by the same bits as under an
+    update computed array by array."""
 
-    def __init__(self, lr: float):
-        self.lr = lr
-        self.update: np.ndarray | None = None
-        self.blocks: list[np.ndarray] = []
+    def __init__(self, params: list[np.ndarray], lr: float):
+        self.params, self.lr = params, lr
+        bounds = np.cumsum([0] + [p.size for p in params])
+        self.update = np.empty(bounds[-1], params[0].dtype)
+        self.blocks = [self.update[lo:hi].reshape(p.shape)
+                       for p, lo, hi in zip(params, bounds, bounds[1:])]
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
-        g = np.concatenate([a.ravel() for a in grads])
-        if self.update is None:
-            self.update = np.empty_like(g)
-            bounds = np.cumsum([0] + [p.size for p in params])
-            self.blocks = [self.update[lo:hi].reshape(p.shape)
-                           for p, lo, hi in zip(params, bounds, bounds[1:])]
-        self._update(g)
-        for p, u in zip(params, self.blocks):
+    def step(self, grads: list[np.ndarray]):
+        """Move each array by its gradient, grads being in the arrays' order."""
+        self._update(np.concatenate([a.ravel() for a in grads]))
+        for p, u in zip(self.params, self.blocks):
             p -= u
 
-
-class SGD(_FlatOptimizer):
     def _update(self, g: np.ndarray):
         np.multiply(self.lr, g, out=self.update)
 
 
-class Adam(_FlatOptimizer):
-    def __init__(self, lr: float):
-        super().__init__(lr)
+class Adam(SGD):
+    """SGD's flat state plus Adam's first and second moments, two flat
+    arrays beside the update (Kingma & Ba, arXiv:1412.6980)."""
+
+    def __init__(self, params: list[np.ndarray], lr: float):
+        super().__init__(params, lr)
         self.t = 0
-        self.m: np.ndarray | None = None  # flat first and second moments
-        self.v: np.ndarray | None = None
+        self.m, self.v = np.zeros_like(self.update), np.zeros_like(self.update)
 
     def _update(self, g: np.ndarray):
-        if self.m is None:
-            self.m, self.v = np.zeros_like(g), np.zeros_like(g)
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         self.m = b1 * self.m + (1 - b1) * g
@@ -356,12 +351,12 @@ def _batches(dataset, idx, batch_size, rng=None):
         yield dataset.signals[chunk], dataset.labels[chunk]
 
 
-def _eval_split(model, soft: SoftTransforms, dataset, idx):
+def _eval_split(model, m, dataset, idx):
     """Mean loss and accuracy over the given sample/vertex indices, scored
-    in chunks of 256 samples through one stacked operator. No backward
-    pass follows, so each forward keeps no cache, and in signal mode the
-    last graph-signal layer hands on only its vertex mean."""
-    m = soft.sparse(model.dtype)
+    in chunks of 256 samples through the stacked operator m,
+    SoftTransforms.sparse(model.dtype). No backward pass follows, so each
+    forward keeps no cache, and in signal mode the last graph-signal layer
+    hands on only its vertex mean."""
     losses, correct, count = [], 0, 0
     for xb, yb in _batches(dataset, idx, 256):
         probs = _forward_batch(xb, m, model, backward=False)[0]
@@ -394,12 +389,10 @@ def train(dataset, graph: Graph, config: TrainConfig):
                         config.k, dataset.mode, rng, TRAIN_DTYPE)
     params = EdgeLogits.init(graph, config.k, rng)
     logit_lr = config.lr if config.logit_lr is None else config.logit_lr
-    if config.optimizer == "adam":
-        opt, opt_logits = Adam(config.lr), Adam(logit_lr)
-    else:
-        opt, opt_logits = SGD(config.lr), SGD(logit_lr)
+    optimizer = Adam if config.optimizer == "adam" else SGD
+    opt = optimizer(model.param_arrays(), config.lr)
+    opt_logits = optimizer([params.logits], logit_lr)
     sched = config.schedule
-    model_arrays = model.param_arrays()
     # an epoch is one pass over train_idx: a whole-graph step in vertex mode,
     # which records about twenty times a run; both modes record the last step
     record_every = max(1, sched.s_total // 20) if dataset.mode == "vertex" else 1
@@ -409,9 +402,9 @@ def train(dataset, graph: Graph, config: TrainConfig):
 
     def record():
         t = temperature_at(step, sched)
-        soft = soften(params, t)
-        tl, ta = _eval_split(model, soft, dataset, train_idx)
-        _, va = _eval_split(model, soft, dataset, val_idx)
+        m = soften(params, t).sparse(model.dtype)
+        tl, ta = _eval_split(model, m, dataset, train_idx)
+        _, va = _eval_split(model, m, dataset, val_idx)
         history.append(HistoryRow(step, t, tl, ta, va))
 
     try:
@@ -423,11 +416,9 @@ def train(dataset, graph: Graph, config: TrainConfig):
                 stage = "forward"
                 _, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
                 stage = "backward"
-                loss, _, grads = _backward_batch(yb, soft, model, cache)
-                if not np.isfinite(loss):
-                    raise FloatingPointError("non-finite loss")
-                opt.step(model_arrays, grads[:-1])
-                opt_logits.step([params.logits], grads[-1:])
+                grads = _backward_batch(yb, soft, model, cache)[2]
+                opt.step(grads[:-1])
+                opt_logits.step(grads[-1:])
                 step += 1
                 if step == sched.s_total:
                     break
@@ -451,10 +442,11 @@ def graph_hash(graph: Graph) -> str:
     return hashlib.sha256(write_edge_list(graph).encode()).hexdigest()
 
 
-def save_checkpoint(path, model: Model, params: EdgeLogits, graph: Graph,
-                    sched: Schedule):
+def save_checkpoint(path, model: Model, params: EdgeLogits, sched: Schedule):
+    """Writes the model, the edge logits and the schedule as one .npz; the
+    graph hash is that of params.graph, the graph the logits are aligned to."""
     meta = dict(zip(_META_KEYS, (CHECKPOINT_VERSION, model.mode, params.k,
-                                 len(model.gsl_layers), graph_hash(graph),
+                                 len(model.gsl_layers), graph_hash(params.graph),
                                  sched.t_init, sched.t_final, sched.s_total)))
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     for i, layer in enumerate(model.gsl_layers):

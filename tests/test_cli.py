@@ -94,7 +94,8 @@ class TestTrainCommand:
 
     def test_config_file_and_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("ring-n = 8\nring-classes = 2\nring-samples = 10\n"
+        cfg.write_text("# FAST's flags as a file\n"
+                       "ring-n = 8\nring-classes = 2\nring-samples = 10\n\n"
                        "steps = 8\nk = 2\nlayers = 4\nbatch-size = 8\n"
                        "seed = 5  # CLI flag below wins\n")
         out1 = tmp_path / "cfgrun"
@@ -182,6 +183,16 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "sweep-axis" in err and "t_bogus" in err
         assert not (out / "sweep.csv").exists()
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# steps first\nsteps = 8\nlayers 4\n")
+        out = tmp_path / "o"
+        rc = exit_code(["train", "--config", str(cfg), "--out-dir", str(out)] + FAST)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}:3: expected 'key = value', got 'layers 4'"]
+        assert not out.exists()
 
     def test_key_spellings_and_downscale(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -362,6 +373,15 @@ class TestVizCommand:
         # slice 0 is the identity: bytes survive the roundtrip
         assert np.allclose(back.ravel() * 255, np.arange(18), atol=0.5)
 
+    def test_image_size_mismatch(self, tmp_path, capsys):
+        tf = self.grid_transforms(tmp_path)           # a 2x3 grid
+        img = tmp_path / "input.ppm"
+        img.write_bytes(b"P6\n2 3\n255\n" + bytes(18))  # 2 wide, 3 high
+        rc = exit_code(["viz", "--transforms", str(tf), "--image", str(img),
+                        "--height", "2", "--width", "3", "--out-dir", str(tmp_path / "v")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: image is 3x2, grid is 2x3"]
+
     def test_missing_dims(self, tmp_path, capsys):
         tf = self.grid_transforms(tmp_path)
         rc = main(["viz", "--transforms", str(tf), "--out-dir",
@@ -467,6 +487,14 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert all(line.endswith(",,,,,") for line in lines[1:])
 
+    def test_empty_grid(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = exit_code(["sweep", "--sweep-axis", "t-init", "--sweep-values", ",",
+                        "--out-dir", str(out)] + FAST)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: empty sweep grid"]
+        assert not out.exists()
+
     def test_missing_axis(self, tmp_path, capsys):
         rc = main(["sweep", "--out-dir", str(tmp_path)] + FAST)
         assert rc == 2
@@ -516,6 +544,30 @@ class TestErrors:
         assert rc == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"error: edge list line 2: expected 'i j', got {bad_line!r}"]
+
+    @pytest.mark.parametrize("flag", ["--edge-list", "--content"])
+    def test_missing_input_file_named(self, tmp_path, capsys, flag):
+        missing = tmp_path / "nope.txt"
+        cites = tmp_path / "x.cites"
+        cites.write_text("")
+        extra = (["--graph", "edge-list", "--edge-list", str(missing)] if flag == "--edge-list"
+                 else ["--dataset", "webkb", "--content", str(missing), "--cites", str(cites)])
+        rc = exit_code(["train", "--out-dir", str(tmp_path / "o")] + FAST + extra)
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert lines[0].endswith(f"{str(missing)!r} not found")
+
+    def test_blank_webkb_content(self, tmp_path, capsys):
+        content, cites = tmp_path / "x.content", tmp_path / "x.cites"
+        content.write_text("\n  \n\n")
+        cites.write_text("")
+        out = tmp_path / "o"
+        rc = exit_code(["train", "--dataset", "webkb", "--content", str(content),
+                        "--cites", str(cites), "--out-dir", str(out)] + FAST)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {content}: no content rows"]
+        assert not out.exists()
 
     def test_isolated_edge_list_vertex(self, tmp_path, capsys):
         edges = tmp_path / "edges.txt"                # FAST's ring has 8 vertices

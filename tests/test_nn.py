@@ -15,8 +15,8 @@ from gstrans.nn import (TRAIN_DTYPE, Adam, GSLayerParams, Model, SGD,
                         TrainConfig, _backward_batch, _eval_split,
                         _forward_batch, _loss_grad_output, build_model,
                         graph_hash, load_checkpoint, save_checkpoint, train)
-from gstrans.transforms import (EdgeLogits, Schedule, convolve, one_hot_soft,
-                                soften, soften_backward, temperature_at)
+from gstrans.transforms import (EdgeLogits, Schedule, SoftTransforms, convolve,
+                                one_hot_soft, soften, soften_backward, temperature_at)
 from oracles import (AdamPerArray, SGDPerArray, bare_ring, dense_slices, neighbors,
                      unblocked_forward)
 
@@ -194,6 +194,23 @@ class TestGradients:
 
         assert max_rel_error(grads, numerical_grads(loss_fn, arrays)) < 1e-4
 
+    def test_non_finite_gradient_after_finite_forward(self):
+        # the forward pass is finite, logits about 1e13, but the last layer's
+        # dW = hbar^T dh, with hbar about 1e10 and dh about 1e30, overflows float32
+        g = build_ring_graph(8)
+        rng = np.random.default_rng(0)
+        model = build_model(1, (4, 4), 2, 2, "signal", rng, np.float32)
+        model.gsl_layers[0].w[:] = 1e10
+        model.gsl_layers[1].w[:] = 1e-22
+        model.fc_weight[:] = [1e30, -1e30]
+        soft = soften(EdgeLogits.init(g, 2, rng), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs, cache = _forward_batch(np.ones((2, 8, 1)), soft.sparse(model.dtype), model)
+            assert np.all(np.isfinite(probs))
+            with pytest.raises(FloatingPointError,
+                               match="non-finite gradient in graph-signal layer 1"):
+                _backward_batch(np.array([0, 1]), soft, model, cache)
+
     def test_vertex_mode_gradcheck(self):
         g = build_grid_graph(2, 3)
         rng = np.random.default_rng(11)
@@ -214,20 +231,20 @@ class TestGradients:
 class TestOptimizers:
     def test_sgd_step(self):
         p = np.array([1.0, 2.0])
-        SGD(0.1).step([p], [np.array([10.0, -10.0])])
+        SGD([p], 0.1).step([np.array([10.0, -10.0])])
         assert np.allclose(p, [0.0, 3.0])
 
     def test_adam_first_step_magnitude(self):
         # bias correction makes the first update ~lr per coordinate
         p = np.zeros(3)
-        Adam(0.01).step([p], [np.array([5.0, -3.0, 0.4])])
+        Adam([p], 0.01).step([np.array([5.0, -3.0, 0.4])])
         assert np.allclose(p, [-0.01, 0.01, -0.01], atol=1e-6)
 
     def test_adam_converges_on_quadratic(self):
         p = np.array([4.0, -7.0])
-        opt = Adam(0.1)
+        opt = Adam([p], 0.1)
         for _ in range(500):
-            opt.step([p], [2 * p])
+            opt.step([2 * p])
         assert np.all(np.abs(p) < 1e-3)
 
     @pytest.mark.parametrize("flat,per_array", [(Adam, AdamPerArray), (SGD, SGDPerArray)],
@@ -241,10 +258,10 @@ class TestOptimizers:
         rng = np.random.default_rng(4)
         params = [rng.standard_normal(s).astype(dtype) for s in shapes]
         ref = [p.copy() for p in params]
-        opt, opt_ref = flat(0.01), per_array(0.01)
+        opt, opt_ref = flat(params, 0.01), per_array(0.01)
         for _ in range(4):
             grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
-            opt.step(params, grads)
+            opt.step(grads)
             opt_ref.step(ref, grads)
         for p, r in zip(params, ref):
             assert p.dtype == r.dtype == dtype and np.array_equal(p, r)
@@ -279,8 +296,8 @@ def tiny_ring_dataset(seed=0):
 class TestTrain:
     def test_one_relaxation_per_record_one_operator_per_pass(self, monkeypatch):
         # a training step softens once and builds one operator; a record
-        # softens once for both splits and builds one operator per split,
-        # although the train split is scored in two chunks of 256
+        # softens once and builds one operator for both splits, although the
+        # train split is scored in two chunks of 256
         ds, g = make_ring_task(8, 2, 200, 0.02, 0)
         assert 256 < len(ds.splits["train"]) <= 512
         calls = {"soften": 0, "sparse": 0}
@@ -292,14 +309,13 @@ class TestTrain:
             return wrapper
 
         monkeypatch.setattr(nn, "soften", counted("soften", nn.soften))
-        monkeypatch.setattr(nn.SoftTransforms, "sparse",
-                            counted("sparse", nn.SoftTransforms.sparse))
+        monkeypatch.setattr(SoftTransforms, "sparse", counted("sparse", SoftTransforms.sparse))
         steps = 3
         cfg = TrainConfig(Schedule(2.0, 0.5, steps), batch_size=256, k=2,
                           hidden=(4,), seed=0)
         records = len(train(ds, g, cfg)[3])
         assert records == 3          # steps 0, 2 (an epoch of two batches) and 3
-        assert calls == {"soften": steps + records, "sparse": steps + 2 * records}
+        assert calls == {"soften": steps + records, "sparse": steps + records}
 
     def test_smoke_and_history(self):
         ds, g = tiny_ring_dataset()
@@ -418,7 +434,7 @@ class TestCheckpoint:
                           hidden=(4,), seed=2)
         model, params, _, _ = train(ds, g, cfg)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model, params, g, cfg.schedule)
+        save_checkpoint(path, model, params, cfg.schedule)
         model2, params2, sched = load_checkpoint(path, g)
         assert sched == cfg.schedule
         assert model2.mode == "signal"
@@ -434,7 +450,7 @@ class TestCheckpoint:
                           hidden=(4,), seed=2)
         model, params, _, _ = train(ds, g, cfg)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model, params, g, cfg.schedule)
+        save_checkpoint(path, model, params, cfg.schedule)
         with pytest.raises(ValueError):
             load_checkpoint(path, build_ring_graph(9))
 
@@ -444,7 +460,7 @@ class TestCheckpoint:
                           hidden=(4,), seed=2)
         model, params, _, _ = train(ds, g, cfg)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model, params, g, cfg.schedule)
+        save_checkpoint(path, model, params, cfg.schedule)
         with np.load(path) as f:
             arrays = dict(f)
         for name, edit in (("w0", lambda a: a.pop("w0")),
@@ -467,7 +483,7 @@ class TestCheckpoint:
         model = build_model(1, (4,), ds.num_classes, 2, "signal", rng)
         params = EdgeLogits.init(g, 2, rng, scale=1.0)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model, params, g, Schedule(2.0, 0.5, 6))
+        save_checkpoint(path, model, params, Schedule(2.0, 0.5, 6))
         model2, params2, _ = load_checkpoint(path, g)
         assert all(a.dtype == np.float64 for a in model2.param_arrays())
         dtypes = []
@@ -481,8 +497,8 @@ class TestCheckpoint:
 
         monkeypatch.setattr(nn, "_forward_batch", recording_forward)
         idx = ds.splits["val"]
-        assert _eval_split(model2, soften(params2, 0.5), ds, idx) == \
-            _eval_split(model, soften(params, 0.5), ds, idx)
+        assert _eval_split(model2, soften(params2, 0.5).sparse(model2.dtype), ds, idx) == \
+            _eval_split(model, soften(params, 0.5).sparse(model.dtype), ds, idx)
         assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("name,dtype,match", [
@@ -498,7 +514,7 @@ class TestCheckpoint:
                           hidden=(4,), seed=2)
         model, params, _, _ = train(ds, g, cfg)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model, params, g, cfg.schedule)
+        save_checkpoint(path, model, params, cfg.schedule)
         with np.load(path) as f:
             arrays = dict(f)
         arrays[name] = arrays[name].astype(dtype)
@@ -523,6 +539,10 @@ class TestTrainConfigValidation:
     def test_bad_optimizer(self):
         with pytest.raises(ValueError):
             TrainConfig(Schedule(1.0, 0.5, 5), optimizer="rmsprop")
+
+    def test_zero_batch_size(self):
+        with pytest.raises(ValueError, match="batch size must be >= 1"):
+            TrainConfig(Schedule(1.0, 0.5, 5), batch_size=0)
 
 
 def dense_oracle(xb, yb, soft, model):

@@ -128,6 +128,16 @@ class TestStackedPattern:
         assert np.shares_memory(m.indices, three[1])
 
 
+class TestOneHotSoft:
+    @pytest.mark.parametrize("targets,match", [
+        (np.arange(5)[None], "targets cover 5 vertices, graph has 4"),
+        (np.array([[0, 1, 2, 3], [1, 2, 0, 0]]), "slice 1: target 0 is not a neighbor of 2"),
+    ], ids=["wrong-width", "not-a-neighbor"])
+    def test_bad_targets_rejected(self, targets, match):
+        with pytest.raises(ValueError, match=match):
+            one_hot_soft(build_ring_graph(4), targets)
+
+
 class TestHarden:
     def test_argmax(self):
         # vertex 0 restricted support {2, 5, 7} via explicit graph
