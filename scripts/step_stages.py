@@ -14,11 +14,14 @@ split into dW/db, g = dz W^T, ``probs_grad`` and dh = M^T g, the whole
 backward pass, ``soften_backward`` and the optimizer (Adam on the model,
 then on the edge logits). In signal mode the last layer runs after the
 vertex mean and is no GSL; it is timed only inside the whole passes.
-``eval_forward.64`` and ``eval_forward.256`` time the forward pass of an
-evaluation chunk of that many rows, called as ``nn._eval_split`` calls
-it, with no backward pass to follow. A stage's number is its
-milliseconds per call, the minimum over R rounds (default 100) of ten
-calls each, in one BLAS thread.
+``eval_forward.64``, ``eval_forward.80`` and ``eval_forward.256`` time the
+forward pass of an evaluation chunk of that many rows, called as
+``nn._eval_split`` calls it, with no backward pass to follow; 80 rows is
+the ring benchmark's validation split, whose chunk sets its evaluation
+rate. A stage's number is its milliseconds per call, the minimum over R
+rounds (default 100) of ten calls each, in one BLAS thread. The top-level
+``faults`` object gives each stage's minor page faults per call over all
+of its rounds, from ``resource.getrusage``.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import json
+import resource
 import sys
 import timeit
 
@@ -44,7 +48,7 @@ SHAPES = {
     "grid": (lambda: build_grid_graph(16, 16), 5, (32, 64), 3, 10),
 }
 BATCH, CALLS = 32, 10
-EVAL_ROWS = (64, 256)
+EVAL_ROWS = (64, 80, 256)
 
 
 def stages(name: str) -> dict:
@@ -100,17 +104,26 @@ def stages(name: str) -> dict:
     return out
 
 
+def measure(fn, reps: int) -> tuple[float, float]:
+    """fn's milliseconds per call, the minimum over reps rounds of CALLS
+    calls, and its minor page faults per call over all of those rounds."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    best = min(timeit.repeat(fn, number=CALLS, repeat=reps))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return round(best / CALLS * 1e3, 4), round(faults / (reps * CALLS), 2)
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--reps", type=int, default=100, help="rounds of ten calls")
     reps = parser.parse_args(argv).reps
     result = {"context": {"reps": reps, "calls_per_rep": CALLS, "batch": BATCH,
                           "numpy": np.__version__, "scipy": scipy.__version__,
-                          "blas_threads": 1}}
+                          "blas_threads": 1}, "faults": {}}
     for name in SHAPES:
-        result[name] = {stage: round(min(timeit.repeat(fn, number=CALLS, repeat=reps))
-                                     / CALLS * 1e3, 4)
-                        for stage, fn in stages(name).items()}
+        timed = {stage: measure(fn, reps) for stage, fn in stages(name).items()}
+        result[name] = {stage: ms for stage, (ms, _) in timed.items()}
+        result["faults"][name] = {stage: faults for stage, (_, faults) in timed.items()}
     print(json.dumps(result, indent=1))
     return 0
 

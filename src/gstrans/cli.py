@@ -232,13 +232,13 @@ def cmd_viz(args) -> int:
     if hard.shape[1] != args.height * args.width:
         raise ValueError(f"transforms cover {hard.shape[1]} vertices, "
                          f"grid is {args.height}x{args.width}")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     image = None
     if args.image:
         image, h, w = viz.read_ppm(Path(args.image).read_bytes())
         if (h, w) != (args.height, args.width):
             raise ValueError(f"image is {h}x{w}, grid is {args.height}x{args.width}")
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for k, row in enumerate(hard):
         svg = viz.arrow_field_svg(row, args.height, args.width)
         (out / f"T{k}.svg").write_text(svg)

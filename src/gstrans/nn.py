@@ -107,7 +107,9 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
     narrow layer stay in cache; a layer that is not blocked is one block of
     all N vertices. A block's rows get the bits of the same rows of the
     whole product (the tests check it). The pooled sum adds the vertices in
-    order, as z.mean(axis=0) does.
+    order, as z.mean(axis=0) does. A C_in = 1 layer computes its outer
+    products u_k W_k with np.dot, which BLAS runs faster than matmul's own
+    loop; the tests pin their bits, signed zeros included.
     """
     n, b, c = h.shape
     w = layer.w
@@ -118,6 +120,8 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
     # matrix-vector product, whose z numpy also averages pairwise); those
     # layers, on which blocking gains less, are computed whole
     whole = c >= 16 or c_out == 1
+    # numpy's matmul computes an inner dimension of 1 in its own loop, not in BLAS
+    product = np.dot if c == 1 else np.matmul
     step = n if whole else min(n, max(1, BLOCK_BYTES // (b * c_out * h.itemsize)))
     rows = step * b
     if pool:
@@ -130,9 +134,9 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
     for lo in range(0, n * b, rows):
         hi = min(lo + rows, n * b)
         zb = block[:hi - lo] if pool else z[lo:hi]
-        np.matmul(u[0, lo:hi], w[0], out=zb)
+        product(u[0, lo:hi], w[0], out=zb)
         for u_k, w_k in zip(u[1:], w[1:]):
-            zb += u_k[lo:hi] @ w_k
+            zb += product(u_k[lo:hi], w_k)
         zb += layer.b
         if relu:
             np.maximum(zb, 0.0, out=zb)

@@ -397,6 +397,17 @@ class TestVizCommand:
         assert capsys.readouterr().err == "error: transforms cover 6 vertices, grid is 3x3\n"
         assert not out.exists()
 
+    def test_image_mismatch_leaves_no_directory(self, tmp_path, capsys):
+        tf = self.grid_transforms(tmp_path)           # a 2x3 grid
+        img = tmp_path / "input.ppm"
+        img.write_bytes(b"P6\n3 3\n255\n" + bytes(27))  # 3 wide, 3 high
+        out = tmp_path / "v"
+        rc = main(["viz", "--transforms", str(tf), "--image", str(img), "--height", "2",
+                   "--width", "3", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: image is 3x3, grid is 2x3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("vertex,target", [(15, 19), (0, -4)])
     @pytest.mark.parametrize("image", [False, True], ids=["svg", "image"])
     def test_target_outside_the_grid(self, tmp_path, capsys, vertex, target, image):

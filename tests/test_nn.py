@@ -278,11 +278,16 @@ class TestStepStagesScript:
         for shape, gsls in (("ring", 2), ("grid", 1)):
             stages = result[shape]
             for name in ("soften", "sparse", "forward", "eval_forward.64",
-                         "eval_forward.256", "backward", "soften_backward",
-                         "optimizer", *(f"forward.gsl{i}" for i in range(gsls)),
+                         "eval_forward.80", "eval_forward.256", "backward",
+                         "soften_backward", "optimizer",
+                         *(f"forward.gsl{i}" for i in range(gsls)),
                          *(f"backward.gsl{i}.{part}" for i in range(gsls)
                            for part in ("dW_db", "g", "probs_grad"))):
                 assert stages[name] > 0, (shape, name)
+            # minor page faults per call, one count for each timed stage
+            faults = result["faults"][shape]
+            assert faults.keys() == stages.keys()
+            assert all(f >= 0 for f in faults.values()), faults
             # layer 0 needs no dh
             assert [f"backward.gsl{i}.dh" in stages for i in range(gsls)] == \
                 [i > 0 for i in range(gsls)]
@@ -701,11 +706,18 @@ BLOCK_SHAPES = {
     # a C_out = 1 layer, computed whole: blocked at B = 17, it would be cut
     # into blocks of 65 535 rows, the last of them ragged
     "c-out-1": (lambda: build_grid_graph(64, 64), 5, (8, 1, 3), 3, "signal"),
+    # C_in = 1, whose outer products go through np.dot; blocked at B >= 64
+    "one-channel": (lambda: build_grid_graph(16, 16), 5, (32, 4), 1, "signal"),
+    # a C_in = 1 layer on a ReLU'd C_out = 1 layer: its u holds exact zeros.
+    # It is the last layer of a vertex-mode model, so no ReLU turns the
+    # signed zeros of its products (block_case) into +0.0; blocked at B >= 64
+    "c-in-1-after-relu": (lambda: build_grid_graph(16, 16), 5, (8, 1, 6), 3, "vertex"),
 }
 BLOCK_BATCHES = (1, 7, 32, 64, 250, 256)
 BLOCK_CASES = [(s, b) for s in ("ring", "grid") for b in BLOCK_BATCHES] + [
     ("ragged", 250), ("signal-3-gsl", 7), ("signal-3-gsl", 256), ("wide", 33),
-    ("vertex", 1), ("vertex", 3), ("c-out-1", 17)]
+    ("vertex", 1), ("vertex", 3), ("c-out-1", 17)] + [
+    (s, b) for s in ("one-channel", "c-in-1-after-relu") for b in (1, 7, 64, 256)]
 
 
 def block_case(shape, batch, dtype):
@@ -713,8 +725,20 @@ def block_case(shape, batch, dtype):
     make_graph, k, hidden, c_in, mode = BLOCK_SHAPES[shape]
     g, rng = make_graph(), np.random.default_rng(30)
     model = build_model(c_in, hidden, 4, k, mode, rng, dtype)
+    if shape == "c-in-1-after-relu":
+        # with -0.0 biases and a channel of negative weights on the C_in = 1
+        # layer, a zero row of u gives that channel z = -0.0 if each of its
+        # products is -0.0 (as u * w is) and +0.0 if one is +0.0
+        for layer in model.gsl_layers:
+            layer.b[:] = -0.0
+        model.gsl_layers[2].w[..., 0] = -np.abs(model.gsl_layers[2].w[..., 0])
     m = soften(EdgeLogits.init(g, k, rng, scale=1.0), 0.7).sparse(model.dtype)
     return model, m, rng.standard_normal((batch, g.n, c_in))
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: unlike np.array_equal, -0.0 != 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestBlockedKernel:
@@ -727,15 +751,15 @@ class TestBlockedKernel:
         probs_o, uz = unblocked_forward(xb, m, model)
         probs, cache = _forward_batch(xb, m, model)
         assert probs.dtype == np.float32
-        assert np.array_equal(probs, probs_o)
+        assert same_bits(probs, probs_o)
         assert len(cache["layers"]) == len(model.gsl_layers)
         for (u_o, z_o), (_, u, z) in zip(uz, cache["layers"], strict=False):
-            assert np.array_equal(u, u_o)
-            assert np.array_equal(z, z_o)
+            assert same_bits(u, u_o)
+            assert same_bits(z, z_o)
         # evaluation's forward pools block by block and keeps no u or z
         probs_e, cache_e = _forward_batch(xb, m, model, backward=False)
         assert cache_e is None
-        assert np.array_equal(probs_e, probs)
+        assert same_bits(probs_e, probs)
 
     @pytest.mark.parametrize("shape,batch", BLOCK_CASES)
     def test_float64_matches_unblocked(self, shape, batch):
@@ -752,13 +776,14 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("block_bytes", [1, 4096, 2 ** 40],
                              ids=["vertex-blocks", "small-blocks", "one-block"])
     @pytest.mark.parametrize("shape,batch", [("grid", 32), ("signal-3-gsl", 64), ("ring", 32),
-                                             ("ring", 256), ("wide", 33)])
+                                             ("ring", 256), ("wide", 33), ("one-channel", 64),
+                                             ("c-in-1-after-relu", 64)])
     def test_any_block_size_same_bits(self, monkeypatch, shape, batch, block_bytes):
         model, m, xb = block_case(shape, batch, np.float32)
         probs_o, uz = unblocked_forward(xb, m, model)
         monkeypatch.setattr(nn, "BLOCK_BYTES", block_bytes)
         probs, cache = _forward_batch(xb, m, model)
-        assert np.array_equal(probs, probs_o)
+        assert same_bits(probs, probs_o)
         for (_, z_o), (_, _, z) in zip(uz, cache["layers"], strict=False):
-            assert np.array_equal(z, z_o)
-        assert np.array_equal(_forward_batch(xb, m, model, backward=False)[0], probs_o)
+            assert same_bits(z, z_o)
+        assert same_bits(_forward_batch(xb, m, model, backward=False)[0], probs_o)
