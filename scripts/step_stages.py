@@ -8,7 +8,8 @@ Builds the classifier of two benchmark shapes on random inputs, batch 32:
 - ``grid``: 16x16 grid, K=5, layers 32,64, three channels, 10 classes.
 
 Then it times each stage of one step of ``nn.train``: ``soften``, the
-stacked operator's build (``sparse``), the forward pass of each
+stacked operator's build (``sparse``) and its refill in place
+(``refill``, as ``nn.train`` runs it), the forward pass of each
 graph-signal layer (GSL) and the whole forward pass, each GSL's backward
 split into dW/db, g = dz W^T, ``probs_grad`` and dh = M^T g, the whole
 backward pass, ``soften_backward`` and the optimizer (Adam on the model,
@@ -64,7 +65,8 @@ def stages(name: str) -> dict:
     m = soft.sparse(model.dtype)
     _, cache = nn._forward_batch(xb, m, model)
     out = {"soften": lambda: soften(params, t),
-           "sparse": lambda: soft.sparse(model.dtype)}
+           "sparse": lambda: soft.sparse(model.dtype),
+           "refill": lambda: soft.sparse(model.dtype, out=m)}   # the same values
     gsls = range(len(hidden) - 1)  # the last layer runs after the vertex mean
     for li in gsls:
         h, _, _ = cache["layers"][li]

@@ -52,6 +52,23 @@ class Graph:
         return _read_only(np.argsort(self.dst, kind="stable"))
 
     @cached_property
+    def by_in_degree(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The entries grouped by the in-degree d of their neighbor, one
+        (vertices, entries, sources) triple per d >= 1 that occurs, in
+        rising d: vertices (n_d,) are the vertices j that d entries point
+        at, in rising order, entries (n_d, d) those entries (i, j) by rising
+        i, and sources (n_d, d) their i. Every entry is in exactly one
+        group; built on first use and read-only."""
+        counts = np.bincount(self.dst, minlength=self.n)
+        starts = np.cumsum(counts) - counts   # each vertex's first entry in by_dst
+        groups = []
+        for d in np.unique(counts[counts > 0]):
+            vertices = np.flatnonzero(counts == d)
+            entries = self.by_dst[starts[vertices, None] + np.arange(d)]
+            groups.append(tuple(map(_read_only, (vertices, entries, self.src[entries]))))
+        return tuple(groups)
+
+    @cached_property
     def _stacked(self) -> dict:  # k -> stacked_pattern(k)
         return {}
 

@@ -292,21 +292,32 @@ class SGD:
 
 class Adam(SGD):
     """SGD's flat state plus Adam's first and second moments, two flat
-    arrays beside the update (Kingma & Ba, arXiv:1412.6980)."""
+    arrays beside the update (Kingma & Ba, arXiv:1412.6980). _update
+    writes the moments and the update in place, through one flat scratch
+    array, with the operations, operands and order of the textbook
+    expressions, so each value gets their bits."""
 
     def __init__(self, params: list[np.ndarray], lr: float):
         super().__init__(params, lr)
         self.t = 0
         self.m, self.v = np.zeros_like(self.update), np.zeros_like(self.update)
+        self.scratch = np.empty_like(self.update)
 
     def _update(self, g: np.ndarray):
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
-        self.m = b1 * self.m + (1 - b1) * g
-        self.v = b2 * self.v + (1 - b2) * g * g
-        m_hat = self.m / (1 - b1 ** self.t)
-        v_hat = self.v / (1 - b2 ** self.t)
-        np.divide(self.lr * m_hat, np.sqrt(v_hat) + eps, out=self.update)
+        m, v, s, u = self.m, self.v, self.scratch, self.update
+        # m = b1 * m + (1 - b1) * g
+        np.multiply(b1, m, out=m)
+        np.add(m, np.multiply(1 - b1, g, out=s), out=m)
+        # v = b2 * v + (1 - b2) * g * g
+        np.multiply(b2, v, out=v)
+        np.multiply(np.multiply(1 - b2, g, out=s), g, out=s)
+        np.add(v, s, out=v)
+        # update = lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+        np.multiply(self.lr, np.divide(m, 1 - b1 ** self.t, out=u), out=u)
+        np.add(np.sqrt(np.divide(v, 1 - b2 ** self.t, out=s), out=s), eps, out=s)
+        np.divide(u, s, out=u)
 
 
 @dataclass
@@ -403,10 +414,14 @@ def train(dataset, graph: Graph, config: TrainConfig):
 
     history: list[HistoryRow] = []
     step, epoch, stage = 0, 0, "evaluation"
+    # the stacked operator: built by the first record, refilled in place by
+    # every step and record after it
+    m = None
 
     def record():
+        nonlocal m
         t = temperature_at(step, sched)
-        m = soften(params, t).sparse(model.dtype)
+        m = soften(params, t).sparse(model.dtype, out=m)
         tl, ta = _eval_split(model, m, dataset, train_idx)
         _, va = _eval_split(model, m, dataset, val_idx)
         history.append(HistoryRow(step, t, tl, ta, va))
@@ -418,7 +433,8 @@ def train(dataset, graph: Graph, config: TrainConfig):
                 stage = "soften"
                 soft = soften(params, temperature_at(step, sched))
                 stage = "forward"
-                _, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
+                m = soft.sparse(model.dtype, out=m)
+                _, cache = _forward_batch(xb, m, model)
                 stage = "backward"
                 grads = _backward_batch(yb, soft, model, cache)[2]
                 opt.step(grads[:-1])

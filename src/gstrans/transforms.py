@@ -56,25 +56,48 @@ class SoftTransforms:
     def k(self) -> int:
         return self.probs.shape[0]
 
-    def sparse(self, dtype=np.float64) -> sp.csr_matrix:
+    def sparse(self, dtype=np.float64, out=None) -> sp.csr_matrix:
         """The (K*N x N) operator M whose k-th block of rows is S_k^T, in
         dtype (SciPy would upcast a float32 x to M's float64).
 
         For x of shape (N, F), M @ x stacks every S_k^T x; for g of shape
         (K*N, F), M.T @ g is sum_k S_k g_k.
+
+        With out, an operator this method built for the same graph, K and
+        dtype, the values are written into out's data in place and out is
+        returned: the bytes of a new operator, without building one. An
+        out built for another graph, K or dtype raises ValueError.
         """
         indptr, indices, order = self.graph.stacked_pattern(self.k)
-        data = self.probs.astype(dtype, copy=False).ravel().take(order)
-        n = self.graph.n
-        return sp.csr_matrix((data, indices, indptr), shape=(self.k * n, n))
+        probs = self.probs.astype(dtype, copy=False).ravel()
+        if out is None:
+            n = self.graph.n
+            return sp.csr_matrix((probs.take(order), indices, indptr),
+                                 shape=(self.k * n, n))
+        if out.indptr is not indptr or out.data.dtype != probs.dtype:
+            raise ValueError(f"out is not a {probs.dtype} operator built for this "
+                             f"graph with k={self.k}")
+        probs.take(order, out=out.data, mode="clip")   # "raise" would buffer
+        return out
 
     def probs_grad(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Gradient of sum(g * (M @ x)) w.r.t. probs, for x of shape (N, F)
-        and g of shape (K*N, F): entry (k, e) is x[src_e] . g_k[dst_e]."""
-        xs = x[self.graph.src]
+        and g of shape (K*N, F): entry (k, e) is x[src_e] . g_k[dst_e].
+
+        The entries are taken in groups of one in-degree d
+        (Graph.by_in_degree): x is gathered at their sources once, as
+        (n_d, d, F), and g_k's rows at their destinations once, as
+        (n_d, F), broadcast over d. Each entry is still np.vecdot of two
+        contiguous F-vectors, so it gets the bits of a product taken entry
+        by entry."""
+        n = self.graph.n
+        # each g_k row contiguous, as the per-entry product reads it
+        g = np.ascontiguousarray(g).reshape(self.k, n, g.shape[1])
         out = np.empty_like(self.probs)
-        for k, g_k in enumerate(g.reshape(self.k, -1, g.shape[1])):
-            out[k] = np.vecdot(xs, g_k[self.graph.dst])
+        for vertices, entries, sources in self.graph.by_in_degree:
+            # a group of every vertex, a regular graph's only one, reads g uncopied
+            rows = g[:, vertices] if len(vertices) < n else g
+            out[:, entries] = np.vecdot(x[sources], rows[:, :, None])
         return out
 
 

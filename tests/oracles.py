@@ -146,6 +146,21 @@ def stacked_operator_by_tile(soft, dtype=np.float64):
     return sp.csr_matrix((data, cols, indptr), shape=(k * n, n))
 
 
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: unlike np.array_equal, -0.0 != 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def probs_grad_per_slice(soft, x, g):
+    """SoftTransforms.probs_grad with x gathered at every entry's source,
+    and each slice's g_k at every entry's neighbor, one slice at a time."""
+    xs = x[soft.graph.src]
+    out = np.empty_like(soft.probs)
+    for k, g_k in enumerate(g.reshape(soft.k, -1, g.shape[1])):
+        out[k] = np.vecdot(xs, g_k[soft.graph.dst])
+    return out
+
+
 class SGDPerArray:
     """Plain SGD, one array at a time."""
 

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +20,7 @@ from gstrans.nn import (TRAIN_DTYPE, Adam, GSLayerParams, Model, SGD,
 from gstrans.transforms import (EdgeLogits, Schedule, SoftTransforms, convolve,
                                 one_hot_soft, soften, soften_backward, temperature_at)
 from oracles import (AdamPerArray, SGDPerArray, bare_ring, dense_slices, neighbors,
-                     unblocked_forward)
+                     same_bits, unblocked_forward)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -267,6 +269,31 @@ class TestOptimizers:
             assert p.dtype == r.dtype == dtype and np.array_equal(p, r)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_in_place_matches_textbook_bits(self, dtype):
+        # 50 steps against the expressions Adam computed with new arrays,
+        # signed zeros and magnitudes from 1e-30 to 1e6 included
+        rng = np.random.default_rng(7)
+        shapes = [(3, 1, 16), (16,), (5,)]
+        params = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        ref = [p.copy() for p in params]
+        opt, opt_ref = Adam(params, 3e-3), AdamPerArray(3e-3)
+        state = opt.m, opt.v, opt.update
+        for _ in range(50):
+            grads = [(rng.standard_normal(s) * 10.0 ** rng.integers(-30, 7, s)).astype(dtype)
+                     for s in shapes]
+            grads[1][::3] = -0.0
+            grads[1][1::3] = 0.0
+            opt.step(grads)
+            opt_ref.step(ref, grads)
+            for p, r in zip(params, ref):
+                assert same_bits(p, r)
+        for flat, per_array in ((opt.m, opt_ref.m), (opt.v, opt_ref.v)):
+            assert same_bits(flat, np.concatenate([a.ravel() for a in per_array]))
+        # the moments and the update are the arrays Adam was built with
+        assert all(a is b for a, b in zip((opt.m, opt.v, opt.update), state))
+
+
 class TestStepStagesScript:
     def test_script_runs(self):
         script = ROOT / "scripts" / "step_stages.py"
@@ -277,7 +304,7 @@ class TestStepStagesScript:
         assert result["context"]["blas_threads"] == 1
         for shape, gsls in (("ring", 2), ("grid", 1)):
             stages = result[shape]
-            for name in ("soften", "sparse", "forward", "eval_forward.64",
+            for name in ("soften", "sparse", "refill", "forward", "eval_forward.64",
                          "eval_forward.80", "eval_forward.256", "backward",
                          "soften_backward", "optimizer",
                          *(f"forward.gsl{i}" for i in range(gsls)),
@@ -293,6 +320,45 @@ class TestStepStagesScript:
                 [i > 0 for i in range(gsls)]
 
 
+class TestSameOutputsScript:
+    """scripts/same_outputs.py on a short command list: a train whose
+    checkpoint an eval then reads."""
+
+    COMMANDS = {
+        "ring": ["train", "--dataset", "ring", "--ring-n", "8", "--ring-classes", "2",
+                 "--ring-samples", "20", "--k", "2", "--layers", "4,4",
+                 "--batch-size", "8", "--steps", "6", "--seed", "1"],
+        "eval": ["eval", "--dataset", "ring", "--ring-n", "8", "--ring-classes", "2",
+                 "--ring-samples", "20", "--seed", "1",
+                 "--checkpoint", "{runs}/ring/checkpoint.npz", "--split", "val"],
+    }
+
+    @staticmethod
+    def script():
+        spec = importlib.util.spec_from_file_location(
+            "same_outputs", ROOT / "scripts" / "same_outputs.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_tree_against_itself(self, tmp_path):
+        assert self.script().compare(ROOT, ROOT, tmp_path, self.COMMANDS) == []
+        assert (tmp_path / "new" / "ring" / "checkpoint.npz").is_file()
+
+    def test_planted_difference_reported(self, tmp_path):
+        # Adam's eps doubled: every array moves by other bits, and the run
+        # still exits 0 and writes the same files
+        shutil.copytree(ROOT / "src", tmp_path / "planted" / "src")
+        nn_py = tmp_path / "planted" / "src" / "gstrans" / "nn.py"
+        text = nn_py.read_text()
+        assert text.count("b1, b2, eps = 0.9, 0.999, 1e-8") == 1
+        nn_py.write_text(text.replace("0.999, 1e-8", "0.999, 2e-8"))
+        found = self.script().compare(ROOT, tmp_path / "planted", tmp_path / "work",
+                                      {"ring": self.COMMANDS["ring"]})
+        assert "ring: checkpoint.npz: array w0 differs" in found, found
+        assert not [f for f in found if "exit code" in f or "only in one" in f], found
+
+
 def tiny_ring_dataset(seed=0):
     ds, g = make_ring_task(8, 2, 12, 0.02, seed)
     return ds, g
@@ -300,27 +366,36 @@ def tiny_ring_dataset(seed=0):
 
 class TestTrain:
     def test_one_relaxation_per_record_one_operator_per_pass(self, monkeypatch):
-        # a training step softens once and builds one operator; a record
-        # softens once and builds one operator for both splits, although the
-        # train split is scored in two chunks of 256
+        # a training step softens once and refills the operator; a record
+        # softens once and refills it for both splits, although the train
+        # split is scored in two chunks of 256; only the first record builds
         ds, g = make_ring_task(8, 2, 200, 0.02, 0)
         assert 256 < len(ds.splits["train"]) <= 512
-        calls = {"soften": 0, "sparse": 0}
+        calls = {"soften": 0, "build": 0, "refill": 0}
+        built = []
 
         def counted(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
+        def counted_sparse(soft, dtype=np.float64, out=None):
+            calls["build" if out is None else "refill"] += 1
+            built.append(sparse(soft, dtype, out=out))
+            return built[-1]
+
+        sparse = SoftTransforms.sparse
         monkeypatch.setattr(nn, "soften", counted("soften", nn.soften))
-        monkeypatch.setattr(SoftTransforms, "sparse", counted("sparse", SoftTransforms.sparse))
+        monkeypatch.setattr(SoftTransforms, "sparse", counted_sparse)
         steps = 3
         cfg = TrainConfig(Schedule(2.0, 0.5, steps), batch_size=256, k=2,
                           hidden=(4,), seed=0)
         records = len(train(ds, g, cfg)[3])
         assert records == 3          # steps 0, 2 (an epoch of two batches) and 3
-        assert calls == {"soften": steps + records, "sparse": steps + records}
+        assert calls == {"soften": steps + records, "build": 1,
+                         "refill": steps + records - 1}
+        assert all(m is built[0] for m in built)
 
     def test_smoke_and_history(self):
         ds, g = tiny_ring_dataset()
@@ -734,11 +809,6 @@ def block_case(shape, batch, dtype):
         model.gsl_layers[2].w[..., 0] = -np.abs(model.gsl_layers[2].w[..., 0])
     m = soften(EdgeLogits.init(g, k, rng, scale=1.0), 0.7).sparse(model.dtype)
     return model, m, rng.standard_normal((batch, g.n, c_in))
-
-
-def same_bits(a, b):
-    """Equal dtype, shape and bytes: unlike np.array_equal, -0.0 != 0.0."""
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestBlockedKernel:

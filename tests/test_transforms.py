@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gstrans.graph import (build_grid_graph, build_knn_covariance_graph,
-                           build_ring_graph, read_edge_list)
-from gstrans.transforms import (EdgeLogits, Schedule, apply_hard,
+                           build_ring_graph, from_pairs, read_edge_list)
+from gstrans.transforms import (EdgeLogits, Schedule, SoftTransforms, apply_hard,
                                 convolve, harden, mode3_product, one_hot_soft,
                                 soften, soften_backward, temperature_at,
                                 transforms_from_json, transforms_to_json)
 from oracles import (adjacency, bare_ring, dense_slices, graph_of, neighbors,
-                     stacked_operator_by_tile)
+                     probs_grad_per_slice, same_bits, stacked_operator_by_tile)
 
 
 def ring_rotation_soft(n):
@@ -126,6 +126,141 @@ class TestStackedPattern:
         m = soften(EdgeLogits.init(g, 3, np.random.default_rng(0)), 1.0).sparse()
         assert np.shares_memory(m.indptr, three[0])
         assert np.shares_memory(m.indices, three[1])
+
+
+def hub_graph(n=120, hubs=(90, 40, 25), seed=0):
+    """A WebKB-like support: a sparse random graph plus a few vertices that
+    most others link to, so that in-degrees range from 2 to about n."""
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n)
+    for hub, fans in enumerate(hubs):
+        i = np.r_[i, np.full(fans, hub)]
+        j = np.r_[j, rng.choice(n, fans, replace=False)]
+    return from_pairs(n, np.r_[i, :n], np.r_[j, :n])
+
+
+# neighbor lists in which vertex 0 is no vertex's neighbor, 1 and 2 are
+# neighbors of two vertices each and 3 of three
+IN_DEGREE_ZERO = [[1, 2, 3], [2, 3], [3], [1]]
+
+
+def grad_cases():
+    return [pytest.param(build_ring_graph(16), 3, id="ring16"),
+            pytest.param(build_grid_graph(16, 16), 5, id="grid16x16"),
+            pytest.param(hub_graph(), 4, id="hub"),
+            pytest.param(graph_of(IN_DEGREE_ZERO), 2, id="in-degree-0")]
+
+
+class TestInDegreeGroups:
+    @pytest.mark.parametrize("graph,k", grad_cases())
+    def test_every_entry_once(self, graph, k):
+        groups = graph.by_in_degree
+        entries = np.concatenate([e.ravel() for _, e, _ in groups])
+        assert np.array_equal(np.sort(entries), np.arange(graph.num_entries()))
+        in_degree = np.bincount(graph.dst, minlength=graph.n)
+        degrees = [e.shape[1] for _, e, _ in groups]
+        assert degrees == sorted(set(in_degree[in_degree > 0]))
+        for vertices, entries, sources in groups:
+            assert np.array_equal(vertices, np.flatnonzero(in_degree == entries.shape[1]))
+            assert np.array_equal(graph.dst[entries], np.repeat(vertices[:, None],
+                                                                entries.shape[1], axis=1))
+            assert np.array_equal(sources, graph.src[entries])
+            assert (np.diff(sources, axis=1) > 0).all()   # rising source
+
+    def test_in_degree_zero_vertex_in_no_group(self):
+        groups = graph_of(IN_DEGREE_ZERO).by_in_degree
+        assert [(e.shape[1], v.tolist()) for v, e, _ in groups] == [(2, [1, 2]), (3, [3])]
+
+    def test_cached_and_read_only(self):
+        g = hub_graph()
+        groups = g.by_in_degree
+        assert g.by_in_degree is groups
+        for a in (a for group in groups for a in group):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
+
+
+class TestProbsGrad:
+    """The in-degree-grouped edge gradient against the per-slice gathers
+    of oracles.probs_grad_per_slice, bit for bit."""
+
+    @pytest.mark.parametrize("graph,k", grad_cases())
+    @pytest.mark.parametrize("width", [1, 7, 512], ids=["f1", "f7", "f512"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_as_per_slice(self, graph, k, width, dtype):
+        rng = np.random.default_rng(width)
+        soft = soften(EdgeLogits.init(graph, k, rng, scale=2.0), 0.5)
+        x = rng.standard_normal((graph.n, width)).astype(dtype)
+        g = rng.standard_normal((k * graph.n, width)).astype(dtype)
+        out = soft.probs_grad(x, g)
+        assert same_bits(out, probs_grad_per_slice(soft, x, g))
+        assert out.dtype == soft.probs.dtype
+
+    @pytest.mark.parametrize("graph,k", grad_cases())
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_signed_zeros(self, graph, k, width):
+        # products of zeros of either sign, whole rows of them included
+        rng = np.random.default_rng(3)
+        soft = soften(EdgeLogits.init(graph, k, rng), 1.0)
+        x = rng.choice(np.array([-0.0, 0.0, 1.5, -2.0], np.float32), (graph.n, width))
+        g = rng.choice(np.array([-0.0, 0.0, 0.25], np.float32), (k * graph.n, width))
+        x[::2] = -0.0
+        g[1::3] = 0.0
+        out = soft.probs_grad(x, g)
+        assert same_bits(out, probs_grad_per_slice(soft, x, g))
+        assert (out == 0).any()
+
+    def test_matches_dense_gradient(self):
+        # d/dS_k[i, j] of sum(g_k * (S_k^T x)) is x[i] . g_k[j]
+        g = graph_of(IN_DEGREE_ZERO)
+        rng = np.random.default_rng(1)
+        soft = SoftTransforms(g, rng.random((2, g.num_entries())), 1.0)
+        x, gk = rng.standard_normal((g.n, 3)), rng.standard_normal((2 * g.n, 3))
+        dense = np.einsum("if,kjf->kij", x, gk.reshape(2, g.n, 3))
+        assert np.allclose(soft.probs_grad(x, gk), dense[:, g.src, g.dst], rtol=0,
+                           atol=1e-12)
+
+
+class TestRefill:
+    """sparse(dtype, out=m) against a new sparse(dtype)."""
+
+    @pytest.mark.parametrize("graph,k", grad_cases()[:3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_over_the_anneal(self, graph, k, dtype):
+        params = EdgeLogits.init(graph, k, np.random.default_rng(0), scale=1.0)
+        m = soften(params, 10.0).sparse(dtype)
+        zeros = subnormal = 0
+        for t in np.geomspace(10.0, 0.01, 13):
+            soft = soften(params, t)
+            fresh = soft.sparse(dtype)
+            assert soft.sparse(dtype, out=m) is m
+            for name in ("data", "indices", "indptr"):
+                assert same_bits(getattr(m, name), getattr(fresh, name)), (t, name)
+            assert m.shape == fresh.shape and m.nnz == fresh.nnz
+            zeros += int((m.data == 0).sum())
+            subnormal += int(((m.data != 0) & (np.abs(m.data) < np.finfo(dtype).tiny)).sum())
+        if dtype == np.float32:
+            # the cold end keeps explicit zeros and subnormals in the pattern
+            assert zeros and subnormal, (zeros, subnormal)
+
+    @pytest.mark.parametrize("k,dtype", [(2, np.float32), (3, np.float64)],
+                             ids=["other-k", "other-dtype"])
+    def test_other_operator_rejected(self, k, dtype):
+        g = build_ring_graph(16)
+        m = soften(EdgeLogits.init(g, k, np.random.default_rng(0)), 1.0).sparse(dtype)
+        soft = soften(EdgeLogits.init(g, 3, np.random.default_rng(1)), 1.0)
+        before = m.data.copy()
+        with pytest.raises(ValueError, match="k=3"):
+            soft.sparse(np.float32, out=m)
+        assert same_bits(m.data, before)
+
+    def test_other_graph_rejected(self):
+        m = soften(EdgeLogits.init(build_ring_graph(16), 3,
+                                   np.random.default_rng(0)), 1.0).sparse()
+        soft = soften(EdgeLogits.init(build_ring_graph(16), 3,
+                                      np.random.default_rng(0)), 1.0)
+        with pytest.raises(ValueError, match="built for this graph"):
+            soft.sparse(out=m)
 
 
 class TestOneHotSoft:
