@@ -11,18 +11,19 @@ Then it times each stage of one step of ``nn.train``: ``soften``, the
 stacked operator's build (``sparse``) and its refill in place
 (``refill``, as ``nn.train`` runs it), the forward pass of each
 graph-signal layer (GSL) and the whole forward pass, each GSL's backward
-split into dW/db, g = dz W^T, ``probs_grad`` and dh = M^T g, the whole
-backward pass, ``soften_backward`` and the optimizer (Adam on the model,
-then on the edge logits). In signal mode the last layer runs after the
-vertex mean and is no GSL; it is timed only inside the whole passes.
+split into dW/db, g = dz W^T, ``probs_grad`` and dh = M^T g (by
+``transforms.matmul_t_into``, as ``nn._backward_batch`` runs it), the
+whole backward pass, ``soften_backward`` and the optimizer (Adam on the
+model, then on the edge logits). In signal mode the last layer runs after
+the vertex mean and is no GSL; it is timed only inside the whole passes.
 ``eval_forward.64``, ``eval_forward.80`` and ``eval_forward.256`` time the
 forward pass of an evaluation chunk of that many rows, called as
-``nn._eval_split`` calls it, with no backward pass to follow; 80 rows is
-the ring benchmark's validation split, whose chunk sets its evaluation
-rate. A stage's number is its milliseconds per call, the minimum over R
-rounds (default 100) of ten calls each, in one BLAS thread. The top-level
-``faults`` object gives each stage's minor page faults per call over all
-of its rounds, from ``resource.getrusage``.
+``nn._eval_split`` calls it: with no backward pass to follow, through one
+``nn.Buffers`` that every evaluation stage shares, as the chunks of a
+training run do. A stage's number is its milliseconds per call, the
+minimum over R rounds (default 100) of ten calls each, in one BLAS
+thread. The top-level ``faults`` object gives each stage's minor page
+faults per call over all of its rounds, from ``resource.getrusage``.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ import scipy
 
 from gstrans import nn
 from gstrans.graph import build_grid_graph, build_ring_graph
-from gstrans.transforms import EdgeLogits, soften, soften_backward
+from gstrans.transforms import EdgeLogits, matmul_t_into, soften, soften_backward
 
 SHAPES = {
     "ring": (lambda: build_ring_graph(16), 3, (16, 16, 16), 1, 4),
@@ -73,11 +74,11 @@ def stages(name: str) -> dict:
         out[f"forward.gsl{li}"] = \
             lambda h=h, layer=model.gsl_layers[li]: nn._gsl(m, h, layer, True)
     out["forward"] = lambda: nn._forward_batch(xb, m, model)
-    eval_rng = np.random.default_rng(1)
+    eval_rng, bufs = np.random.default_rng(1), nn.Buffers()
     for rows in EVAL_ROWS:
         xe = eval_rng.standard_normal((rows, graph.n, c_in))
         out[f"eval_forward.{rows}"] = \
-            lambda xe=xe: nn._forward_batch(xe, m, model, backward=False)
+            lambda xe=xe: nn._forward_batch(xe, m, model, backward=False, bufs=bufs)
     for li in reversed(gsls):
         h, u, _ = cache["layers"][li]
         w = model.gsl_layers[li].w
@@ -91,7 +92,8 @@ def stages(name: str) -> dict:
             lambda dz=dz, w=w, b=b, c=c: (dz @ w.transpose(0, 2, 1)).reshape(-1, b * c)
         out[f"backward.gsl{li}.probs_grad"] = lambda hs=hs, g=g: soft.probs_grad(hs, g)
         if li > 0:
-            out[f"backward.gsl{li}.dh"] = lambda g=g: m.T @ g
+            out[f"backward.gsl{li}.dh"] = \
+                lambda g=g, n=n, b=b, c=c: matmul_t_into(m, g, np.zeros((n, b * c), g.dtype))
     out["backward"] = lambda: nn._backward_batch(yb, soft, model, cache)
     dprobs = rng.standard_normal(soft.probs.shape)
     out["soften_backward"] = lambda: soften_backward(soft, dprobs)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import TrainingDivergedError
 from .graph import Graph, write_edge_list
-from .transforms import (EdgeLogits, Schedule, harden, soften, soften_backward,
-                         temperature_at)
+from .transforms import (EdgeLogits, Schedule, harden, matmul_into, matmul_t_into,
+                         soften, soften_backward, temperature_at)
 
 EPS_LOG = 1e-12
 # train() keeps weights, activations and their gradients in float32, which
@@ -91,17 +91,58 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+class Buffers:
+    """Arrays kept across evaluation forwards, so that a chunk writes into
+    memory that is already mapped: take(name, shape, dtype) returns a view
+    of the name's array, which is made anew only for another dtype or a
+    larger size. child(name) is a Buffers of its own, one per graph-signal
+    layer. A view stays valid until the next take of its name."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+        self._children: dict[int, Buffers] = {}
+
+    def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        size = math.prod(shape)
+        a = self._arrays.get(name)
+        if a is None or a.dtype != dtype or a.size < size:
+            a = self._arrays[name] = np.empty(size, dtype)
+        return a[:size].reshape(shape)
+
+    def child(self, name: int) -> Buffers:
+        if name not in self._children:
+            self._children[name] = Buffers()
+        return self._children[name]
+
+
+def _array(bufs: Buffers | None, name: str, shape: tuple, dtype,
+           zeroed: bool = False) -> np.ndarray:
+    """bufs's array of that name, or a new one when bufs is None; filled
+    with zeros if zeroed."""
+    if bufs is None:
+        return (np.zeros if zeroed else np.empty)(shape, dtype)
+    a = bufs.take(name, shape, dtype)
+    if zeroed:
+        a.fill(0)
+    return a
+
+
 # _gsl computes z in blocks of whole vertices whose rows take at most this
 # many bytes, so that a block and its products stay in a core's L2
 BLOCK_BYTES = 256 * 1024
 
 
-def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False):
+def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False,
+         bufs: Buffers | None = None):
     """One graph-signal layer on node-major h, shaped (N, B, C_in), where m
     is the stacked operator of SoftTransforms.sparse(). Returns u, every
     S_k^T h as (K, N*B, C_in), and z = sum_k (S_k^T h) W_k + b as
     (N, B, C_out), put through ReLU in place if relu. With pool, the vertex
     mean of z, (B, C_out), takes the place of z, which is never made whole.
+    u is computed by transforms.matmul_into. u, z (or the pooled slabs and
+    their sum) and the buffer of each slice's product u_k W_k are new
+    arrays, or with bufs views of its arrays, which the next call with the
+    same bufs overwrites.
 
     z is computed in blocks of whole vertices, so that the products of a
     narrow layer stay in cache; a layer that is not blocked is one block of
@@ -114,7 +155,8 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
     n, b, c = h.shape
     w = layer.w
     c_out = w.shape[2]
-    u = (m @ h.reshape(n, b * c)).reshape(len(w), n * b, c)
+    u = _array(bufs, "u", (len(w) * n, b * c), h.dtype, zeroed=True)
+    u = matmul_into(m, h.reshape(n, b * c), u).reshape(len(w), n * b, c)
     # OpenBLAS rounds the rows of a block differently from those of the
     # whole product for some layers with C_in >= 16, and for C_out = 1 (a
     # matrix-vector product, whose z numpy also averages pairwise); those
@@ -126,17 +168,18 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
     rows = step * b
     if pool:
         # slab 0 carries the running vertex sum into the next block's sum
-        slabs = np.empty((step + 1, b, c_out), h.dtype)
-        total = np.empty((b, c_out), h.dtype)
+        slabs = _array(bufs, "slabs", (step + 1, b, c_out), h.dtype)
+        total = _array(bufs, "total", (b, c_out), h.dtype)
         block = slabs[1:].reshape(rows, c_out)
     else:
-        z = np.empty((n * b, c_out), h.dtype)
+        z = _array(bufs, "z", (n * b, c_out), h.dtype)
+    uw = _array(bufs, "uw", (rows, c_out), h.dtype)
     for lo in range(0, n * b, rows):
         hi = min(lo + rows, n * b)
         zb = block[:hi - lo] if pool else z[lo:hi]
         product(u[0, lo:hi], w[0], out=zb)
         for u_k, w_k in zip(u[1:], w[1:]):
-            zb += product(u_k[lo:hi], w_k)
+            zb += product(u_k[lo:hi], w_k, out=uw[:hi - lo])
         zb += layer.b
         if relu:
             np.maximum(zb, 0.0, out=zb)
@@ -150,10 +193,18 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
     return u, np.true_divide(total, np.intp(n), out=total, casting="unsafe")
 
 
-def _forward_batch(xb: np.ndarray, m, model: Model, backward: bool = True):
+def _forward_batch(xb: np.ndarray, m, model: Model, backward: bool = True,
+                   bufs: Buffers | None = None):
     """Forward pass on a (B, N, C_in) batch through the stacked operator m,
     SoftTransforms.sparse(model.dtype); returns (probs, cache), the cache
     being None unless a backward pass follows.
+
+    With bufs, which only a forward without a backward pass takes, the cast
+    batch and each graph-signal layer's arrays (see _gsl; child li of bufs
+    for layer li) are views of bufs's arrays, so a call with the shapes and
+    dtype of an earlier one allocates nothing of the batch's size. The
+    cache holds each layer's arrays, so a forward that keeps one takes new
+    arrays.
 
     Activations are node-major, (N, B, C), so that the stacked operator
     reads and writes them without copies; probs are (B, cls) in signal
@@ -169,7 +220,11 @@ def _forward_batch(xb: np.ndarray, m, model: Model, backward: bool = True):
     Without a backward pass the layer below it computes that mean block
     by block, and its z is never made whole.
     """
-    h = np.ascontiguousarray(xb.transpose(1, 0, 2), dtype=model.dtype)
+    if backward and bufs is not None:
+        raise ValueError("a forward pass that keeps its cache takes no buffers")
+    b, n, c = xb.shape
+    h = _array(bufs, "input", (n, b, c), model.dtype)
+    np.copyto(h, xb.transpose(1, 0, 2))
     layer_cache = []
     last = len(model.gsl_layers) - 1
     pool_at = last - 1 if model.mode == "signal" and not backward else None
@@ -182,7 +237,8 @@ def _forward_batch(xb: np.ndarray, m, model: Model, backward: bool = True):
             layer_cache.append((hbar,))
             h = hbar @ layer.w.sum(axis=0) + layer.b
         else:
-            u, z = _gsl(m, h, layer, li < last, li == pool_at)
+            u, z = _gsl(m, h, layer, li < last, li == pool_at,
+                        None if bufs is None else bufs.child(li))
             if backward:
                 layer_cache.append((h, u, z))
             h = z
@@ -258,7 +314,7 @@ def _backward_batch(yb, soft, model, cache):
             g = (dz @ layer.w.transpose(0, 2, 1)).reshape(-1, b * c)  # g_k = dz W_k^T
             dprobs += soft.probs_grad(h.reshape(n, b * c), g)
             if li > 0:
-                dh = (m.T @ g).reshape(n, b, c)
+                dh = matmul_t_into(m, g, np.zeros((n, b * c), g.dtype)).reshape(n, b, c)
         grads = [dw, db] + grads
         if not all(np.isfinite(a).all() for a in (dw, db)):
             raise FloatingPointError(f"non-finite gradient in graph-signal layer {li}")
@@ -366,15 +422,20 @@ def _batches(dataset, idx, batch_size, rng=None):
         yield dataset.signals[chunk], dataset.labels[chunk]
 
 
-def _eval_split(model, m, dataset, idx):
+def _eval_split(model, m, dataset, idx, bufs: Buffers | None = None):
     """Mean loss and accuracy over the given sample/vertex indices, scored
     in chunks of 256 samples through the stacked operator m,
     SoftTransforms.sparse(model.dtype). No backward pass follows, so each
     forward keeps no cache, and in signal mode the last graph-signal layer
-    hands on only its vertex mean."""
+    hands on only its vertex mean.
+
+    Every chunk computes into bufs, or without it into one Buffers of this
+    call's own. A caller that passes the same bufs to every call, as train
+    does, allocates its arrays once and reuses their mapped pages."""
+    bufs = Buffers() if bufs is None else bufs
     losses, correct, count = [], 0, 0
     for xb, yb in _batches(dataset, idx, 256):
-        probs = _forward_batch(xb, m, model, backward=False)[0]
+        probs = _forward_batch(xb, m, model, backward=False, bufs=bufs)[0]
         loss, c, n = _score(probs, yb)[:3]
         losses.append(loss)
         correct += c
@@ -415,15 +476,16 @@ def train(dataset, graph: Graph, config: TrainConfig):
     history: list[HistoryRow] = []
     step, epoch, stage = 0, 0, "evaluation"
     # the stacked operator: built by the first record, refilled in place by
-    # every step and record after it
-    m = None
+    # every step and record after it; the evaluation forwards of every
+    # record compute into one set of buffers
+    m, bufs = None, Buffers()
 
     def record():
         nonlocal m
         t = temperature_at(step, sched)
         m = soften(params, t).sparse(model.dtype, out=m)
-        tl, ta = _eval_split(model, m, dataset, train_idx)
-        _, va = _eval_split(model, m, dataset, val_idx)
+        tl, ta = _eval_split(model, m, dataset, train_idx, bufs)
+        _, va = _eval_split(model, m, dataset, val_idx, bufs)
         history.append(HistoryRow(step, t, tl, ta, va))
 
     try:

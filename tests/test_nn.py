@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from gstrans.data import Dataset, make_ring_task
 from gstrans.errors import TrainingDivergedError
 from gstrans.graph import build_grid_graph, build_ring_graph
 from gstrans import nn
-from gstrans.nn import (TRAIN_DTYPE, Adam, GSLayerParams, Model, SGD,
+from gstrans.nn import (TRAIN_DTYPE, Adam, Buffers, GSLayerParams, Model, SGD,
                         TrainConfig, _backward_batch, _eval_split,
                         _forward_batch, _loss_grad_output, build_model,
                         graph_hash, load_checkpoint, save_checkpoint, train)
@@ -830,6 +831,11 @@ class TestBlockedKernel:
         probs_e, cache_e = _forward_batch(xb, m, model, backward=False)
         assert cache_e is None
         assert same_bits(probs_e, probs)
+        # through buffers, and again through the buffers the first call made
+        bufs = Buffers()
+        for _ in range(2):
+            assert same_bits(_forward_batch(xb, m, model, backward=False, bufs=bufs)[0],
+                             probs)
 
     @pytest.mark.parametrize("shape,batch", BLOCK_CASES)
     def test_float64_matches_unblocked(self, shape, batch):
@@ -857,3 +863,117 @@ class TestBlockedKernel:
         for (_, z_o), (_, _, z) in zip(uz, cache["layers"], strict=False):
             assert same_bits(z, z_o)
         assert same_bits(_forward_batch(xb, m, model, backward=False)[0], probs_o)
+
+
+def ring_benchmark_case(dtype=TRAIN_DTYPE, seed=0):
+    """The ring benchmark's shape: a 16-vertex ring, K=3, layers 16,16,16,
+    640 training samples (chunks of 256, 256 and 128) and 80 for validation."""
+    ds, g = make_ring_task(16, 4, 200, 0.05, seed)
+    rng = np.random.default_rng(seed)
+    model = build_model(1, (16, 16, 16), 4, 3, "signal", rng, dtype)
+    m = soften(EdgeLogits.init(g, 3, rng, scale=1.0), 0.7).sparse(model.dtype)
+    return ds, model, m
+
+
+def chunk_probs(monkeypatch, fn):
+    """fn()'s result, and the probs of every evaluation chunk it scored."""
+    probs = []
+    forward = nn._forward_batch
+
+    def recording_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        probs.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(nn, "_forward_batch", recording_forward)
+    try:
+        return fn(), probs
+    finally:
+        monkeypatch.setattr(nn, "_forward_batch", forward)
+
+
+def fresh_eval(model, m, ds, idx):
+    """_eval_split's result and chunk probs from forwards of new arrays."""
+    out = []
+    for xb, _ in nn._batches(ds, idx, 256):
+        out.append(_forward_batch(xb, m, model, backward=False)[0])
+    return out
+
+
+class TestEvalBuffers:
+    """_eval_split through one Buffers shared by its calls against
+    forwards that compute into new arrays."""
+
+    def test_shared_across_splits_and_calls(self, monkeypatch):
+        ds, model, m = ring_benchmark_case()
+        bufs = Buffers()
+        first = {}
+        for _ in range(2):
+            for split in ("train", "val", "train"):
+                idx = ds.splits[split]
+                result, probs = chunk_probs(monkeypatch,
+                                            lambda: _eval_split(model, m, ds, idx, bufs))
+                fresh = fresh_eval(model, m, ds, idx)
+                assert len(probs) == len(fresh) == (3 if split == "train" else 1)
+                assert all(same_bits(p, q) for p, q in zip(probs, fresh, strict=True))
+                assert first.setdefault(split, result) == result
+                assert result == _eval_split(model, m, ds, idx)   # a Buffers of its own
+
+    def test_float32_then_float64_model(self, monkeypatch):
+        bufs = Buffers()
+        for dtype in (np.float32, np.float64, np.float32):
+            ds, model, m = ring_benchmark_case(dtype)
+            idx = ds.splits["train"]
+            _, probs = chunk_probs(monkeypatch, lambda: _eval_split(model, m, ds, idx, bufs))
+            assert {p.dtype for p in probs} == {np.dtype(dtype)}
+            assert all(same_bits(p, q) for p, q in
+                       zip(probs, fresh_eval(model, m, ds, idx), strict=True))
+
+    def test_vertex_mode(self, monkeypatch):
+        g = build_grid_graph(8, 8)
+        rng = np.random.default_rng(4)
+        labels = rng.integers(0, 3, g.n)
+        ds = Dataset("vertex", [rng.standard_normal((g.n, 5))], labels, 3,
+                     {"train": np.arange(40), "val": np.arange(40, 64)})
+        model = build_model(5, (6, 4), 3, 2, "vertex", rng, TRAIN_DTYPE)
+        m = soften(EdgeLogits.init(g, 2, rng, scale=1.0), 0.7).sparse(model.dtype)
+        bufs = Buffers()
+        for split in ("train", "val", "train"):
+            idx = ds.splits[split]
+            result, probs = chunk_probs(monkeypatch,
+                                        lambda: _eval_split(model, m, ds, idx, bufs))
+            (fresh,) = fresh_eval(model, m, ds, idx)
+            assert same_bits(probs[0], fresh) and fresh.shape == (1, g.n, 3)
+            assert result == _eval_split(model, m, ds, idx)
+
+    def test_second_pass_allocates_no_chunk(self):
+        # a 256-row chunk of the ring's second layer alone has a u of 768 KB;
+        # numpy reports its buffers to tracemalloc
+        ds, model, m = ring_benchmark_case()
+        idx, bufs = ds.splits["train"], Buffers()
+        first = _eval_split(model, m, ds, idx, bufs)
+        tracemalloc.start()
+        try:
+            second = _eval_split(model, m, ds, idx, bufs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second == first
+        assert peak < 256 * 1024, peak
+
+    def test_take_reuses_until_larger_or_other_dtype(self):
+        bufs = Buffers()
+        a = bufs.take("u", (4, 8), np.float32)
+        smaller = bufs.take("u", (3, 5), np.float32)
+        assert np.shares_memory(a, smaller) and smaller.shape == (3, 5)
+        assert not np.shares_memory(a, bufs.take("v", (4, 8), np.float32))
+        assert bufs.child(0) is bufs.child(0) and bufs.child(0) is not bufs.child(1)
+        for shape, dtype in (((5, 8), np.float32), ((2, 2), np.float64)):
+            b = bufs.take("u", shape, dtype)
+            assert not np.shares_memory(a, b) and b.shape == shape and b.dtype == dtype
+            a = b
+
+    def test_forward_that_keeps_its_cache_takes_no_buffers(self):
+        ds, model, m = ring_benchmark_case()
+        with pytest.raises(ValueError, match="takes no buffers"):
+            _forward_batch(ds.signals[:4], m, model, bufs=Buffers())
