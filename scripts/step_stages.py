@@ -20,10 +20,13 @@ the vertex mean and is no GSL; it is timed only inside the whole passes.
 forward pass of an evaluation chunk of that many rows, called as
 ``nn._eval_split`` calls it: with no backward pass to follow, through one
 ``nn.Buffers`` that every evaluation stage shares, as the chunks of a
-training run do. A stage's number is its milliseconds per call, the
-minimum over R rounds (default 100) of ten calls each, in one BLAS
-thread. The top-level ``faults`` object gives each stage's minor page
-faults per call over all of its rounds, from ``resource.getrusage``.
+training run do. ``eval_forward.256.gsl{i}`` times GSL i's share of the
+256-row chunk: ``nn._gsl`` as that forward calls it, the GSL below the
+last pooling its vertex mean, on the input the chunk gives it. A stage's
+number is its milliseconds per call, the minimum over R rounds (default
+100) of ten calls each, in one BLAS thread. The top-level ``faults``
+object gives each stage's minor page faults per call over all of its
+rounds, from ``resource.getrusage``.
 """
 from __future__ import annotations
 
@@ -79,6 +82,12 @@ def stages(name: str) -> dict:
         xe = eval_rng.standard_normal((rows, graph.n, c_in))
         out[f"eval_forward.{rows}"] = \
             lambda xe=xe: nn._forward_batch(xe, m, model, backward=False, bufs=bufs)
+    # each GSL of the last, 256-row chunk, on the inputs that chunk gives it
+    eval_layers = nn._forward_batch(xe, m, model)[1]["layers"]
+    for li in gsls:
+        out[f"eval_forward.{rows}.gsl{li}"] = \
+            lambda h=eval_layers[li][0], li=li: nn._gsl(
+                m, h, model.gsl_layers[li], True, li == gsls[-1], bufs.child(li))
     for li in reversed(gsls):
         h, u, _ = cache["layers"][li]
         w = model.gsl_layers[li].w

@@ -123,7 +123,7 @@ def _array(bufs: Buffers | None, name: str, shape: tuple, dtype,
         return (np.zeros if zeroed else np.empty)(shape, dtype)
     a = bufs.take(name, shape, dtype)
     if zeroed:
-        a.fill(0)
+        a.view(np.uint8).fill(0)   # a memset: +0.0 is all zero bytes
     return a
 
 
@@ -151,6 +151,14 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False,
     order, as z.mean(axis=0) does. A C_in = 1 layer computes its outer
     products u_k W_k with np.dot, which BLAS runs faster than matmul's own
     loop; the tests pin their bits, signed zeros included.
+
+    The bias add and the ReLU see a block as rows of whole vertices,
+    (vertices, B*C_out): the bias as one row of b tiled B times, the ReLU
+    as np.maximum against one row of zeros, both filled once per call
+    (views of bufs, or new arrays). numpy runs a broadcast C_out-long
+    vector or a scalar operand one short row at a time; B*C_out-long rows
+    it runs faster. Each element gets the same operation on the same
+    operands, so the bits are those of z + b and np.maximum(z, 0.0).
     """
     n, b, c = h.shape
     w = layer.w
@@ -174,15 +182,21 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False,
     else:
         z = _array(bufs, "z", (n * b, c_out), h.dtype)
     uw = _array(bufs, "uw", (rows, c_out), h.dtype)
+    # b tiled B times, in b's dtype so that the add is that of zb += b
+    bias = _array(bufs, "bias", (b, c_out), layer.b.dtype)
+    bias[...] = layer.b
+    bias = bias.reshape(b * c_out)
+    zero = _array(bufs, "zero", (b * c_out,), h.dtype, zeroed=True) if relu else None
     for lo in range(0, n * b, rows):
         hi = min(lo + rows, n * b)
         zb = block[:hi - lo] if pool else z[lo:hi]
         product(u[0, lo:hi], w[0], out=zb)
         for u_k, w_k in zip(u[1:], w[1:]):
             zb += product(u_k[lo:hi], w_k, out=uw[:hi - lo])
-        zb += layer.b
+        zv = zb.reshape(-1, b * c_out)
+        zv += bias
         if relu:
-            np.maximum(zb, 0.0, out=zb)
+            np.maximum(zv, zero, out=zv)
         if pool:
             if lo:
                 slabs[0] = total

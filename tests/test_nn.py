@@ -309,6 +309,7 @@ class TestStepStagesScript:
                          "eval_forward.80", "eval_forward.256", "backward",
                          "soften_backward", "optimizer",
                          *(f"forward.gsl{i}" for i in range(gsls)),
+                         *(f"eval_forward.256.gsl{i}" for i in range(gsls)),
                          *(f"backward.gsl{i}.{part}" for i in range(gsls)
                            for part in ("dW_db", "g", "probs_grad"))):
                 assert stages[name] > 0, (shape, name)
@@ -675,14 +676,25 @@ def dense_oracle(xb, yb, soft, model):
     return np.array(probs), loss, grads
 
 
+def set_biases(model, seed):
+    """model, its graph-signal layers' zero biases replaced in place by
+    nonzero ones that differ from channel to channel, so that a bias
+    added to the wrong channel or sample changes z. They are float64 draws
+    of a generator of their own, rounded to the model's dtype."""
+    rng = np.random.default_rng(seed)
+    for layer in model.gsl_layers:
+        layer.b[:] = rng.uniform(-0.5, 0.5, len(layer.b))
+    return model
+
+
 def kernel_case(mode, dtype, hidden=(4, 3), one_hot=False):
-    """A model in dtype on a 4x5 grid, with its batch; the weights are the
-    same draws, rounded to dtype, whatever the dtype. With one_hot, the
-    transforms are one_hot_soft of random neighbour maps in place of a
-    softmax at t = 0.6."""
+    """A model in dtype on a 4x5 grid, with its batch; the weights and
+    biases are the same draws, rounded to dtype, whatever the dtype. With
+    one_hot, the transforms are one_hot_soft of random neighbour maps in
+    place of a softmax at t = 0.6."""
     g = build_grid_graph(4, 5)
     rng = np.random.default_rng(20)
-    model = build_model(2, hidden, 3, 5, mode, rng, dtype)
+    model = set_biases(build_model(2, hidden, 3, 5, mode, rng, dtype), 22)
     params = EdgeLogits.init(g, 5, rng, scale=1.0)
     soft = soften(params, 0.6)
     if one_hot:
@@ -797,7 +809,8 @@ BLOCK_CASES = [(s, b) for s in ("ring", "grid") for b in BLOCK_BATCHES] + [
 
 
 def block_case(shape, batch, dtype):
-    """Model, stacked operator and batch of a BLOCK_SHAPES entry."""
+    """Model, stacked operator and batch of a BLOCK_SHAPES entry, with
+    nonzero biases (set_biases) except in c-in-1-after-relu."""
     make_graph, k, hidden, c_in, mode = BLOCK_SHAPES[shape]
     g, rng = make_graph(), np.random.default_rng(30)
     model = build_model(c_in, hidden, 4, k, mode, rng, dtype)
@@ -808,6 +821,8 @@ def block_case(shape, batch, dtype):
         for layer in model.gsl_layers:
             layer.b[:] = -0.0
         model.gsl_layers[2].w[..., 0] = -np.abs(model.gsl_layers[2].w[..., 0])
+    else:
+        set_biases(model, 31)
     m = soften(EdgeLogits.init(g, k, rng, scale=1.0), 0.7).sparse(model.dtype)
     return model, m, rng.standard_normal((batch, g.n, c_in))
 
@@ -863,6 +878,35 @@ class TestBlockedKernel:
         for (_, z_o), (_, _, z) in zip(uz, cache["layers"], strict=False):
             assert same_bits(z, z_o)
         assert same_bits(_forward_batch(xb, m, model, backward=False)[0], probs_o)
+
+    @pytest.mark.parametrize("shape", ["ring", "grid"])
+    @np.errstate(invalid="ignore", over="ignore")
+    def test_relu_of_non_finite_sums(self, shape):
+        # the ReLU is np.maximum against a row of zeros, which must give
+        # the bytes of np.maximum(z, 0.0): NaN stays NaN and -inf becomes
+        # +0.0. Non-finite inputs in channel 0 of a few samples make such
+        # sums, and infinite ones in output channel 0, whose weights on
+        # input channel 0 are made positive in every slice
+        model, m, xb = block_case(shape, 64, np.float32)
+        xb[3, :5, 0], xb[10, :9, 0], xb[40, 2:7, 0] = np.inf, -np.inf, np.nan
+        h = np.ascontiguousarray(xb.transpose(1, 0, 2), dtype=np.float32)
+        layer = model.gsl_layers[0]
+        layer.w[:, 0, 0] = np.abs(layer.w[:, 0, 0])
+        u, z = nn._gsl(m, h, layer, True)
+        sums = u[0] @ layer.w[0]
+        for u_k, w_k in zip(u[1:], layer.w[1:]):
+            sums += u_k @ w_k
+        sums += layer.b
+        assert np.isnan(sums).any() and (sums == -np.inf).any() and (sums == np.inf).any()
+        relu = np.maximum(sums, 0.0).reshape(z.shape)
+        assert same_bits(z, relu)
+        # evaluation's pooled layer, through buffers
+        total = nn._gsl(m, h, layer, True, pool=True, bufs=Buffers())[1]
+        assert same_bits(total, relu.mean(axis=0))
+        # numpy's matmul and np.dot sum their products from +0.0, so no sum
+        # the kernel makes is -0.0: the identity is checked on a row with one
+        row = np.tile(np.float32([-0.0, 0.0, np.nan, -np.inf, np.inf, -1.5, 2.5]), 100)
+        assert same_bits(np.maximum(row, np.zeros_like(row)), np.maximum(row, 0.0))
 
 
 def ring_benchmark_case(dtype=TRAIN_DTYPE, seed=0):
