@@ -18,15 +18,17 @@ model, then on the edge logits). In signal mode the last layer runs after
 the vertex mean and is no GSL; it is timed only inside the whole passes.
 ``eval_forward.64``, ``eval_forward.80`` and ``eval_forward.256`` time the
 forward pass of an evaluation chunk of that many rows, called as
-``nn._eval_split`` calls it: with no backward pass to follow, through one
-``nn.Buffers`` that every evaluation stage shares, as the chunks of a
-training run do. ``eval_forward.256.gsl{i}`` times GSL i's share of the
-256-row chunk: ``nn._gsl`` as that forward calls it, the GSL below the
-last pooling its vertex mean, on the input the chunk gives it. A stage's
-number is its milliseconds per call, the minimum over R rounds (default
-100) of ten calls each, in one BLAS thread. The top-level ``faults``
-object gives each stage's minor page faults per call over all of its
-rounds, from ``resource.getrusage``.
+``nn._eval_split`` calls it, with no backward pass to follow.
+``eval_forward.256.gsl{i}`` times GSL i's share of the 256-row chunk:
+``nn._gsl`` as that forward calls it, the GSL below the last pooling its
+vertex mean, on the input the chunk gives it. Every timed forward, of a
+step or of a chunk, computes into one ``nn.Buffers``, as every forward of
+a training run does. The backward stages and the GSL stages read a
+step's cache and a chunk's layer inputs, computed into buffers of their
+own that no timed stage writes. A stage's number is its milliseconds per
+call, the minimum over R rounds (default 100) of ten calls each, in one
+BLAS thread. The top-level ``faults`` object gives each stage's minor
+page faults per call over all of its rounds, from ``resource.getrusage``.
 """
 from __future__ import annotations
 
@@ -67,7 +69,10 @@ def stages(name: str) -> dict:
     t = 1.0
     soft = soften(params, t)
     m = soft.sparse(model.dtype)
-    _, cache = nn._forward_batch(xb, m, model)
+    # the cache that the backward stages and the GSL stages read, in buffers
+    # that no timed stage writes; the timed forwards share one other Buffers
+    _, cache = nn._forward_batch(xb, m, model, nn.Buffers())
+    bufs = nn.Buffers()
     out = {"soften": lambda: soften(params, t),
            "sparse": lambda: soft.sparse(model.dtype),
            "refill": lambda: soft.sparse(model.dtype, out=m)}   # the same values
@@ -75,19 +80,19 @@ def stages(name: str) -> dict:
     for li in gsls:
         h, _, _ = cache["layers"][li]
         out[f"forward.gsl{li}"] = \
-            lambda h=h, layer=model.gsl_layers[li]: nn._gsl(m, h, layer, True)
-    out["forward"] = lambda: nn._forward_batch(xb, m, model)
-    eval_rng, bufs = np.random.default_rng(1), nn.Buffers()
+            lambda h=h, li=li: nn._gsl(m, h, model.gsl_layers[li], bufs.child(li), True)
+    out["forward"] = lambda: nn._forward_batch(xb, m, model, bufs)
+    eval_rng = np.random.default_rng(1)
     for rows in EVAL_ROWS:
         xe = eval_rng.standard_normal((rows, graph.n, c_in))
         out[f"eval_forward.{rows}"] = \
-            lambda xe=xe: nn._forward_batch(xe, m, model, backward=False, bufs=bufs)
+            lambda xe=xe: nn._forward_batch(xe, m, model, bufs, backward=False)
     # each GSL of the last, 256-row chunk, on the inputs that chunk gives it
-    eval_layers = nn._forward_batch(xe, m, model)[1]["layers"]
+    eval_layers = nn._forward_batch(xe, m, model, nn.Buffers())[1]["layers"]
     for li in gsls:
         out[f"eval_forward.{rows}.gsl{li}"] = \
             lambda h=eval_layers[li][0], li=li: nn._gsl(
-                m, h, model.gsl_layers[li], True, li == gsls[-1], bufs.child(li))
+                m, h, model.gsl_layers[li], bufs.child(li), True, li == gsls[-1])
     for li in reversed(gsls):
         h, u, _ = cache["layers"][li]
         w = model.gsl_layers[li].w

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import _eval_split
+from .nn import Buffers, _eval_split
 from .transforms import EdgeLogits, soften
 
 CANONICAL_NAMES = ("identity", "up", "down", "left", "right",
@@ -69,5 +69,5 @@ def evaluate_accuracy(model, params: EdgeLogits, dataset, split, t: float) -> fl
     idx = dataset.splits[split] if isinstance(split, str) else np.asarray(split)
     if idx.size == 0:
         raise ValueError("empty evaluation split")
-    _, acc = _eval_split(model, soften(params, t).sparse(model.dtype), dataset, idx)
-    return acc
+    m = soften(params, t).sparse(model.dtype)
+    return _eval_split(model, m, dataset, idx, Buffers())[1]

@@ -92,22 +92,26 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 class Buffers:
-    """Arrays kept across evaluation forwards, so that a chunk writes into
-    memory that is already mapped: take(name, shape, dtype) returns a view
-    of the name's array, which is made anew only for another dtype or a
-    larger size. child(name) is a Buffers of its own, one per graph-signal
-    layer. A view stays valid until the next take of its name."""
+    """Arrays kept across forward passes, so that every forward of a run
+    writes into memory that is already mapped: take(name, shape, dtype)
+    returns a view of the name's array, filled with zeros if zeroed, which
+    is made anew only for another dtype or a larger size. child(name) is a
+    Buffers of its own, one per graph-signal layer. A view is valid until
+    the next take of its name."""
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
         self._children: dict[int, Buffers] = {}
 
-    def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
+    def take(self, name: str, shape: tuple, dtype, zeroed: bool = False) -> np.ndarray:
         size = math.prod(shape)
         a = self._arrays.get(name)
         if a is None or a.dtype != dtype or a.size < size:
             a = self._arrays[name] = np.empty(size, dtype)
-        return a[:size].reshape(shape)
+        a = a[:size]
+        if zeroed:
+            a.view(np.uint8).fill(0)   # a memset: +0.0 is all zero bytes
+        return a.reshape(shape)
 
     def child(self, name: int) -> Buffers:
         if name not in self._children:
@@ -115,34 +119,21 @@ class Buffers:
         return self._children[name]
 
 
-def _array(bufs: Buffers | None, name: str, shape: tuple, dtype,
-           zeroed: bool = False) -> np.ndarray:
-    """bufs's array of that name, or a new one when bufs is None; filled
-    with zeros if zeroed."""
-    if bufs is None:
-        return (np.zeros if zeroed else np.empty)(shape, dtype)
-    a = bufs.take(name, shape, dtype)
-    if zeroed:
-        a.view(np.uint8).fill(0)   # a memset: +0.0 is all zero bytes
-    return a
-
-
 # _gsl computes z in blocks of whole vertices whose rows take at most this
 # many bytes, so that a block and its products stay in a core's L2
 BLOCK_BYTES = 256 * 1024
 
 
-def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False,
-         bufs: Buffers | None = None):
+def _gsl(m, h: np.ndarray, layer: GSLayerParams, bufs: Buffers, relu: bool,
+         pool: bool = False):
     """One graph-signal layer on node-major h, shaped (N, B, C_in), where m
     is the stacked operator of SoftTransforms.sparse(). Returns u, every
     S_k^T h as (K, N*B, C_in), and z = sum_k (S_k^T h) W_k + b as
     (N, B, C_out), put through ReLU in place if relu. With pool, the vertex
     mean of z, (B, C_out), takes the place of z, which is never made whole.
     u is computed by transforms.matmul_into. u, z (or the pooled slabs and
-    their sum) and the buffer of each slice's product u_k W_k are new
-    arrays, or with bufs views of its arrays, which the next call with the
-    same bufs overwrites.
+    their sum) and the buffer of each slice's product u_k W_k are views of
+    bufs's arrays, each valid until the next take of its name.
 
     z is computed in blocks of whole vertices, so that the products of a
     narrow layer stay in cache; a layer that is not blocked is one block of
@@ -150,20 +141,20 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False,
     whole product (the tests check it). The pooled sum adds the vertices in
     order, as z.mean(axis=0) does. A C_in = 1 layer computes its outer
     products u_k W_k with np.dot, which BLAS runs faster than matmul's own
-    loop; the tests pin their bits, signed zeros included.
+    loop; the tests pin their bits, exact zeros of u included.
 
     The bias add and the ReLU see a block as rows of whole vertices,
     (vertices, B*C_out): the bias as one row of b tiled B times, the ReLU
-    as np.maximum against one row of zeros, both filled once per call
-    (views of bufs, or new arrays). numpy runs a broadcast C_out-long
-    vector or a scalar operand one short row at a time; B*C_out-long rows
-    it runs faster. Each element gets the same operation on the same
-    operands, so the bits are those of z + b and np.maximum(z, 0.0).
+    as np.maximum against one row of zeros, both filled once per call.
+    numpy runs a broadcast C_out-long vector or a scalar operand one short
+    row at a time; B*C_out-long rows it runs faster. Each element gets the
+    same operation on the same operands, so the bits are those of z + b and
+    np.maximum(z, 0.0).
     """
     n, b, c = h.shape
     w = layer.w
     c_out = w.shape[2]
-    u = _array(bufs, "u", (len(w) * n, b * c), h.dtype, zeroed=True)
+    u = bufs.take("u", (len(w) * n, b * c), h.dtype, zeroed=True)
     u = matmul_into(m, h.reshape(n, b * c), u).reshape(len(w), n * b, c)
     # OpenBLAS rounds the rows of a block differently from those of the
     # whole product for some layers with C_in >= 16, and for C_out = 1 (a
@@ -176,17 +167,17 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False,
     rows = step * b
     if pool:
         # slab 0 carries the running vertex sum into the next block's sum
-        slabs = _array(bufs, "slabs", (step + 1, b, c_out), h.dtype)
-        total = _array(bufs, "total", (b, c_out), h.dtype)
+        slabs = bufs.take("slabs", (step + 1, b, c_out), h.dtype)
+        total = bufs.take("total", (b, c_out), h.dtype)
         block = slabs[1:].reshape(rows, c_out)
     else:
-        z = _array(bufs, "z", (n * b, c_out), h.dtype)
-    uw = _array(bufs, "uw", (rows, c_out), h.dtype)
+        z = bufs.take("z", (n * b, c_out), h.dtype)
+    uw = bufs.take("uw", (rows, c_out), h.dtype)
     # b tiled B times, in b's dtype so that the add is that of zb += b
-    bias = _array(bufs, "bias", (b, c_out), layer.b.dtype)
+    bias = bufs.take("bias", (b, c_out), layer.b.dtype)
     bias[...] = layer.b
     bias = bias.reshape(b * c_out)
-    zero = _array(bufs, "zero", (b * c_out,), h.dtype, zeroed=True) if relu else None
+    zero = bufs.take("zero", (b * c_out,), h.dtype, zeroed=True) if relu else None
     for lo in range(0, n * b, rows):
         hi = min(lo + rows, n * b)
         zb = block[:hi - lo] if pool else z[lo:hi]
@@ -207,18 +198,18 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False,
     return u, np.true_divide(total, np.intp(n), out=total, casting="unsafe")
 
 
-def _forward_batch(xb: np.ndarray, m, model: Model, backward: bool = True,
-                   bufs: Buffers | None = None):
+def _forward_batch(xb: np.ndarray, m, model: Model, bufs: Buffers,
+                   backward: bool = True):
     """Forward pass on a (B, N, C_in) batch through the stacked operator m,
     SoftTransforms.sparse(model.dtype); returns (probs, cache), the cache
     being None unless a backward pass follows.
 
-    With bufs, which only a forward without a backward pass takes, the cast
-    batch and each graph-signal layer's arrays (see _gsl; child li of bufs
-    for layer li) are views of bufs's arrays, so a call with the shapes and
-    dtype of an earlier one allocates nothing of the batch's size. The
-    cache holds each layer's arrays, so a forward that keeps one takes new
-    arrays.
+    The cast batch and each graph-signal layer's arrays (see _gsl; child li
+    of bufs for layer li) are views of bufs's arrays, so a call with the
+    shapes and dtype of an earlier one allocates nothing of the batch's
+    size. A view is valid until the next take of its name: the cache's h,
+    u and z until the next forward through the same bufs, which must come
+    after the backward pass that reads them.
 
     Activations are node-major, (N, B, C), so that the stacked operator
     reads and writes them without copies; probs are (B, cls) in signal
@@ -234,10 +225,8 @@ def _forward_batch(xb: np.ndarray, m, model: Model, backward: bool = True,
     Without a backward pass the layer below it computes that mean block
     by block, and its z is never made whole.
     """
-    if backward and bufs is not None:
-        raise ValueError("a forward pass that keeps its cache takes no buffers")
     b, n, c = xb.shape
-    h = _array(bufs, "input", (n, b, c), model.dtype)
+    h = bufs.take("input", (n, b, c), model.dtype)
     np.copyto(h, xb.transpose(1, 0, 2))
     layer_cache = []
     last = len(model.gsl_layers) - 1
@@ -251,8 +240,7 @@ def _forward_batch(xb: np.ndarray, m, model: Model, backward: bool = True,
             layer_cache.append((hbar,))
             h = hbar @ layer.w.sum(axis=0) + layer.b
         else:
-            u, z = _gsl(m, h, layer, li < last, li == pool_at,
-                        None if bufs is None else bufs.child(li))
+            u, z = _gsl(m, h, layer, bufs.child(li), li < last, li == pool_at)
             if backward:
                 layer_cache.append((h, u, z))
             h = z
@@ -436,20 +424,20 @@ def _batches(dataset, idx, batch_size, rng=None):
         yield dataset.signals[chunk], dataset.labels[chunk]
 
 
-def _eval_split(model, m, dataset, idx, bufs: Buffers | None = None):
+def _eval_split(model, m, dataset, idx, bufs: Buffers):
     """Mean loss and accuracy over the given sample/vertex indices, scored
     in chunks of 256 samples through the stacked operator m,
     SoftTransforms.sparse(model.dtype). No backward pass follows, so each
     forward keeps no cache, and in signal mode the last graph-signal layer
     hands on only its vertex mean.
 
-    Every chunk computes into bufs, or without it into one Buffers of this
-    call's own. A caller that passes the same bufs to every call, as train
-    does, allocates its arrays once and reuses their mapped pages."""
-    bufs = Buffers() if bufs is None else bufs
+    Every chunk computes into bufs, each chunk's views valid until the
+    next take of their names. A caller that passes the same bufs to every
+    call, as train does, allocates its arrays once and reuses their mapped
+    pages."""
     losses, correct, count = [], 0, 0
     for xb, yb in _batches(dataset, idx, 256):
-        probs = _forward_batch(xb, m, model, backward=False, bufs=bufs)[0]
+        probs = _forward_batch(xb, m, model, bufs, backward=False)[0]
         loss, c, n = _score(probs, yb)[:3]
         losses.append(loss)
         correct += c
@@ -490,8 +478,9 @@ def train(dataset, graph: Graph, config: TrainConfig):
     history: list[HistoryRow] = []
     step, epoch, stage = 0, 0, "evaluation"
     # the stacked operator: built by the first record, refilled in place by
-    # every step and record after it; the evaluation forwards of every
-    # record compute into one set of buffers
+    # every step and record after it. Every forward, of a step or a record,
+    # computes into one set of buffers: a step's cache is read by its
+    # backward pass before the next forward overwrites it
     m, bufs = None, Buffers()
 
     def record():
@@ -510,7 +499,7 @@ def train(dataset, graph: Graph, config: TrainConfig):
                 soft = soften(params, temperature_at(step, sched))
                 stage = "forward"
                 m = soft.sparse(model.dtype, out=m)
-                _, cache = _forward_batch(xb, m, model)
+                _, cache = _forward_batch(xb, m, model, bufs)
                 stage = "backward"
                 grads = _backward_batch(yb, soft, model, cache)[2]
                 opt.step(grads[:-1])

@@ -11,7 +11,7 @@ import gstrans
 # the second copy of the support that Graph's own CSR arrays replaced, and
 # the wrapper around the (K, N) array of hardened maps
 REMOVED = {
-    "nn": ("gsl_forward", "model_forward", "cross_entropy", "backward"),
+    "nn": ("gsl_forward", "model_forward", "cross_entropy", "backward", "_array"),
     "graph": ("laplacian", "_from_sets"),
     "evaluate": ("CanonicalTransform", "canonical_transforms", "nearest_canonical"),
     "errors": ("InsufficientDataError",),
