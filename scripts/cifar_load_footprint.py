@@ -1,11 +1,12 @@
-"""CPU time and peak memory of loading CIFAR-10 at paper scale.
+"""CPU time, page faults and peak memory of loading CIFAR-10 at paper scale.
 
     PYTHONPATH=src python3 scripts/cifar_load_footprint.py [RECORDS]
 
 Writes RECORDS random records (default 60000, the size of CIFAR-10) in the
 binary batch format, as five data_batch files and a test_batch, to a
 temporary directory. Then it loads them with downscale=True twice and
-prints, for each load, its process CPU seconds and the process's peak
+prints, for each load, its process CPU seconds, the minor page faults the
+process took during it (ru_minflt before and after) and the process's peak
 resident set size (ru_maxrss), which includes the writing before the loads:
 
 - first the records a `train --max-train 320` run converts, the first 320
@@ -45,6 +46,10 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main(argv: list[str]) -> int:
     total = int(argv[0]) if argv else 60000
     with tempfile.TemporaryDirectory() as tmp:
@@ -54,13 +59,14 @@ def main(argv: list[str]) -> int:
         for name, kwargs in (("train --max-train 320",
                               {"splits": ("train", "val"), "max_train": 320}),
                              ("all splits", {})):
-            cpu = time.process_time()
+            faults, cpu = minor_faults(), time.process_time()
             ds = load_cifar10(tmp, downscale=True, **kwargs)
             cpu = time.process_time() - cpu
+            faults = minor_faults() - faults
             print(f"{name}: {len(ds.labels)} records converted, signals "
                   f"{ds.signals.shape} {ds.signals.dtype}")
-            print(f"  load_cifar10(downscale=True) CPU: {cpu:.2f} s, "
-                  f"peak RSS: {peak_rss_mb():.0f} MB")
+            print(f"  load_cifar10(downscale=True) CPU: {cpu:.3f} s, "
+                  f"minor faults: {faults}, peak RSS: {peak_rss_mb():.0f} MB")
             del ds
     return 0
 

@@ -39,9 +39,9 @@ import inputs  # noqa: E402  (bench/inputs.py)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WEBKB_CLASSES = ("course", "faculty", "project", "staff", "student")
 
-# the benchmark's command lines (bench/run.py), with their inputs under
-# {inputs}; {runs} is the tree's run directory, each command's out-dir is
-# {runs}/<name>
+# the benchmark's command lines (bench/run.py) and more, with their inputs
+# under {inputs}; {runs} is the tree's run directory, each command's out-dir
+# is {runs}/<name>, made before the command runs
 RING = ["train", "--dataset", "ring", "--ring-n", "16", "--ring-classes", "4",
         "--ring-samples", "200", "--k", "3", "--layers", "16,16,16",
         "--batch-size", "32", "--steps", "400"]
@@ -62,6 +62,12 @@ COMMANDS = {
                  "--checkpoint", "{runs}/grid-1/checkpoint.npz", "--split", "val"],
     "eval-test": ["eval", "--dataset", "cifar10", "--data-dir", CIFAR % 1,
                   "--checkpoint", "{runs}/grid-1/checkpoint.npz", "--split", "test"],
+    "grid-full": ["train", "--dataset", "cifar10", "--data-dir", CIFAR % 3,
+                  "--no-downscale", "--k", "3", "--layers", "8", "--max-train", "100",
+                  "--steps", "3"],
+    "export-knn": ["export-graph", "--dataset", "cifar10", "--data-dir", CIFAR % 1,
+                   "--graph", "knn-covariance", "--max-train", "600",
+                   "--out", "{runs}/export-knn/graph.txt"],
     "ring-sweep": ["sweep", "--dataset", "ring", "--ring-n", "16", "--ring-classes", "4",
                    "--ring-samples", "200", "--k", "3", "--layers", "16,16,16",
                    "--steps", "400", "--sweep-axis", "t-final",
@@ -112,6 +118,7 @@ def run_tree(tree: Path, runs: Path, work_inputs: Path,
     results = {}
     for name, argv in commands.items():
         out = runs / name
+        out.mkdir()     # for a command that writes a file it is given, not an out-dir
         argv = [a.format(inputs=work_inputs, runs=runs) for a in argv]
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from gstrans.cli import main; "

@@ -151,18 +151,49 @@ class TestChunkedLoad:
         with pytest.raises(IngestionError, match=re.escape(str(f)) + ".*" + match):
             load_cifar10(tmp_path, downscale=True)
 
+    @staticmethod
+    def edit_after_stat(monkeypatch, target, edit):
+        """Rewrite target, as edit(raw) gives it, right after its size is taken."""
+        stat = Path.stat
+
+        def stat_then_edit(path, *args, **kwargs):
+            result = stat(path, *args, **kwargs)
+            if path == target:
+                target.write_bytes(edit(target.read_bytes()))
+            return result
+
+        monkeypatch.setattr(Path, "stat", stat_then_edit)
+
     def test_file_that_grows_while_loading(self, tmp_path, monkeypatch):
         self.write(tmp_path)
         grown = tmp_path / "data_batch_3.bin"
-        read = Path.read_bytes
-
-        def read_bytes(path):
-            raw = read(path)
-            return raw + raw[:CIFAR_RECORD_BYTES] if path == grown else raw
-
-        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        # one byte past the size taken: the read fills the buffer and one byte is left
+        self.edit_after_stat(monkeypatch, grown, lambda raw: raw + b"\0")
         with pytest.raises(IngestionError, match=re.escape(str(grown)) + ": size changed"):
             load_cifar10(tmp_path)
+
+    def test_file_that_shrinks_while_loading(self, tmp_path, monkeypatch):
+        self.write(tmp_path)
+        shrunk = tmp_path / "data_batch_3.bin"
+        # a whole record less: the size taken is still whole records, the read falls short
+        self.edit_after_stat(monkeypatch, shrunk, lambda raw: raw[:-CIFAR_RECORD_BYTES])
+        with pytest.raises(IngestionError, match=re.escape(str(shrunk)) + ": size changed"):
+            load_cifar10(tmp_path)
+
+    def test_files_share_one_read_buffer(self, tmp_path):
+        # three files of one size: a buffer per file would hold two of them
+        # at once while the second is read
+        rng = np.random.default_rng(2)
+        for i in range(1, 4):
+            (tmp_path / f"data_batch_{i}.bin").write_bytes(random_records(rng, 200).tobytes())
+        tracemalloc.start()
+        try:
+            ds = load_cifar10(tmp_path, splits=())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds.labels) == 0
+        assert peak < 200 * CIFAR_RECORD_BYTES + 64 * 1024
 
     def test_downscale_never_holds_the_full_size_floats(self, tmp_path):
         # one file, so converting it whole would hold the full-size floats;
@@ -185,10 +216,11 @@ class TestChunkedLoad:
                              capture_output=True, text=True, check=True).stdout
         assert "600 records" in out and "(600, 256, 3)" in out
         assert re.search(r"CPU: \d+\.\d+ s", out) and re.search(r"peak RSS: \d+ MB", out)
+        assert re.search(r"minor faults: \d+", out)
         # the capped row: the first 320 of 450 train records and the 50 val ones
         assert "370 records converted" in out and "(370, 256, 3)" in out
 
-    # caps that cross the first 256-record chunk, the first file boundary and
+    # caps that cross a chunk boundary, the first file boundary and
     # the five-record second file, one at the train split's end, one past it
     @pytest.mark.parametrize("splits,max_train", [
         (("train",), 257), (("train", "val"), 302), (("val", "train"), 306),
@@ -231,6 +263,12 @@ class TestChunkedLoad:
         self.write(tmp_path)
         with pytest.raises(ValueError):
             load_cifar10(tmp_path, **kwargs)
+
+    @pytest.mark.parametrize("val_fraction", [1.5, -0.5, float("nan"), float("inf")])
+    def test_bad_val_fraction_rejected(self, tmp_path, val_fraction):
+        self.write(tmp_path)
+        with pytest.raises(ValueError, match="val_fraction"):
+            load_cifar10(tmp_path, val_fraction=val_fraction)
 
 
 class TestDownscale:
