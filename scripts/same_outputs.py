@@ -11,6 +11,10 @@ set per seed as the benchmark writes them, and a hub-heavy WebKB-shaped
 content/cites pair (877 pages, 1703 binary features at 2% density, a few
 pages cited by hundreds of others).
 
+Besides runs, the commands cover the CLI's own texts: the top-level and
+every subcommand's ``--help``, an unknown subcommand, an unknown flag and
+a non-integer ``--steps``.
+
 For each command it compares, between the trees:
 
 - the exit code, stdout and stderr, with the command's own out-dir and
@@ -73,6 +77,13 @@ COMMANDS = {
                    "--steps", "400", "--sweep-axis", "t-final",
                    "--sweep-values", "0.05,0.01", "--repeats", "2"],
     "webkb": ["train", *WEBKB, "--k", "3", "--layers", "32,16", "--steps", "40"],
+    # the CLI's own texts: help, usage and argparse's errors
+    "help": ["--help"],
+    **{f"help-{name}": [name, "--help"]
+       for name in ("train", "sweep", "viz", "eval", "export-graph")},
+    "unknown-command": ["bogus"],
+    "unknown-flag": ["train", "--bogus"],
+    "steps-not-int": ["train", "--steps", "abc"],
 }
 
 

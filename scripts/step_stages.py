@@ -1,6 +1,17 @@
-"""Minimum time of each stage of one training step, printed as JSON.
+"""Minimum time of each stage of one training step and of the ring
+command's set-up, printed as JSON.
 
     PYTHONPATH=src python3 scripts/step_stages.py [--reps R]
+
+The ``setup`` object times what the ring benchmark's command runs before
+training: ``cli.build_parser()`` with every subcommand's options
+(``build_parser``), ``cli.build_parser("train")`` as ``cli.main`` builds it
+(``build_parser.train``), the parse of the ring benchmark's argv
+(``parse_args``) and ``data.make_ring_task(16, 4, 200, 0.05, 1)``
+(``make_ring_task``). These are warm minima in one process, after the
+modules are imported and their caches filled; the benchmark's ``setup_s``
+is the CPU time of a fresh process from ``cli.main`` to ``nn.train``, and
+so is larger than their sum.
 
 Builds the classifier of two benchmark shapes on random inputs, batch 32:
 
@@ -46,7 +57,8 @@ import timeit
 import numpy as np
 import scipy
 
-from gstrans import nn
+from gstrans import cli, nn
+from gstrans.data import make_ring_task
 from gstrans.graph import build_grid_graph, build_ring_graph
 from gstrans.transforms import EdgeLogits, matmul_t_into, soften, soften_backward
 
@@ -56,6 +68,19 @@ SHAPES = {
 }
 BATCH, CALLS = 32, 10
 EVAL_ROWS = (64, 80, 256)
+# the ring benchmark's command line (bench/run.py), seed 1
+RING_ARGV = ["train", "--dataset", "ring", "--ring-n", "16", "--ring-classes", "4",
+             "--ring-samples", "200", "--k", "3", "--layers", "16,16,16",
+             "--batch-size", "32", "--steps", "400", "--seed", "1", "--out-dir", "out"]
+
+
+def setup_stages() -> dict:
+    """The set-up stages of the ring benchmark's command, in call order."""
+    parser = cli.build_parser("train")
+    return {"build_parser": cli.build_parser,
+            "build_parser.train": lambda: cli.build_parser("train"),
+            "parse_args": lambda: parser.parse_args(RING_ARGV),
+            "make_ring_task": lambda: make_ring_task(16, 4, 200, 0.05, 1)}
 
 
 def stages(name: str) -> dict:
@@ -138,8 +163,9 @@ def main(argv: list[str]) -> int:
     result = {"context": {"reps": reps, "calls_per_rep": CALLS, "batch": BATCH,
                           "numpy": np.__version__, "scipy": scipy.__version__,
                           "blas_threads": 1}, "faults": {}}
-    for name in SHAPES:
-        timed = {stage: measure(fn, reps) for stage, fn in stages(name).items()}
+    for name in ("setup", *SHAPES):
+        fns = setup_stages() if name == "setup" else stages(name)
+        timed = {stage: measure(fn, reps) for stage, fn in fns.items()}
         result[name] = {stage: ms for stage, (ms, _) in timed.items()}
         result["faults"][name] = {stage: faults for stage, (_, faults) in timed.items()}
     print(json.dumps(result, indent=1))

@@ -55,15 +55,31 @@ def _with_config(args, argv: list[str]) -> list[str]:
 
 def _positive_int(text: str) -> int:
     """argparse type of a count flag."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
+def _comma_list(text: str, kind, flag: str) -> list:
+    """The non-blank items of a comma-separated flag value, each as kind; a
+    bad item is a ValueError that names the flag and the item."""
+    out = []
+    for item in filter(str.strip, text.split(",")):
+        try:
+            out.append(kind(item))
+        except ValueError:
+            raise ValueError(f"{flag}: {item.strip()!r} is not a valid "
+                             f"{kind.__name__}") from None
+    return out
+
+
 def _parse_layers(args) -> tuple[int, ...]:
-    text = args.layers or LAYER_DEFAULTS[args.dataset]
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    return tuple(_comma_list(args.layers or LAYER_DEFAULTS[args.dataset], int, "--layers"))
 
 
 def _warn_if_one_layer(ds, args):
@@ -184,7 +200,7 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     if not args.sweep_axis or not args.sweep_values:
         raise ValueError("sweep needs --sweep-axis and --sweep-values")
-    values = [float(v) for v in args.sweep_values.split(",") if v.strip()]
+    values = _comma_list(args.sweep_values, float, "--sweep-values")
     if not values:
         raise ValueError("empty sweep grid")
     ds, g, grid_dims = _load_dataset(args)
@@ -277,81 +293,74 @@ def cmd_export_graph(args) -> int:
     return 0
 
 
-def _add_shared(p):
-    """Options of every subcommand."""
-    p.add_argument("--config", help="flat 'key = value' file of flag values; "
-                                    "a key is a flag name without the dashes")
-    p.add_argument("--out-dir", default="out")
-    p.add_argument("--height", type=_positive_int)
-    p.add_argument("--width", type=_positive_int)
+# options as (flag, add_argument keywords): those of every subcommand...
+SHARED = (
+    ("--config", dict(help="flat 'key = value' file of flag values; "
+                           "a key is a flag name without the dashes")),
+    ("--out-dir", dict(default="out")),
+    ("--height", dict(type=_positive_int)),
+    ("--width", dict(type=_positive_int)),
+)
+# ...and those of the subcommands that load a dataset
+COMMON = SHARED + (
+    ("--seed", dict(type=int, default=0)),
+    ("--dataset", dict(choices=["ring", "cifar10", "webkb"], default="ring")),
+    ("--graph", dict(default="auto",
+                     choices=["auto", "grid", "ring", "knn-covariance", "edge-list"])),
+    ("--edge-list", {}),
+    ("--data-dir", dict(help="CIFAR-10 binary batch dir")),
+    ("--content", dict(help="WebKB content file")),
+    ("--cites", dict(help="WebKB cites file")),
+    ("--k", dict(type=int, default=5, help="number of transformation slices")),
+    ("--t-init", dict(type=float, default=10.0)),
+    ("--t-final", dict(type=float, default=0.01)),
+    ("--steps", dict(type=_positive_int, default=2000)),
+    ("--epochs", dict(type=_positive_int)),
+    ("--lr", dict(type=float)),
+    ("--logit-lr", dict(type=float)),
+    ("--batch-size", dict(type=_positive_int, default=32)),
+    ("--optimizer", dict(choices=["adam", "sgd"], default="adam")),
+    ("--layers", dict(help="comma-separated GSL channel widths")),
+    ("--knn", dict(type=int, default=5, help="neighbors for the covariance graph")),
+    ("--no-downscale", dict(dest="downscale", action="store_false")),
+    ("--max-train", dict(type=_positive_int)),
+    ("--ring-n", dict(type=int, default=16)),
+    ("--ring-classes", dict(type=int, default=4)),
+    ("--ring-samples", dict(type=int, default=200)),
+    ("--ring-noise", dict(type=float, default=0.05)),
+)
+# subcommand: (help, handler, options), in the order --help lists them
+SUBCOMMANDS = {
+    "train": ("train, harden, and write run artifacts", cmd_train, COMMON),
+    "sweep": ("one training run per temperature grid point", cmd_sweep, COMMON + (
+        ("--sweep-axis", dict(choices=["t-init", "t-final"])),
+        ("--sweep-values", dict(help="comma-separated grid values")),
+        ("--repeats", dict(type=_positive_int, default=1)))),
+    "viz": ("render hardened transforms as SVG/PPM", cmd_viz, SHARED + (
+        ("--transforms", dict(required=True, help="transforms JSON file")),
+        ("--image", dict(help="P6 PPM image to transform")))),
+    "eval": ("evaluate a checkpoint on a dataset split", cmd_eval, COMMON + (
+        ("--checkpoint", dict(required=True)),
+        ("--split", dict(choices=["train", "val", "test"], default="val")))),
+    "export-graph": ("write the graph as an edge list", cmd_export_graph,
+                     COMMON + (("--out", dict(required=True)),)),
+}
 
 
-def _add_common(p):
-    """Options of the subcommands that load a dataset."""
-    _add_shared(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dataset", choices=["ring", "cifar10", "webkb"], default="ring")
-    p.add_argument("--graph", default="auto",
-                   choices=["auto", "grid", "ring", "knn-covariance", "edge-list"])
-    p.add_argument("--edge-list")
-    p.add_argument("--data-dir", help="CIFAR-10 binary batch dir")
-    p.add_argument("--content", help="WebKB content file")
-    p.add_argument("--cites", help="WebKB cites file")
-    p.add_argument("--k", type=int, default=5, help="number of transformation slices")
-    p.add_argument("--t-init", type=float, default=10.0)
-    p.add_argument("--t-final", type=float, default=0.01)
-    p.add_argument("--steps", type=_positive_int, default=2000)
-    p.add_argument("--epochs", type=_positive_int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--logit-lr", type=float)
-    p.add_argument("--batch-size", type=_positive_int, default=32)
-    p.add_argument("--optimizer", choices=["adam", "sgd"], default="adam")
-    p.add_argument("--layers", help="comma-separated GSL channel widths")
-    p.add_argument("--knn", type=int, default=5,
-                   help="neighbors for the covariance graph")
-    p.add_argument("--no-downscale", dest="downscale", action="store_false")
-    p.add_argument("--max-train", type=_positive_int)
-    p.add_argument("--ring-n", type=int, default=16)
-    p.add_argument("--ring-classes", type=int, default=4)
-    p.add_argument("--ring-samples", type=int, default=200)
-    p.add_argument("--ring-noise", type=float, default=0.05)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Registers every subcommand, so help and usage errors stay the same,
+    but gives options only to `command` when one is named."""
     parser = argparse.ArgumentParser(
         prog="gstrans",
         description="Infer edge-constrained graph-signal pseudo-translations "
                     "by training an annealed weight-sharing classifier.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train, harden, and write run artifacts")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("sweep", help="one training run per temperature grid point")
-    _add_common(p)
-    p.add_argument("--sweep-axis", choices=["t-init", "t-final"])
-    p.add_argument("--sweep-values", help="comma-separated grid values")
-    p.add_argument("--repeats", type=_positive_int, default=1)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("viz", help="render hardened transforms as SVG/PPM")
-    _add_shared(p)
-    p.add_argument("--transforms", required=True, help="transforms JSON file")
-    p.add_argument("--image", help="P6 PPM image to transform")
-    p.set_defaults(func=cmd_viz)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=["train", "val", "test"], default="val")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("export-graph", help="write the graph as an edge list")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_graph)
-
+    for name, (help_text, handler, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -360,7 +369,9 @@ def main(argv=None) -> int:
     path that cannot be written (argparse's own usage errors included), 3
     training diverged."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    # the top-level parser has no option that takes a value, so its first
+    # token that is no option is the subcommand
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         if args.config:

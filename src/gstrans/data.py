@@ -233,9 +233,10 @@ def make_ring_task(n: int, num_classes: int, samples_per_class: int,
     shifts = np.empty(len(labels), dtype=np.int64)
     noise = np.empty((len(labels), n))
     # per sample, its shift and then its noise: each seed's data rests on this order
+    integers, standard_normal = rng.integers, rng.standard_normal
     for i in range(len(labels)):
-        shifts[i] = rng.integers(n)
-        noise[i] = rng.standard_normal(n)
+        shifts[i] = integers(n)
+        standard_normal(out=noise[i])
     # np.roll(wave, shift)[j] == wave[(j - shift) % n]
     signals = waves[labels[:, None], (np.arange(n) - shifts[:, None]) % n] + noise_std * noise
     dataset = Dataset("signal", signals[:, :, None], labels, num_classes)

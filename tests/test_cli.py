@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 import subprocess
@@ -633,6 +634,31 @@ class TestErrors:
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
+    @pytest.mark.parametrize("flag", ["--steps", "--epochs", "--batch-size",
+                                      "--max-train", "--repeats", "--height", "--width"])
+    def test_non_integer_count_rejected(self, tmp_path, capsys, flag):
+        command = "sweep" if flag == "--repeats" else "train"
+        rc = exit_code([command, "--out-dir", str(tmp_path / "o")] + FAST + [flag, "abc"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "_positive_int" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"gstrans {command}: error: argument {flag}: "
+                          f"expected a positive integer, got 'abc'"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--layers", "16,abc"], "error: --layers: 'abc' is not a valid int"),
+        (["train", "--layers", "16, 2.5"], "error: --layers: '2.5' is not a valid int"),
+        (["sweep", "--sweep-axis", "t-init", "--sweep-values", "0.1,abc"],
+         "error: --sweep-values: 'abc' is not a valid float"),
+    ], ids=["layers", "layers-fraction", "sweep-values"])
+    def test_bad_list_item_names_its_flag(self, tmp_path, capsys, argv, message):
+        rc = exit_code(argv[:1] + ["--out-dir", str(tmp_path / "o")] + FAST + argv[1:])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--height", "0", "--width", "4"],
         ["train", "--height", "-2", "--width", "-4"],
@@ -676,6 +702,73 @@ class TestErrors:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and value in errors[0]
         assert not (tmp_path / "o").exists()
+
+
+class TestLeanParser:
+    """build_parser(command) gives options only to `command`; what a
+    command parses and prints must not tell it from build_parser()."""
+
+    TYPICAL = {
+        "train": ["train", "--dataset", "ring", "--steps", "5", "--layers", "4,4",
+                  "--no-downscale", "--height", "4", "--width", "4"],
+        "sweep": ["sweep", "--sweep-axis", "t-init", "--sweep-values", "1,2",
+                  "--repeats", "2", "--seed", "3"],
+        "viz": ["viz", "--transforms", "t.json", "--height", "4", "--width", "4",
+                "--image", "a.ppm"],
+        "eval": ["eval", "--checkpoint", "c.npz", "--split", "test", "--dataset",
+                 "cifar10", "--data-dir", "d"],
+        "export-graph": ["export-graph", "--out", "g.txt", "--graph", "ring"],
+    }
+
+    @staticmethod
+    def subparsers(parser):
+        """The parser of each subcommand, by name."""
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    @staticmethod
+    def printed(parse, argv, capsys):
+        """(exit code, stdout, stderr) of a parse that exits."""
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return (exc.value.code, *capsys.readouterr())
+
+    def test_registers_every_subcommand(self):
+        assert list(self.subparsers(cli.build_parser("train"))) == list(cli.SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", list(TYPICAL))
+    def test_same_namespace(self, command):
+        argv = self.TYPICAL[command]
+        lean = cli.build_parser(command).parse_args(argv)
+        assert vars(lean) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command", list(TYPICAL))
+    def test_same_help_and_usage(self, command):
+        lean = self.subparsers(cli.build_parser(command))[command]
+        full = self.subparsers(cli.build_parser())[command]
+        assert lean.format_help() == full.format_help()
+        assert lean.format_usage() == full.format_usage()
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["bogus", "--steps", "5"], ["--bogus", "train"],
+        ["--bogus", "train", "--steps", "5"], ["train", "--bogus"],
+        ["train", "--help"], ["sweep", "-h"], ["export-graph"], ["viz", "--steps", "5"],
+        ["train", "--steps", "abc"], ["--", "train"],
+    ])
+    def test_main_prints_what_the_full_parser_prints(self, argv, capsys):
+        # main builds the lean parser from argv; the full one must agree
+        # on the exit code and on every byte of help, usage and error
+        full = self.printed(cli.build_parser().parse_args, argv, capsys)
+        assert self.printed(main, argv, capsys) == full
+
+    def test_other_subcommands_get_no_options(self):
+        parsers = self.subparsers(cli.build_parser("train"))
+        full = self.subparsers(cli.build_parser())
+        for name, p in parsers.items():
+            wanted = full[name] if name == "train" else argparse.ArgumentParser()
+            assert [a.option_strings for a in p._actions] == \
+                [a.option_strings for a in wanted._actions], name
+            assert p.get_default("func") is cli.SUBCOMMANDS[name][1]
 
 
 # records per file of the small CIFAR-10 directory: 70 train records, of

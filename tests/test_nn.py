@@ -304,6 +304,11 @@ class TestStepStagesScript:
                              capture_output=True, text=True, check=True).stdout
         result = json.loads(out)
         assert result["context"]["blas_threads"] == 1
+        # the ring command's set-up, stage by stage
+        assert list(result["setup"]) == ["build_parser", "build_parser.train",
+                                         "parse_args", "make_ring_task"]
+        assert all(ms > 0 for ms in result["setup"].values()), result["setup"]
+        assert result["faults"]["setup"].keys() == result["setup"].keys()
         for shape, gsls in (("ring", 2), ("grid", 1)):
             stages = result[shape]
             for name in ("soften", "sparse", "refill", "forward", "eval_forward.64",
