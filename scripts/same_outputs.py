@@ -3,9 +3,10 @@
     python3 scripts/same_outputs.py OLD NEW WORK
 
 OLD and NEW are source trees (each holds ``src/gstrans``); WORK is a
-directory for the inputs and the runs, created if missing. Every command
-runs as ``gstrans.cli.main`` in a fresh process of this Python, with the
-tree's ``src`` on PYTHONPATH and one BLAS thread. The inputs are written
+directory for the inputs and the runs, created if missing. Relative paths
+are taken from the current directory. Every command runs as
+``gstrans.cli.main`` in a fresh process of this Python, with the tree's
+``src`` on PYTHONPATH and one BLAS thread. The inputs are written
 once and shared: synthetic CIFAR-10 batches from ``bench/inputs.py``, one
 set per seed as the benchmark writes them, and a hub-heavy WebKB-shaped
 content/cites pair (877 pages, 1703 binary features at 2% density, a few
@@ -186,13 +187,14 @@ def compare(old: Path, new: Path, work: Path,
     return found
 
 
-def main(argv: list[str]) -> int:
+def main(argv: list[str], commands: dict[str, list[str]] = COMMANDS) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
     parser.add_argument("work", type=Path)
     args = parser.parse_args(argv)
-    found = compare(args.old, args.new, args.work)
+    # absolute, since every command runs in its run directory
+    found = compare(args.old.resolve(), args.new.resolve(), args.work.resolve(), commands)
     for line in found:
         print(line)
     print("identical" if not found else f"{len(found)} difference(s)")

@@ -23,7 +23,7 @@ stacked operator's build (``sparse``) and its refill in place
 (``refill``, as ``nn.train`` runs it), the forward pass of each
 graph-signal layer (GSL) and the whole forward pass, each GSL's backward
 split into dW/db, g = dz W^T, ``probs_grad`` and dh = M^T g (by
-``transforms.matmul_t_into``, as ``nn._backward_batch`` runs it), the
+``transforms.matmul_t``, as ``nn._backward_batch`` runs it), the
 whole backward pass, ``soften_backward`` and the optimizer (Adam on the
 model, then on the edge logits). In signal mode the last layer runs after
 the vertex mean and is no GSL; it is timed only inside the whole passes.
@@ -32,14 +32,14 @@ forward pass of an evaluation chunk of that many rows, called as
 ``nn._eval_split`` calls it, with no backward pass to follow.
 ``eval_forward.256.gsl{i}`` times GSL i's share of the 256-row chunk:
 ``nn._gsl`` as that forward calls it, the GSL below the last pooling its
-vertex mean, on the input the chunk gives it. Every timed forward, of a
-step or of a chunk, computes into one ``nn.Buffers``, as every forward of
-a training run does. The backward stages and the GSL stages read a
-step's cache and a chunk's layer inputs, computed into buffers of their
-own that no timed stage writes. A stage's number is its milliseconds per
-call, the minimum over R rounds (default 100) of ten calls each, in one
-BLAS thread. The top-level ``faults`` object gives each stage's minor
-page faults per call over all of its rounds, from ``resource.getrusage``.
+vertex mean, on the input the chunk gives it. The backward stages and
+the GSL stages read a step's cache and a chunk's layer inputs. A stage's
+number is its milliseconds per call, the minimum over R rounds (default
+100) of ten calls each, in one BLAS thread. The top-level ``faults``
+object gives each stage's minor page faults per call over all of its
+rounds, from ``resource.getrusage``. The stages run under
+``cli.keep_freed_pages()``, the allocator setting of every ``gstrans``
+command, so that their times and faults are those of the CLI's process.
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ import scipy
 from gstrans import cli, nn
 from gstrans.data import make_ring_task
 from gstrans.graph import build_grid_graph, build_ring_graph
-from gstrans.transforms import EdgeLogits, matmul_t_into, soften, soften_backward
+from gstrans.transforms import EdgeLogits, matmul_t, soften, soften_backward
 
 SHAPES = {
     "ring": (lambda: build_ring_graph(16), 3, (16, 16, 16), 1, 4),
@@ -94,10 +94,8 @@ def stages(name: str) -> dict:
     t = 1.0
     soft = soften(params, t)
     m = soft.sparse(model.dtype)
-    # the cache that the backward stages and the GSL stages read, in buffers
-    # that no timed stage writes; the timed forwards share one other Buffers
-    _, cache = nn._forward_batch(xb, m, model, nn.Buffers())
-    bufs = nn.Buffers()
+    # the cache that the backward stages and the GSL stages read
+    _, cache = nn._forward_batch(xb, m, model)
     out = {"soften": lambda: soften(params, t),
            "sparse": lambda: soft.sparse(model.dtype),
            "refill": lambda: soft.sparse(model.dtype, out=m)}   # the same values
@@ -105,19 +103,19 @@ def stages(name: str) -> dict:
     for li in gsls:
         h, _, _ = cache["layers"][li]
         out[f"forward.gsl{li}"] = \
-            lambda h=h, li=li: nn._gsl(m, h, model.gsl_layers[li], bufs.child(li), True)
-    out["forward"] = lambda: nn._forward_batch(xb, m, model, bufs)
+            lambda h=h, li=li: nn._gsl(m, h, model.gsl_layers[li], True)
+    out["forward"] = lambda: nn._forward_batch(xb, m, model)
     eval_rng = np.random.default_rng(1)
     for rows in EVAL_ROWS:
         xe = eval_rng.standard_normal((rows, graph.n, c_in))
         out[f"eval_forward.{rows}"] = \
-            lambda xe=xe: nn._forward_batch(xe, m, model, bufs, backward=False)
+            lambda xe=xe: nn._forward_batch(xe, m, model, backward=False)
     # each GSL of the last, 256-row chunk, on the inputs that chunk gives it
-    eval_layers = nn._forward_batch(xe, m, model, nn.Buffers())[1]["layers"]
+    eval_layers = nn._forward_batch(xe, m, model)[1]["layers"]
     for li in gsls:
         out[f"eval_forward.{rows}.gsl{li}"] = \
             lambda h=eval_layers[li][0], li=li: nn._gsl(
-                m, h, model.gsl_layers[li], bufs.child(li), True, li == gsls[-1])
+                m, h, model.gsl_layers[li], True, li == gsls[-1])
     for li in reversed(gsls):
         h, u, _ = cache["layers"][li]
         w = model.gsl_layers[li].w
@@ -132,7 +130,7 @@ def stages(name: str) -> dict:
         out[f"backward.gsl{li}.probs_grad"] = lambda hs=hs, g=g: soft.probs_grad(hs, g)
         if li > 0:
             out[f"backward.gsl{li}.dh"] = \
-                lambda g=g, n=n, b=b, c=c: matmul_t_into(m, g, np.zeros((n, b * c), g.dtype))
+                lambda g=g: matmul_t(m, g)
     out["backward"] = lambda: nn._backward_batch(yb, soft, model, cache)
     dprobs = rng.standard_normal(soft.probs.shape)
     out["soften_backward"] = lambda: soften_backward(soft, dprobs)
@@ -160,6 +158,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--reps", type=int, default=100, help="rounds of ten calls")
     reps = parser.parse_args(argv).reps
+    cli.keep_freed_pages()
     result = {"context": {"reps": reps, "calls_per_rep": CALLS, "batch": BATCH,
                           "numpy": np.__version__, "scipy": scipy.__version__,
                           "blas_threads": 1}, "faults": {}}

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -364,10 +365,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt(3) parameters
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_pages():
+    """Keep the pages of freed arrays mapped for reuse: glibc would give an
+    array of 128 KiB or more an mmap of its own, unmapped when freed, and
+    trim a free heap top past 128 KiB, so that every forward pass faulted
+    its pages in anew. Raises the mmap threshold to 32 MiB, the ceiling
+    mallopt(3) documents for 64-bit systems, and the trim threshold to
+    1 GiB; does nothing where libc has no mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
     """Run one subcommand. Exit codes: 0 success, 2 bad input or an output
     path that cannot be written (argparse's own usage errors included), 3
     training diverged."""
+    keep_freed_pages()
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser has no option that takes a value, so its first
     # token that is no option is the subcommand

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import Buffers, _eval_split
+from .nn import _eval_split
 from .transforms import EdgeLogits, soften
 
 CANONICAL_NAMES = ("identity", "up", "down", "left", "right",
@@ -70,4 +70,4 @@ def evaluate_accuracy(model, params: EdgeLogits, dataset, split, t: float) -> fl
     if idx.size == 0:
         raise ValueError("empty evaluation split")
     m = soften(params, t).sparse(model.dtype)
-    return _eval_split(model, m, dataset, idx, Buffers())[1]
+    return _eval_split(model, m, dataset, idx)[1]

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import TrainingDivergedError
 from .graph import Graph, write_edge_list
-from .transforms import (EdgeLogits, Schedule, harden, matmul_into, matmul_t_into,
-                         soften, soften_backward, temperature_at)
+from .transforms import (EdgeLogits, Schedule, harden, matmul, matmul_t, soften,
+                         soften_backward, temperature_at)
 
 EPS_LOG = 1e-12
 # train() keeps weights, activations and their gradients in float32, which
@@ -91,49 +91,18 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-class Buffers:
-    """Arrays kept across forward passes, so that every forward of a run
-    writes into memory that is already mapped: take(name, shape, dtype)
-    returns a view of the name's array, filled with zeros if zeroed, which
-    is made anew only for another dtype or a larger size. child(name) is a
-    Buffers of its own, one per graph-signal layer. A view is valid until
-    the next take of its name."""
-
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-        self._children: dict[int, Buffers] = {}
-
-    def take(self, name: str, shape: tuple, dtype, zeroed: bool = False) -> np.ndarray:
-        size = math.prod(shape)
-        a = self._arrays.get(name)
-        if a is None or a.dtype != dtype or a.size < size:
-            a = self._arrays[name] = np.empty(size, dtype)
-        a = a[:size]
-        if zeroed:
-            a.view(np.uint8).fill(0)   # a memset: +0.0 is all zero bytes
-        return a.reshape(shape)
-
-    def child(self, name: int) -> Buffers:
-        if name not in self._children:
-            self._children[name] = Buffers()
-        return self._children[name]
-
-
 # _gsl computes z in blocks of whole vertices whose rows take at most this
 # many bytes, so that a block and its products stay in a core's L2
 BLOCK_BYTES = 256 * 1024
 
 
-def _gsl(m, h: np.ndarray, layer: GSLayerParams, bufs: Buffers, relu: bool,
-         pool: bool = False):
+def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False):
     """One graph-signal layer on node-major h, shaped (N, B, C_in), where m
     is the stacked operator of SoftTransforms.sparse(). Returns u, every
     S_k^T h as (K, N*B, C_in), and z = sum_k (S_k^T h) W_k + b as
     (N, B, C_out), put through ReLU in place if relu. With pool, the vertex
     mean of z, (B, C_out), takes the place of z, which is never made whole.
-    u is computed by transforms.matmul_into. u, z (or the pooled slabs and
-    their sum) and the buffer of each slice's product u_k W_k are views of
-    bufs's arrays, each valid until the next take of its name.
+    u is computed by transforms.matmul.
 
     z is computed in blocks of whole vertices, so that the products of a
     narrow layer stay in cache; a layer that is not blocked is one block of
@@ -154,8 +123,7 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, bufs: Buffers, relu: bool,
     n, b, c = h.shape
     w = layer.w
     c_out = w.shape[2]
-    u = bufs.take("u", (len(w) * n, b * c), h.dtype, zeroed=True)
-    u = matmul_into(m, h.reshape(n, b * c), u).reshape(len(w), n * b, c)
+    u = matmul(m, h.reshape(n, b * c)).reshape(len(w), n * b, c)
     # OpenBLAS rounds the rows of a block differently from those of the
     # whole product for some layers with C_in >= 16, and for C_out = 1 (a
     # matrix-vector product, whose z numpy also averages pairwise); those
@@ -167,17 +135,15 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, bufs: Buffers, relu: bool,
     rows = step * b
     if pool:
         # slab 0 carries the running vertex sum into the next block's sum
-        slabs = bufs.take("slabs", (step + 1, b, c_out), h.dtype)
-        total = bufs.take("total", (b, c_out), h.dtype)
+        slabs = np.empty((step + 1, b, c_out), h.dtype)
+        total = np.empty((b, c_out), h.dtype)
         block = slabs[1:].reshape(rows, c_out)
     else:
-        z = bufs.take("z", (n * b, c_out), h.dtype)
-    uw = bufs.take("uw", (rows, c_out), h.dtype)
+        z = np.empty((n * b, c_out), h.dtype)
+    uw = np.empty((rows, c_out), h.dtype)
     # b tiled B times, in b's dtype so that the add is that of zb += b
-    bias = bufs.take("bias", (b, c_out), layer.b.dtype)
-    bias[...] = layer.b
-    bias = bias.reshape(b * c_out)
-    zero = bufs.take("zero", (b * c_out,), h.dtype, zeroed=True) if relu else None
+    bias = np.tile(layer.b, b)
+    zero = np.zeros(b * c_out, h.dtype) if relu else None
     for lo in range(0, n * b, rows):
         hi = min(lo + rows, n * b)
         zb = block[:hi - lo] if pool else z[lo:hi]
@@ -198,18 +164,10 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, bufs: Buffers, relu: bool,
     return u, np.true_divide(total, np.intp(n), out=total, casting="unsafe")
 
 
-def _forward_batch(xb: np.ndarray, m, model: Model, bufs: Buffers,
-                   backward: bool = True):
+def _forward_batch(xb: np.ndarray, m, model: Model, backward: bool = True):
     """Forward pass on a (B, N, C_in) batch through the stacked operator m,
     SoftTransforms.sparse(model.dtype); returns (probs, cache), the cache
     being None unless a backward pass follows.
-
-    The cast batch and each graph-signal layer's arrays (see _gsl; child li
-    of bufs for layer li) are views of bufs's arrays, so a call with the
-    shapes and dtype of an earlier one allocates nothing of the batch's
-    size. A view is valid until the next take of its name: the cache's h,
-    u and z until the next forward through the same bufs, which must come
-    after the backward pass that reads them.
 
     Activations are node-major, (N, B, C), so that the stacked operator
     reads and writes them without copies; probs are (B, cls) in signal
@@ -226,7 +184,7 @@ def _forward_batch(xb: np.ndarray, m, model: Model, bufs: Buffers,
     by block, and its z is never made whole.
     """
     b, n, c = xb.shape
-    h = bufs.take("input", (n, b, c), model.dtype)
+    h = np.empty((n, b, c), model.dtype)
     np.copyto(h, xb.transpose(1, 0, 2))
     layer_cache = []
     last = len(model.gsl_layers) - 1
@@ -240,7 +198,7 @@ def _forward_batch(xb: np.ndarray, m, model: Model, bufs: Buffers,
             layer_cache.append((hbar,))
             h = hbar @ layer.w.sum(axis=0) + layer.b
         else:
-            u, z = _gsl(m, h, layer, bufs.child(li), li < last, li == pool_at)
+            u, z = _gsl(m, h, layer, li < last, li == pool_at)
             if backward:
                 layer_cache.append((h, u, z))
             h = z
@@ -316,7 +274,7 @@ def _backward_batch(yb, soft, model, cache):
             g = (dz @ layer.w.transpose(0, 2, 1)).reshape(-1, b * c)  # g_k = dz W_k^T
             dprobs += soft.probs_grad(h.reshape(n, b * c), g)
             if li > 0:
-                dh = matmul_t_into(m, g, np.zeros((n, b * c), g.dtype)).reshape(n, b, c)
+                dh = matmul_t(m, g).reshape(n, b, c)
         grads = [dw, db] + grads
         if not all(np.isfinite(a).all() for a in (dw, db)):
             raise FloatingPointError(f"non-finite gradient in graph-signal layer {li}")
@@ -424,20 +382,15 @@ def _batches(dataset, idx, batch_size, rng=None):
         yield dataset.signals[chunk], dataset.labels[chunk]
 
 
-def _eval_split(model, m, dataset, idx, bufs: Buffers):
+def _eval_split(model, m, dataset, idx):
     """Mean loss and accuracy over the given sample/vertex indices, scored
     in chunks of 256 samples through the stacked operator m,
     SoftTransforms.sparse(model.dtype). No backward pass follows, so each
     forward keeps no cache, and in signal mode the last graph-signal layer
-    hands on only its vertex mean.
-
-    Every chunk computes into bufs, each chunk's views valid until the
-    next take of their names. A caller that passes the same bufs to every
-    call, as train does, allocates its arrays once and reuses their mapped
-    pages."""
+    hands on only its vertex mean."""
     losses, correct, count = [], 0, 0
     for xb, yb in _batches(dataset, idx, 256):
-        probs = _forward_batch(xb, m, model, bufs, backward=False)[0]
+        probs = _forward_batch(xb, m, model, backward=False)[0]
         loss, c, n = _score(probs, yb)[:3]
         losses.append(loss)
         correct += c
@@ -478,17 +431,15 @@ def train(dataset, graph: Graph, config: TrainConfig):
     history: list[HistoryRow] = []
     step, epoch, stage = 0, 0, "evaluation"
     # the stacked operator: built by the first record, refilled in place by
-    # every step and record after it. Every forward, of a step or a record,
-    # computes into one set of buffers: a step's cache is read by its
-    # backward pass before the next forward overwrites it
-    m, bufs = None, Buffers()
+    # every step and record after it
+    m = None
 
     def record():
         nonlocal m
         t = temperature_at(step, sched)
         m = soften(params, t).sparse(model.dtype, out=m)
-        tl, ta = _eval_split(model, m, dataset, train_idx, bufs)
-        _, va = _eval_split(model, m, dataset, val_idx, bufs)
+        tl, ta = _eval_split(model, m, dataset, train_idx)
+        _, va = _eval_split(model, m, dataset, val_idx)
         history.append(HistoryRow(step, t, tl, ta, va))
 
     try:
@@ -499,7 +450,7 @@ def train(dataset, graph: Graph, config: TrainConfig):
                 soft = soften(params, temperature_at(step, sched))
                 stage = "forward"
                 m = soft.sparse(model.dtype, out=m)
-                _, cache = _forward_batch(xb, m, model, bufs)
+                _, cache = _forward_batch(xb, m, model)
                 stage = "backward"
                 grads = _backward_batch(yb, soft, model, cache)[2]
                 opt.step(grads[:-1])
@@ -555,8 +506,9 @@ def load_checkpoint(path, graph: Graph):
     lacks an array or a meta key, was trained on another graph, or an
     array's shape does not fit the layer chain (w{i} is (k, c_{i-1}, c_i), b{i} is (c_i,),
     fc_weight is (c_last, classes), fc_bias is (classes,)), a weight array
-    is not float32 or float64 or differs in dtype from w0, or the logits do
-    not fit the graph's support, or the file is no readable .npz archive.
+    or the logits are not float32 or float64, a weight array differs in
+    dtype from w0, or the logits do not fit the graph's support, or the
+    file is no readable .npz archive.
     The model keeps the checkpoint's dtype. The meta record must be a JSON
     object whose version, k, num_layers and s_total are integers >= 1,
     t_init and t_final positive finite numbers, and mode 'signal' or 'vertex'."""
@@ -599,11 +551,12 @@ def load_checkpoint(path, graph: Graph):
         if missing:
             raise ValueError(f"{path}: checkpoint lacks arrays {', '.join(missing)}")
         weights = {name: data[name] for name in needed}
-        for name, a in weights.items():
+        logits = data["logits"]
+        for name, a in [*weights.items(), ("logits", logits)]:
             if a.dtype not in (np.float32, np.float64):
                 raise ValueError(f"{path}: {name} has dtype {a.dtype}, "
                                  f"expected float32 or float64")
-            if a.dtype != weights[needed[0]].dtype:
+            if name != "logits" and a.dtype != weights[needed[0]].dtype:
                 raise ValueError(f"{path}: {name} has dtype {a.dtype}, but "
                                  f"{needed[0]} has {weights[needed[0]].dtype}")
         k, c_in, layers = meta["k"], None, []
@@ -618,7 +571,7 @@ def load_checkpoint(path, graph: Graph):
         _check_shape(path, "fc_bias", fc_b, (fc_w.shape[1],))
         model = Model(layers, fc_w, fc_b, meta["mode"])
         try:
-            params = EdgeLogits(graph, k, data["logits"].copy())
+            params = EdgeLogits(graph, k, logits)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         sched = Schedule(meta["t_init"], meta["t_final"], meta["s_total"])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 # the kernels m @ x runs: SciPy's private module, pinned by the tests that
-# compare matmul_into and matmul_t_into with m @ x and m.T @ g byte for byte
+# compare matmul and matmul_t with m @ x and m.T @ g byte for byte
 from scipy.sparse import _sparsetools
 
 from .graph import Graph
@@ -64,8 +64,8 @@ class SoftTransforms:
         dtype (SciPy would upcast a float32 x to M's float64).
 
         For x of shape (N, F), M @ x stacks every S_k^T x; for g of shape
-        (K*N, F), M.T @ g is sum_k S_k g_k. matmul_into and matmul_t_into
-        compute them into a given array.
+        (K*N, F), M.T @ g is sum_k S_k g_k. matmul and matmul_t compute
+        them without SciPy's dispatch.
 
         With out, an operator this method built for the same graph, K and
         dtype, the values are written into out's data in place and out is
@@ -105,39 +105,33 @@ class SoftTransforms:
         return out
 
 
-def _matvecs(kernel, m: sp.csr_matrix, x: np.ndarray, out: np.ndarray, rows: int,
-             cols: int) -> np.ndarray:
-    """Runs a SciPy kernel on m's arrays, x and out, after checking that x is
-    (cols, F) and out a C-contiguous (rows, F) array, both of m's dtype:
-    the kernel reads and writes raw buffers by the sizes it is given, would
-    upcast into another dtype, and would write into a copy of an out that
-    is not C-contiguous."""
-    if x.ndim != 2 or x.shape[0] != cols or out.shape != (rows, x.shape[1]):
-        raise ValueError(f"expected x of shape ({cols}, F) and out of shape "
-                         f"({rows}, F), got {x.shape} and {out.shape}")
-    if not x.dtype == out.dtype == m.dtype:
-        raise ValueError(f"x and out must have the operator's dtype {m.dtype}, "
-                         f"got {x.dtype} and {out.dtype}")
-    if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
+def _matvecs(kernel, m: sp.csr_matrix, x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Runs a SciPy kernel on m's arrays and x into a new zeroed (rows, F)
+    array, after checking that x is (cols, F) and of m's dtype: the kernel
+    reads raw buffers by the sizes it is given, and would cast x to
+    another dtype."""
+    if x.ndim != 2 or x.shape[0] != cols:
+        raise ValueError(f"expected x of shape ({cols}, F), got {x.shape}")
+    if x.dtype != m.dtype:
+        raise ValueError(f"x must have the operator's dtype {m.dtype}, got {x.dtype}")
+    out = np.zeros((rows, x.shape[1]), x.dtype)
     kernel(rows, cols, x.shape[1], m.indptr, m.indices, m.data, x.ravel(), out.ravel())
     return out
 
 
-def matmul_into(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Adds m @ x into out and returns it, for an operator m of
-    SoftTransforms.sparse() and x of shape (N, F); out is (K*N, F), of m's
-    dtype and C-contiguous, else ValueError. Given out zeroed, it gets the
-    bits of m @ x, which runs this kernel into a new zeroed array (for
-    F = 1 its one-vector form, whose bits the tests check against this one)."""
-    return _matvecs(_sparsetools.csr_matvecs, m, x, out, *m.shape)
+def matmul(m: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """m @ x, shaped (K*N, F), for an operator m of SoftTransforms.sparse()
+    and x of shape (N, F) in m's dtype, else ValueError. It runs the kernel
+    m @ x runs, into a new zeroed array, and gets its bits (for F = 1 those
+    of its one-vector form, which the tests check against this one)."""
+    return _matvecs(_sparsetools.csr_matvecs, m, x, *m.shape)
 
 
-def matmul_t_into(m: sp.csr_matrix, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Adds m.T @ g into out and returns it, for g of shape (K*N, F) and out
-    of shape (N, F), as matmul_into. m's CSR arrays are those of m.T in CSC
-    form, so this runs the kernel m.T @ g runs, without building m.T."""
-    return _matvecs(_sparsetools.csc_matvecs, m, g, out, *m.shape[::-1])
+def matmul_t(m: sp.csr_matrix, g: np.ndarray) -> np.ndarray:
+    """m.T @ g, shaped (N, F), for g of shape (K*N, F), as matmul. m's CSR
+    arrays are those of m.T in CSC form, so this runs the kernel m.T @ g
+    runs, without building m.T."""
+    return _matvecs(_sparsetools.csc_matvecs, m, g, *m.shape[::-1])
 
 
 def soften(params: EdgeLogits, t: float) -> SoftTransforms:

@@ -1,18 +1,10 @@
 """Dense reference objects for the tests, built from neighbor and entry
 lists alone, so that they share no code path with the sparse operator or
-the array graph builders; and forward, the classifier's own forward pass
-through buffers of its own."""
+the array graph builders."""
 import numpy as np
 import scipy.sparse as sp
 
 from gstrans.graph import Graph
-from gstrans.nn import Buffers, _forward_batch
-
-
-def forward(xb, m, model, backward=True):
-    """nn._forward_batch through a new Buffers, so that its probs and cache
-    stay valid whatever other forward runs after it."""
-    return _forward_batch(xb, m, model, Buffers(), backward)
 
 
 def dense_slices(soft):

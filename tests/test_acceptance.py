@@ -15,11 +15,11 @@ from gstrans.cli import main as cli_main
 from gstrans.data import load_cifar10, load_webkb, make_ring_task, make_splits
 from gstrans.evaluate import canonical_distances, transform_distance
 from gstrans.graph import build_grid_graph, build_ring_graph
-from gstrans.nn import (TrainConfig, _backward_batch, _loss_grad_output, build_model,
-                        train)
+from gstrans.nn import (TrainConfig, _backward_batch, _forward_batch, _loss_grad_output,
+                        build_model, train)
 from gstrans.transforms import (EdgeLogits, Schedule, convolve, mode3_product,
                                 one_hot_soft, soften, temperature_at)
-from oracles import forward, neighbors
+from oracles import neighbors
 
 CIFAR_DIR = os.environ.get("CIFAR10_DIR", "data/cifar-10-batches-bin")
 WEBKB_CONTENT = os.environ.get("WEBKB_CONTENT", "data/webkb/webkb.content")
@@ -76,13 +76,13 @@ class TestGradientCorrectness:
         xb = rng.standard_normal((1, 8, 1))
         yb, t = np.array([2]), 0.9
         soft = soften(params, t)
-        _, cache = forward(xb, soft.sparse(model.dtype), model)
+        _, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
         _, _, analytic = _backward_batch(yb, soft, model, cache)
         arrays = model.param_arrays() + [params.logits]
 
         def loss():
             m = soften(params, t).sparse(model.dtype)
-            return _loss_grad_output(forward(xb, m, model)[0], yb)[0]
+            return _loss_grad_output(_forward_batch(xb, m, model)[0], yb)[0]
 
         h = 1e-5
         rel_errors = []

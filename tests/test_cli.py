@@ -313,6 +313,21 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fc_weight has dtype float64" in err
 
+    @pytest.mark.parametrize("dtype", ["U8", np.bool_, np.complex128],
+                             ids=["str", "bool", "complex"])
+    def test_logits_dtype_rejected(self, tmp_path, capsys, dtype):
+        path = run_train(tmp_path) / "checkpoint.npz"
+        with np.load(path) as f:
+            arrays = dict(f)
+        arrays["logits"] = arrays["logits"].astype(dtype)
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(path)] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: logits has dtype {np.dtype(dtype)}, "
+                       f"expected float32 or float64\n")
+
     def test_unsupported_version(self, tmp_path, capsys):
         path, meta = trained_meta(tmp_path)
         meta["version"] = 2

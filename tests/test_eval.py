@@ -4,9 +4,9 @@ import pytest
 from gstrans.data import make_ring_task
 from gstrans.evaluate import (CANONICAL_NAMES, _canonical_maps, canonical_distances,
                               evaluate_accuracy, transform_distance, transform_report)
-from gstrans.nn import TrainConfig, train
+from gstrans.nn import TrainConfig, _forward_batch, train
 from gstrans.transforms import Schedule, soften
-from oracles import canonical_maps, forward
+from oracles import canonical_maps
 
 
 def by_name(height, width):
@@ -195,7 +195,7 @@ class TestEvaluateAccuracy:
         idx = self.ds.splits["val"]
         acc = evaluate_accuracy(self.model, self.params, self.ds, "val", 0.5)
         m = soften(self.params, 0.5).sparse(self.model.dtype)
-        preds = [int(np.argmax(forward(self.ds.signals[i:i + 1], m, self.model)[0][0]))
+        preds = [int(np.argmax(_forward_batch(self.ds.signals[i:i + 1], m, self.model)[0][0]))
                  for i in idx]
         expected = float(np.mean([p == self.ds.labels[i]
                                   for p, i in zip(preds, idx)]))

@@ -1,11 +1,11 @@
-import copy
+import ctypes
 import importlib.util
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,15 +14,15 @@ import pytest
 from gstrans.data import Dataset, make_ring_task
 from gstrans.errors import TrainingDivergedError
 from gstrans.graph import build_grid_graph, build_ring_graph
-from gstrans import nn
-from gstrans.nn import (TRAIN_DTYPE, Adam, Buffers, GSLayerParams, Model, SGD,
+from gstrans import cli, nn
+from gstrans.nn import (TRAIN_DTYPE, Adam, GSLayerParams, Model, SGD,
                         TrainConfig, _backward_batch, _eval_split,
                         _forward_batch, _loss_grad_output, build_model,
                         graph_hash, load_checkpoint, save_checkpoint, train)
 from gstrans.transforms import (EdgeLogits, Schedule, SoftTransforms, convolve,
                                 one_hot_soft, soften, soften_backward, temperature_at)
-from oracles import (AdamPerArray, SGDPerArray, bare_ring, dense_slices, forward,
-                     neighbors, same_bits, unblocked_forward)
+from oracles import (AdamPerArray, SGDPerArray, bare_ring, dense_slices, neighbors,
+                     same_bits, unblocked_forward)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,18 +37,18 @@ def layer_z(x, soft, layer):
     vertex mode: a signal-mode last layer runs after the vertex mean and
     caches no z."""
     model = Model([layer], np.zeros((layer.w.shape[2], 2)), np.zeros(2), "vertex")
-    _, cache = forward(x[None], soft.sparse(model.dtype), model)
+    _, cache = _forward_batch(x[None], soft.sparse(model.dtype), model)
     return cache["layers"][0][2][:, 0]
 
 
 def batch_loss(xb, yb, model, params, t):
-    probs, _ = forward(xb, soften(params, t).sparse(model.dtype), model)
+    probs, _ = _forward_batch(xb, soften(params, t).sparse(model.dtype), model)
     return _loss_grad_output(probs, yb)[0]
 
 
 def batch_grads(xb, yb, model, params, t):
     soft = soften(params, t)
-    _, cache = forward(xb, soft.sparse(model.dtype), model)
+    _, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
     return _backward_batch(yb, soft, model, cache)[2]
 
 
@@ -130,7 +130,7 @@ class TestModelForward:
         model = build_model(2, (4, 4), 3, 2, "signal", rng)
         params = EdgeLogits.init(g, 2, rng)
         xb = rng.standard_normal((1, 6, 2))
-        p = forward(xb, soften(params, 1.0).sparse(model.dtype), model)[0][0]
+        p = _forward_batch(xb, soften(params, 1.0).sparse(model.dtype), model)[0][0]
         assert p.shape == (3,)
         assert p.sum() == pytest.approx(1.0)
         assert np.all(p > 0)
@@ -141,7 +141,7 @@ class TestModelForward:
         model = build_model(1, (4,), 2, 3, "vertex", rng)
         params = EdgeLogits.init(g, 3, rng)
         xb = rng.standard_normal((1, 6, 1))
-        p = forward(xb, soften(params, 0.5).sparse(model.dtype), model)[0][0]
+        p = _forward_batch(xb, soften(params, 0.5).sparse(model.dtype), model)[0][0]
         assert p.shape == (6, 2)
         assert np.allclose(p.sum(axis=1), 1.0)
 
@@ -209,7 +209,7 @@ class TestGradients:
         model.fc_weight[:] = [1e30, -1e30]
         soft = soften(EdgeLogits.init(g, 2, rng), 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            probs, cache = forward(np.ones((2, 8, 1)), soft.sparse(model.dtype), model)
+            probs, cache = _forward_batch(np.ones((2, 8, 1)), soft.sparse(model.dtype), model)
             assert np.all(np.isfinite(probs))
             with pytest.raises(FloatingPointError,
                                match="non-finite gradient in graph-signal layer 1"):
@@ -365,6 +365,18 @@ class TestSameOutputsScript:
                                       {"ring": self.COMMANDS["ring"]})
         assert "ring: checkpoint.npz: array w0 differs" in found, found
         assert not [f for f in found if "exit code" in f or "only in one" in f], found
+
+    def test_relative_paths(self, tmp_path, monkeypatch, capsys):
+        # every command runs in its run directory, so a relative WORK left
+        # unresolved would send this train to a data dir that is not there,
+        # and both trees would exit 2 alike
+        monkeypatch.chdir(tmp_path)
+        tree = os.path.relpath(ROOT, tmp_path)
+        cifar = ["train", "--dataset", "cifar10", "--data-dir", "{inputs}/cifar-1",
+                 "--k", "2", "--layers", "4", "--max-train", "32", "--steps", "2"]
+        assert self.script().main([tree, tree, "work"], {"cifar": cifar}) == 0
+        assert capsys.readouterr().out.splitlines() == ["cifar: exit 0, same", "identical"]
+        assert (tmp_path / "work" / "old" / "cifar" / "checkpoint.npz").is_file()
 
 
 def tiny_ring_dataset(seed=0):
@@ -586,8 +598,8 @@ class TestCheckpoint:
         monkeypatch.setattr(nn, "_forward_batch", recording_forward)
         idx = ds.splits["val"]
         m2 = soften(params2, 0.5).sparse(model2.dtype)
-        assert _eval_split(model2, m2, ds, idx, Buffers()) == \
-            _eval_split(model, soften(params, 0.5).sparse(model.dtype), ds, idx, Buffers())
+        assert _eval_split(model2, m2, ds, idx) == \
+            _eval_split(model, soften(params, 0.5).sparse(model.dtype), ds, idx)
         assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("name,dtype,match", [
@@ -731,7 +743,7 @@ class TestKernelEquivalence:
     def test_batched_matches_dense_oracle(self, case):
         mode, hidden, one_hot = KERNEL_CASES[case]
         model, _, soft, xb, yb = kernel_case(mode, np.float64, hidden, one_hot)
-        probs, cache = forward(xb, soft.sparse(model.dtype), model)
+        probs, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
         loss, _, grads = _backward_batch(yb, soft, model, cache)
         probs_o, loss_o, grads_o = dense_oracle(xb, yb, soft, model)
         assert np.allclose(probs, probs_o, rtol=0, atol=1e-12)
@@ -747,7 +759,7 @@ class TestKernelEquivalence:
         # stays float64
         mode, hidden, one_hot = KERNEL_CASES[case]
         model, _, soft, xb, yb = kernel_case(mode, np.float32, hidden, one_hot)
-        probs, cache = forward(xb, soft.sparse(model.dtype), model)
+        probs, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
         loss, _, grads = _backward_batch(yb, soft, model, cache)
         assert probs.dtype == cache["pooled"].dtype == np.float32
         # full layers cache (h, u, z); a signal-mode last layer caches (mean_n h,)
@@ -771,7 +783,7 @@ class TestVertexMeanIdentity:
     @pytest.mark.parametrize("hidden", [(4,), (4, 3)])
     def test_last_layer_weight_gradients_equal_over_slices(self, hidden):
         model, _, soft, xb, yb = kernel_case("signal", np.float64, hidden)
-        _, cache = forward(xb, soft.sparse(model.dtype), model)
+        _, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
         dw = _backward_batch(yb, soft, model, cache)[2][2 * len(hidden) - 2]
         assert dw.shape == model.gsl_layers[-1].w.shape
         assert all(np.array_equal(dw_k, dw[0]) for dw_k in dw[1:])
@@ -779,7 +791,7 @@ class TestVertexMeanIdentity:
 
     def test_one_layer_logit_gradient_is_zero(self):
         model, params, soft, xb, yb = kernel_case("signal", np.float64, (4,))
-        _, cache = forward(xb, soft.sparse(model.dtype), model)
+        _, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
         dlogits = _backward_batch(yb, soft, model, cache)[2][-1]
         assert dlogits.shape == params.logits.shape
         assert np.array_equal(dlogits, np.zeros_like(dlogits))
@@ -840,7 +852,7 @@ class TestBlockedKernel:
     def test_float32_bits_equal_unblocked(self, shape, batch):
         model, m, xb = block_case(shape, batch, np.float32)
         probs_o, uz = unblocked_forward(xb, m, model)
-        probs, cache = forward(xb, m, model)
+        probs, cache = _forward_batch(xb, m, model)
         assert probs.dtype == np.float32
         assert same_bits(probs, probs_o)
         assert len(cache["layers"]) == len(model.gsl_layers)
@@ -848,32 +860,27 @@ class TestBlockedKernel:
             assert same_bits(u, u_o)
             assert same_bits(z, z_o)
         # evaluation's forward pools block by block and keeps no u or z
-        probs_e, cache_e = forward(xb, m, model, backward=False)
+        probs_e, cache_e = _forward_batch(xb, m, model, backward=False)
         assert cache_e is None
         assert same_bits(probs_e, probs)
-        # through buffers, and again through the buffers the first call made
-        bufs = Buffers()
-        for _ in range(2):
-            assert same_bits(_forward_batch(xb, m, model, bufs, backward=False)[0],
-                             probs)
 
     @pytest.mark.parametrize("batch", [1, 7, 64, 256])
     def test_c_in_1_layer_takes_exact_zeros(self, batch):
         # what c-in-1-after-relu pins: a u with exact zeros, where a whole
         # neighbourhood of the ReLU'd layer below is zero, through np.dot
         model, m, xb = block_case("c-in-1-after-relu", batch, np.float32)
-        u = forward(xb, m, model)[1]["layers"][2][1]
+        u = _forward_batch(xb, m, model)[1]["layers"][2][1]
         assert np.count_nonzero(u == 0) > u.size // 10
 
     @pytest.mark.parametrize("shape,batch", BLOCK_CASES)
     def test_float64_matches_unblocked(self, shape, batch):
         model, m, xb = block_case(shape, batch, np.float64)
         probs_o, uz = unblocked_forward(xb, m, model)
-        probs, cache = forward(xb, m, model)
+        probs, cache = _forward_batch(xb, m, model)
         for (u_o, z_o), (_, u, z) in zip(uz, cache["layers"], strict=False):
             assert np.allclose(u, u_o, rtol=0, atol=1e-12)
             assert np.allclose(z, z_o, rtol=0, atol=1e-12)
-        for p in (probs, forward(xb, m, model, backward=False)[0]):
+        for p in (probs, _forward_batch(xb, m, model, backward=False)[0]):
             assert p.dtype == np.float64
             assert np.allclose(p, probs_o, rtol=0, atol=1e-12)
 
@@ -886,11 +893,11 @@ class TestBlockedKernel:
         model, m, xb = block_case(shape, batch, np.float32)
         probs_o, uz = unblocked_forward(xb, m, model)
         monkeypatch.setattr(nn, "BLOCK_BYTES", block_bytes)
-        probs, cache = forward(xb, m, model)
+        probs, cache = _forward_batch(xb, m, model)
         assert same_bits(probs, probs_o)
         for (_, z_o), (_, _, z) in zip(uz, cache["layers"], strict=False):
             assert same_bits(z, z_o)
-        assert same_bits(forward(xb, m, model, backward=False)[0], probs_o)
+        assert same_bits(_forward_batch(xb, m, model, backward=False)[0], probs_o)
 
     @pytest.mark.parametrize("shape", ["ring", "grid"])
     @np.errstate(invalid="ignore", over="ignore")
@@ -905,7 +912,7 @@ class TestBlockedKernel:
         h = np.ascontiguousarray(xb.transpose(1, 0, 2), dtype=np.float32)
         layer = model.gsl_layers[0]
         layer.w[:, 0, 0] = np.abs(layer.w[:, 0, 0])
-        u, z = nn._gsl(m, h, layer, Buffers(), True)
+        u, z = nn._gsl(m, h, layer, True)
         sums = u[0] @ layer.w[0]
         for u_k, w_k in zip(u[1:], layer.w[1:]):
             sums += u_k @ w_k
@@ -913,8 +920,8 @@ class TestBlockedKernel:
         assert np.isnan(sums).any() and (sums == -np.inf).any() and (sums == np.inf).any()
         relu = np.maximum(sums, 0.0).reshape(z.shape)
         assert same_bits(z, relu)
-        # evaluation's pooled layer, through buffers
-        total = nn._gsl(m, h, layer, Buffers(), True, pool=True)[1]
+        # evaluation's pooled layer
+        total = nn._gsl(m, h, layer, True, pool=True)[1]
         assert same_bits(total, relu.mean(axis=0))
         # numpy's matmul and np.dot sum their products from +0.0, so no sum
         # the kernel makes is -0.0: the identity is checked on a row with one
@@ -922,180 +929,28 @@ class TestBlockedKernel:
         assert same_bits(np.maximum(row, np.zeros_like(row)), np.maximum(row, 0.0))
 
 
-def ring_benchmark_case(dtype=TRAIN_DTYPE, seed=0):
+def ring_benchmark_case():
     """The ring benchmark's shape: a 16-vertex ring, K=3, layers 16,16,16,
     640 training samples (chunks of 256, 256 and 128) and 80 for
     validation; returns the dataset, the model and its soft transforms."""
-    ds, g = make_ring_task(16, 4, 200, 0.05, seed)
-    rng = np.random.default_rng(seed)
-    model = build_model(1, (16, 16, 16), 4, 3, "signal", rng, dtype)
+    ds, g = make_ring_task(16, 4, 200, 0.05, 0)
+    rng = np.random.default_rng(0)
+    model = build_model(1, (16, 16, 16), 4, 3, "signal", rng, TRAIN_DTYPE)
     return ds, model, soften(EdgeLogits.init(g, 3, rng, scale=1.0), 0.7)
 
 
-def vertex_case():
-    """A vertex-mode dataset on an 8x8 grid, its model and its soft
-    transforms: 40 labeled vertices for training, 24 for validation."""
-    g = build_grid_graph(8, 8)
-    rng = np.random.default_rng(4)
-    labels = rng.integers(0, 3, g.n)
-    ds = Dataset("vertex", [rng.standard_normal((g.n, 5))], labels, 3,
-                 {"train": np.arange(40), "val": np.arange(40, 64)})
-    model = build_model(5, (6, 4), 3, 2, "vertex", rng, TRAIN_DTYPE)
-    return ds, model, soften(EdgeLogits.init(g, 2, rng, scale=1.0), 0.7)
-
-
-def chunk_probs(monkeypatch, fn):
-    """fn()'s result, and the probs of every evaluation chunk it scored."""
-    probs = []
-    original = nn._forward_batch
-
-    def recording_forward(*args, **kwargs):
-        out = original(*args, **kwargs)
-        probs.append(out[0].copy())
-        return out
-
-    monkeypatch.setattr(nn, "_forward_batch", recording_forward)
-    try:
-        return fn(), probs
-    finally:
-        monkeypatch.setattr(nn, "_forward_batch", original)
-
-
-def fresh_eval(model, m, ds, idx):
-    """_eval_split's result and chunk probs from forwards of new arrays."""
-    out = []
-    for xb, _ in nn._batches(ds, idx, 256):
-        out.append(forward(xb, m, model, backward=False)[0])
-    return out
-
-
-class TestEvalBuffers:
-    """_eval_split through one Buffers shared by its calls against
-    forwards that compute into new arrays."""
-
-    def test_shared_across_splits_and_calls(self, monkeypatch):
+class TestKeepFreedPages:
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="libc has no mallopt")
+    def test_second_eval_pass_takes_no_page_faults(self):
+        # under the CLI's allocator setting a pass's arrays come from the
+        # heap pages the pass before it freed; without it, the ring's train
+        # split takes about 990 minor page faults per pass
+        cli.keep_freed_pages()
         ds, model, soft = ring_benchmark_case()
-        m = soft.sparse(model.dtype)
-        bufs = Buffers()
-        first = {}
-        for _ in range(2):
-            for split in ("train", "val", "train"):
-                idx = ds.splits[split]
-                result, probs = chunk_probs(monkeypatch,
-                                            lambda: _eval_split(model, m, ds, idx, bufs))
-                fresh = fresh_eval(model, m, ds, idx)
-                assert len(probs) == len(fresh) == (3 if split == "train" else 1)
-                assert all(same_bits(p, q) for p, q in zip(probs, fresh, strict=True))
-                assert first.setdefault(split, result) == result
-                assert result == _eval_split(model, m, ds, idx, Buffers())
-
-    def test_float32_then_float64_model(self, monkeypatch):
-        bufs = Buffers()
-        for dtype in (np.float32, np.float64, np.float32):
-            ds, model, soft = ring_benchmark_case(dtype)
-            m = soft.sparse(model.dtype)
-            idx = ds.splits["train"]
-            _, probs = chunk_probs(monkeypatch, lambda: _eval_split(model, m, ds, idx, bufs))
-            assert {p.dtype for p in probs} == {np.dtype(dtype)}
-            assert all(same_bits(p, q) for p, q in
-                       zip(probs, fresh_eval(model, m, ds, idx), strict=True))
-
-    def test_vertex_mode(self, monkeypatch):
-        ds, model, soft = vertex_case()
-        m = soft.sparse(model.dtype)
-        bufs = Buffers()
-        for split in ("train", "val", "train"):
-            idx = ds.splits[split]
-            result, probs = chunk_probs(monkeypatch,
-                                        lambda: _eval_split(model, m, ds, idx, bufs))
-            (fresh,) = fresh_eval(model, m, ds, idx)
-            assert same_bits(probs[0], fresh) and fresh.shape == (1, ds.signals.shape[1], 3)
-            assert result == _eval_split(model, m, ds, idx, Buffers())
-
-    def test_second_pass_allocates_no_chunk(self):
-        # a 256-row chunk of the ring's second layer alone has a u of 768 KB;
-        # numpy reports its buffers to tracemalloc
-        ds, model, soft = ring_benchmark_case()
-        m = soft.sparse(model.dtype)
-        idx, bufs = ds.splits["train"], Buffers()
-        first = _eval_split(model, m, ds, idx, bufs)
-        tracemalloc.start()
-        try:
-            second = _eval_split(model, m, ds, idx, bufs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        m, idx = soft.sparse(model.dtype), ds.splits["train"]
+        first = _eval_split(model, m, ds, idx)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        second = _eval_split(model, m, ds, idx)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before == 0
         assert second == first
-        assert peak < 256 * 1024, peak
-
-    def test_take_reuses_until_larger_or_other_dtype(self):
-        bufs = Buffers()
-        a = bufs.take("u", (4, 8), np.float32)
-        smaller = bufs.take("u", (3, 5), np.float32)
-        assert np.shares_memory(a, smaller) and smaller.shape == (3, 5)
-        assert not np.shares_memory(a, bufs.take("v", (4, 8), np.float32))
-        assert bufs.child(0) is bufs.child(0) and bufs.child(0) is not bufs.child(1)
-        for shape, dtype in (((5, 8), np.float32), ((2, 2), np.float64)):
-            b = bufs.take("u", shape, dtype)
-            assert not np.shares_memory(a, b) and b.shape == shape and b.dtype == dtype
-            a = b
-
-
-def train_order(monkeypatch, ds, model, soft, bufs_of, epochs=2):
-    """The forwards of train, in its order: a record (an _eval_split of each
-    split), then each epoch's steps and a record, every call through the
-    Buffers bufs_of() returns. The weights, a copy of model's, move by SGD,
-    so that each forward sees new values. Returns every chunk's probs and
-    every step's gradients, in call order."""
-    model = copy.deepcopy(model)
-    m = soft.sparse(model.dtype)
-    opt, rng, out = SGD(model.param_arrays(), 0.1), np.random.default_rng(5), []
-
-    def record():
-        for split in ("train", "val"):
-            idx = ds.splits[split]
-            out.extend(chunk_probs(monkeypatch,
-                                   lambda: _eval_split(model, m, ds, idx, bufs_of()))[1])
-
-    record()
-    for _ in range(epochs):
-        for xb, yb in nn._batches(ds, ds.splits["train"], 32, rng):
-            _, cache = _forward_batch(xb, m, model, bufs_of())
-            grads = _backward_batch(yb, soft, model, cache)[2]
-            out.extend(a.copy() for a in grads)
-            opt.step(grads[:-1])
-        record()
-    return out
-
-
-class TestTrainBuffers:
-    """Training forwards and records through one Buffers, as train runs
-    them, against the same calls through a new Buffers each."""
-
-    # ring: 3 records of 4 chunks, 2 epochs of 20 steps of 9 gradients;
-    # vertex: 3 records of 2 chunks, 2 epochs of 1 step of 7 gradients
-    @pytest.mark.parametrize("case,arrays", [(ring_benchmark_case, 372), (vertex_case, 20)],
-                             ids=["ring", "vertex"])
-    def test_steps_and_records_share_buffers(self, monkeypatch, case, arrays):
-        ds, model, soft = case()
-        bufs = Buffers()
-        shared = train_order(monkeypatch, ds, model, soft, lambda: bufs)
-        fresh = train_order(monkeypatch, ds, model, soft, Buffers)
-        assert len(shared) == len(fresh) == arrays
-        assert all(same_bits(a, b) for a, b in zip(shared, fresh, strict=True))
-
-    def test_second_forward_allocates_no_batch(self):
-        # ring's 32-row batch has a second-layer u of 96 KB; numpy reports
-        # its buffers to tracemalloc, and its ufuncs' own fixed buffers
-        # (about 33 KB for the bias add) stay under 64 KB
-        ds, model, soft = ring_benchmark_case()
-        m, xb, bufs = soft.sparse(model.dtype), ds.signals[:32], Buffers()
-        first = _forward_batch(xb, m, model, bufs)[0]
-        tracemalloc.start()
-        try:
-            second = _forward_batch(xb, m, model, bufs)[0]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert same_bits(second, first)
-        assert peak < 64 * 1024, peak

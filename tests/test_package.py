@@ -8,15 +8,17 @@ import gstrans
 # single-sample and test-only helpers that the batched kernel replaced,
 # wrappers around the one canonical-map table and the one stacked operator,
 # the ring task's guard against rotation collisions of continuous draws,
-# the second copy of the support that Graph's own CSR arrays replaced, and
-# the wrapper around the (K, N) array of hardened maps
+# the second copy of the support that Graph's own CSR arrays replaced, the
+# wrapper around the (K, N) array of hardened maps, and the arena of arrays
+# kept across forward passes with the operator products that took an out
 REMOVED = {
-    "nn": ("gsl_forward", "model_forward", "cross_entropy", "backward", "_array"),
+    "nn": ("gsl_forward", "model_forward", "cross_entropy", "backward", "_array",
+           "Buffers"),
     "graph": ("laplacian", "_from_sets"),
     "evaluate": ("CanonicalTransform", "canonical_transforms", "nearest_canonical"),
     "errors": ("InsufficientDataError",),
     "transforms": ("_weighted_transpose", "_stacked_transpose", "EdgeIndex",
-                   "edge_index", "HardTransforms"),
+                   "edge_index", "HardTransforms", "matmul_into", "matmul_t_into"),
     "data": ("_has_rotation_collision",),
 }
 
