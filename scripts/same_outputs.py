@@ -78,6 +78,8 @@ COMMANDS = {
                    "--steps", "400", "--sweep-axis", "t-final",
                    "--sweep-values", "0.05,0.01", "--repeats", "2"],
     "webkb": ["train", *WEBKB, "--k", "3", "--layers", "32,16", "--steps", "40"],
+    "eval-webkb": ["eval", *WEBKB, "--checkpoint", "{runs}/webkb/checkpoint.npz",
+                   "--split", "test"],
     # the CLI's own texts: help, usage and argparse's errors
     "help": ["--help"],
     **{f"help-{name}": [name, "--help"]

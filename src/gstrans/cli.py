@@ -18,6 +18,7 @@ LR_DEFAULTS = {"ring": 5e-4}
 # need a larger step to saturate the softmax before the anneal sharpens it
 LOGIT_LR_DEFAULTS = {"ring": 0.05, "cifar10": 0.02, "webkb": 0.02}
 TRUE_WORDS = ("1", "true", "yes", "on")
+FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def _read_config_file(path) -> list[tuple[int, str, str]]:
@@ -46,7 +47,9 @@ def _with_config(args, argv: list[str]) -> list[str]:
             raise ValueError(f"{args.config}:{ln}: unknown key {key!r} "
                              f"for '{args.command}'")
         if dest == "downscale":
-            if value.lower() not in TRUE_WORDS:
+            if value.lower() not in TRUE_WORDS + FALSE_WORDS:
+                raise ValueError(f"{args.config}:{ln}: {key} = {value!r} is not a boolean")
+            if value.lower() in FALSE_WORDS:
                 flags.append("--no-downscale")
         else:
             flags.append(f"--{dest.replace('_', '-')}={value}")
@@ -160,7 +163,7 @@ def _train_config(args, ds) -> nn.TrainConfig:
         per_epoch = (1 if ds.mode == "vertex" else
                      max(1, -(-len(ds.splits["train"]) // args.batch_size)))
         steps = args.epochs * per_epoch
-    lr = args.lr if args.lr is not None else LR_DEFAULTS.get(args.dataset, 1e-3)
+    lr = args.lr if args.lr is not None else LR_DEFAULTS.get(args.dataset, nn.TrainConfig.lr)
     return nn.TrainConfig(
         schedule=Schedule(args.t_init, args.t_final, steps),
         lr=lr, batch_size=args.batch_size, optimizer=args.optimizer,
@@ -304,7 +307,7 @@ SHARED = (
 )
 # ...and those of the subcommands that load a dataset
 COMMON = SHARED + (
-    ("--seed", dict(type=int, default=0)),
+    ("--seed", dict(type=int, default=nn.TrainConfig.seed)),
     ("--dataset", dict(choices=["ring", "cifar10", "webkb"], default="ring")),
     ("--graph", dict(default="auto",
                      choices=["auto", "grid", "ring", "knn-covariance", "edge-list"])),
@@ -312,15 +315,16 @@ COMMON = SHARED + (
     ("--data-dir", dict(help="CIFAR-10 binary batch dir")),
     ("--content", dict(help="WebKB content file")),
     ("--cites", dict(help="WebKB cites file")),
-    ("--k", dict(type=int, default=5, help="number of transformation slices")),
+    ("--k", dict(type=int, default=nn.TrainConfig.k,
+                  help="number of transformation slices")),
     ("--t-init", dict(type=float, default=10.0)),
     ("--t-final", dict(type=float, default=0.01)),
     ("--steps", dict(type=_positive_int, default=2000)),
     ("--epochs", dict(type=_positive_int)),
     ("--lr", dict(type=float)),
     ("--logit-lr", dict(type=float)),
-    ("--batch-size", dict(type=_positive_int, default=32)),
-    ("--optimizer", dict(choices=["adam", "sgd"], default="adam")),
+    ("--batch-size", dict(type=_positive_int, default=nn.TrainConfig.batch_size)),
+    ("--optimizer", dict(choices=["adam", "sgd"], default=nn.TrainConfig.optimizer)),
     ("--layers", dict(help="comma-separated GSL channel widths")),
     ("--knn", dict(type=int, default=5, help="neighbors for the covariance graph")),
     ("--no-downscale", dict(dest="downscale", action="store_false")),
@@ -376,7 +380,7 @@ def keep_freed_pages():
     its pages in anew. Raises the mmap threshold to 32 MiB, the ceiling
     mallopt(3) documents for 64-bit systems, and the trim threshold to
     1 GiB; does nothing where libc has no mallopt."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    mallopt = getattr(ctypes.pythonapi, "mallopt", None)
     if mallopt is not None:
         mallopt(M_MMAP_THRESHOLD, 32 << 20)
         mallopt(M_TRIM_THRESHOLD, 1 << 30)

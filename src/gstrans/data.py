@@ -22,6 +22,7 @@ CIFAR_RECORD_BYTES = 3073
 # grid benchmark load in a fresh process took 1 760 minor faults at 32, and
 # 6 390, 2 250 and 4 310 at 16, 64 and 256 records.
 _CHUNK_RECORDS = 32
+CIFAR_VAL_FRACTION = 0.1
 CIFAR_SPLITS = ("train", "val", "test")
 WEBKB_CLASSES = ("course", "faculty", "project", "staff", "student")
 
@@ -96,13 +97,13 @@ def _convert(chunk: np.ndarray, downscale: bool) -> np.ndarray:
     return pixels.reshape(len(chunk), -1, 3)
 
 
-def load_cifar10(path, val_fraction: float = 0.1, downscale: bool = False,
-                 splits=CIFAR_SPLITS, max_train: int | None = None) -> Dataset:
+def load_cifar10(path, downscale: bool = False, splits=CIFAR_SPLITS,
+                 max_train: int | None = None) -> Dataset:
     """Load the standard binary batches under ``path``, reading one file at a
     time into one reused buffer and converting it, in chunks of records,
     straight into the float output.
 
-    Training batches are split train/val by the trailing ``val_fraction``;
+    Training batches are split train/val by the trailing CIFAR_VAL_FRACTION;
     test_batch.bin, when present, becomes the test split. ``downscale`` gives
     each image's 16x16 grid of 2x2 block means, (S, 256, 3), not (S, 1024, 3).
 
@@ -118,15 +119,12 @@ def load_cifar10(path, val_fraction: float = 0.1, downscale: bool = False,
         raise ValueError(f"CIFAR-10 splits are {CIFAR_SPLITS}, got {tuple(splits)}")
     if max_train is not None and max_train < 0:
         raise ValueError(f"max_train must be >= 0, got {max_train}")
-    if not (math.isfinite(val_fraction) and 0 <= val_fraction <= 1):
-        raise ValueError(f"val_fraction must be finite and in [0, 1], got {val_fraction}")
     test_file = path / "test_batch.bin"
     files = train_files + ([test_file] if test_file.exists() else [])
     sizes = [f.stat().st_size for f in files]
     counts = [size // CIFAR_RECORD_BYTES for size in sizes]
     n_train_total = sum(counts[:len(train_files)])
-    n_val = int(round(val_fraction * n_train_total))
-    n_train = n_train_total - n_val
+    n_train = n_train_total - int(round(CIFAR_VAL_FRACTION * n_train_total))
     bounds = {"train": (0, n_train if max_train is None else min(n_train, max_train)),
               "val": (n_train, n_train_total), "test": (n_train_total, sum(counts))}
     # the splits asked for, in file order (their record ranges do not
@@ -212,7 +210,7 @@ def load_webkb(content_path, cites_path) -> tuple[Dataset, Graph]:
         log.info("dropped %d citations referencing unknown page ids", dropped)
     dataset = Dataset("vertex", np.vstack(feats)[None], np.asarray(labels),
                       len(WEBKB_CLASSES))
-    dataset.splits = make_splits(dataset, (0.6, 0.2, 0.2), 1, seed=0)[0]
+    dataset.splits = make_splits(dataset, (0.6, 0.2, 0.2), seed=0)
     return dataset, from_pairs(len(index), *np.array(pairs).T)
 
 
@@ -240,31 +238,29 @@ def make_ring_task(n: int, num_classes: int, samples_per_class: int,
     # np.roll(wave, shift)[j] == wave[(j - shift) % n]
     signals = waves[labels[:, None], (np.arange(n) - shifts[:, None]) % n] + noise_std * noise
     dataset = Dataset("signal", signals[:, :, None], labels, num_classes)
-    dataset.splits = make_splits(dataset, (0.8, 0.1, 0.1), 1, seed=seed)[0]
+    dataset.splits = make_splits(dataset, (0.8, 0.1, 0.1), seed=seed)
     return dataset, build_ring_graph(n)
 
 
 def make_splits(dataset: Dataset, ratios: tuple[float, float, float],
-                num_splits: int, seed: int) -> list[dict[str, np.ndarray]]:
-    """Stratified-by-class random train/val/test assignments."""
+                seed: int | np.random.Generator) -> dict[str, np.ndarray]:
+    """A stratified-by-class random train/val/test assignment; successive
+    calls on one np.random.Generator as ``seed`` draw distinct splits."""
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must sum to 1")
     labels = dataset.labels
     items = np.nonzero(labels >= 0)[0]
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(num_splits):
-        parts: dict[str, list[np.ndarray]] = {"train": [], "val": [], "test": []}
-        for c in range(dataset.num_classes):
-            members = items[labels[items] == c]
-            n_c = len(members)
-            bounds = np.floor(np.cumsum(ratios) * n_c + 0.5).astype(int)
-            if bounds[0] < 1 or bounds[1] - bounds[0] < 1 or n_c - bounds[1] < 1:
-                raise ValueError(
-                    f"class {c} has too few samples ({n_c}) for ratios {ratios}")
-            perm = rng.permutation(members)
-            parts["train"].append(perm[:bounds[0]])
-            parts["val"].append(perm[bounds[0]:bounds[1]])
-            parts["test"].append(perm[bounds[1]:])
-        out.append({k: np.sort(np.concatenate(v)) for k, v in parts.items()})
-    return out
+    parts: dict[str, list[np.ndarray]] = {"train": [], "val": [], "test": []}
+    for c in range(dataset.num_classes):
+        members = items[labels[items] == c]
+        n_c = len(members)
+        bounds = np.floor(np.cumsum(ratios) * n_c + 0.5).astype(int)
+        if bounds[0] < 1 or bounds[1] - bounds[0] < 1 or n_c - bounds[1] < 1:
+            raise ValueError(
+                f"class {c} has too few samples ({n_c}) for ratios {ratios}")
+        perm = rng.permutation(members)
+        parts["train"].append(perm[:bounds[0]])
+        parts["val"].append(perm[bounds[0]:bounds[1]])
+        parts["test"].append(perm[bounds[1]:])
+    return {k: np.sort(np.concatenate(v)) for k, v in parts.items()}

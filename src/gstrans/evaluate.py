@@ -64,10 +64,9 @@ def transform_report(distances: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate_accuracy(model, params: EdgeLogits, dataset, split, t: float) -> float:
-    """Fraction of correct argmax predictions on a split (name or index array)."""
-    idx = dataset.splits[split] if isinstance(split, str) else np.asarray(split)
+def evaluate_accuracy(model, params: EdgeLogits, dataset, split: str, t: float) -> float:
+    """Fraction of correct argmax predictions on the named split."""
+    idx = dataset.splits[split]
     if idx.size == 0:
         raise ValueError("empty evaluation split")
-    m = soften(params, t).sparse(model.dtype)
-    return _eval_split(model, m, dataset, idx)[1]
+    return _eval_split(model, soften(params, t).sparse(model.dtype), dataset, idx)[1]

@@ -409,11 +409,10 @@ def train(dataset, graph: Graph, config: TrainConfig):
     Deterministic for a fixed config (seed included). A non-finite value
     anywhere in a step or an evaluation raises TrainingDivergedError.
     """
-    train_idx = dataset.splits["train"]
-    val_idx = dataset.splits.get("val", train_idx)
-    for name, idx in (("training", train_idx), ("validation", val_idx)):
-        if not idx.size:
+    for name, split in (("training", "train"), ("validation", "val")):
+        if not len(dataset.splits.get(split, ())):
             raise ValueError(f"empty {name} split")
+    train_idx, val_idx = dataset.splits["train"], dataset.splits["val"]
     rng = np.random.default_rng(config.seed)
     in_channels = dataset.signals.shape[2]
     model = build_model(in_channels, tuple(config.hidden), dataset.num_classes,

@@ -2,7 +2,8 @@
 
 All K slices share the graph's CSR support: one (K, E) array aligned with
 ``Graph.dst``, applied as one sparse operator, so the edge constraint is
-structural. No other module knows this layout."""
+structural. ``Graph.stacked_pattern`` builds the operator's index arrays
+from this layout, and ``nn`` reads its product as K blocks of N rows."""
 from __future__ import annotations
 
 import json

@@ -132,7 +132,7 @@ def ring_task_by_roll(n, num_classes, samples_per_class, noise_std, seed):
             signals.append(s[:, None])
             labels.append(c)
     dataset = Dataset("signal", np.stack(signals), np.asarray(labels), num_classes)
-    splits = make_splits(dataset, (0.8, 0.1, 0.1), 1, seed=seed)[0]
+    splits = make_splits(dataset, (0.8, 0.1, 0.1), seed=seed)
     return dataset.signals, dataset.labels, splits
 
 

@@ -204,6 +204,29 @@ class TestConfigFile:
         assert (args.ring_n, args.batch_size, args.downscale) == (8, 4, False)
         assert args.steps == 2000
 
+    @pytest.mark.parametrize("word,downscale", [
+        ("0", False), ("false", False), ("No", False), ("OFF", False),
+        ("1", True), ("true", True), ("Yes", True), ("on", True)])
+    def test_downscale_words(self, tmp_path, word, downscale):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"downscale = {word}\n")
+        argv = ["train", "--config", str(cfg)]
+        parser = cli.build_parser()
+        args = parser.parse_args(cli._with_config(parser.parse_args(argv), argv))
+        assert args.downscale is downscale
+
+    @pytest.mark.parametrize("word", ["ture", "flase", "", "2"])
+    def test_misspelled_downscale_rejected(self, tmp_path, capsys, word):
+        # a word that is no boolean is an error, not a false
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"steps = 2\ndownscale = {word}\n")
+        out = tmp_path / "o"
+        rc = exit_code(["train", "--config", str(cfg), "--out-dir", str(out)] + FAST)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}:2: downscale = {word!r} is not a boolean"]
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_checkpoint_roundtrip(self, tmp_path, capsys):

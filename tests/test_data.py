@@ -49,14 +49,15 @@ class TestCifarLoading:
         imgs = random_images(rng, 10)
         labels = rng.integers(0, 10, 10)
         write_cifar_batch(tmp_path / "data_batch_1.bin", labels, imgs)
-        ds = load_cifar10(tmp_path, val_fraction=0.2)
+        ds = load_cifar10(tmp_path)
         assert ds.mode == "signal" and ds.num_classes == 10
         assert np.array_equal(ds.labels, labels)
         # pixel order: row-major spatial, channels last, scaled to [0, 1]
         expected = imgs[3].reshape(1024, 3) / 255.0
         assert np.allclose(ds.signals[3], expected)
-        assert np.array_equal(ds.splits["train"], np.arange(8))
-        assert np.array_equal(ds.splits["val"], np.arange(8, 10))
+        # the trailing CIFAR_VAL_FRACTION = 0.1 of the records is the val split
+        assert np.array_equal(ds.splits["train"], np.arange(9))
+        assert np.array_equal(ds.splits["val"], np.arange(9, 10))
         assert ds.splits["test"].size == 0
 
     def test_test_batch_becomes_test_split(self, tmp_path):
@@ -65,7 +66,7 @@ class TestCifarLoading:
                           rng.integers(0, 10, 10), random_images(rng, 10))
         write_cifar_batch(tmp_path / "test_batch.bin",
                           rng.integers(0, 10, 4), random_images(rng, 4))
-        ds = load_cifar10(tmp_path, val_fraction=0.1)
+        ds = load_cifar10(tmp_path)
         assert len(ds.signals) == 14
         assert np.array_equal(ds.splits["test"], np.arange(10, 14))
 
@@ -132,7 +133,7 @@ class TestChunkedLoad:
 
     def test_test_batch_becomes_test_split(self, tmp_path):
         self.write(tmp_path)
-        ds = load_cifar10(tmp_path, val_fraction=0.1, downscale=True)
+        ds = load_cifar10(tmp_path, downscale=True)
         assert np.array_equal(ds.splits["train"], np.arange(740))
         assert np.array_equal(ds.splits["val"], np.arange(740, 822))
         assert np.array_equal(ds.splits["test"], np.arange(822, 892))
@@ -263,12 +264,6 @@ class TestChunkedLoad:
         self.write(tmp_path)
         with pytest.raises(ValueError):
             load_cifar10(tmp_path, **kwargs)
-
-    @pytest.mark.parametrize("val_fraction", [1.5, -0.5, float("nan"), float("inf")])
-    def test_bad_val_fraction_rejected(self, tmp_path, val_fraction):
-        self.write(tmp_path)
-        with pytest.raises(ValueError, match="val_fraction"):
-            load_cifar10(tmp_path, val_fraction=val_fraction)
 
 
 class TestDownscale:
@@ -476,7 +471,7 @@ class TestMakeSplits:
 
     def test_partition_and_stratification(self):
         ds = self.labeled_dataset()
-        splits = make_splits(ds, (0.6, 0.2, 0.2), 1, seed=0)[0]
+        splits = make_splits(ds, (0.6, 0.2, 0.2), seed=0)
         merged = np.concatenate([splits[p] for p in ("train", "val", "test")])
         assert np.array_equal(np.sort(merged), np.arange(30))
         for c in range(3):
@@ -486,25 +481,58 @@ class TestMakeSplits:
 
     def test_multiple_distinct_splits(self):
         ds = self.labeled_dataset()
-        s = make_splits(ds, (0.6, 0.2, 0.2), 3, seed=1)
-        assert len(s) == 3
+        rng = np.random.default_rng(1)
+        s = [make_splits(ds, (0.6, 0.2, 0.2), seed=rng) for _ in range(3)]
         assert not np.array_equal(s[0]["train"], s[1]["train"])
+
+    @staticmethod
+    def loop_splits(dataset, ratios, num_splits, seed):
+        """num_splits splits drawn in one loop: one generator from seed, and
+        per split one permutation per class in class order."""
+        rng = np.random.default_rng(seed)
+        items = np.nonzero(dataset.labels >= 0)[0]
+        out = []
+        for _ in range(num_splits):
+            parts = {"train": [], "val": [], "test": []}
+            for c in range(dataset.num_classes):
+                members = items[dataset.labels[items] == c]
+                b = np.floor(np.cumsum(ratios) * len(members) + 0.5).astype(int)
+                perm = rng.permutation(members)
+                for name, part in zip(parts, (perm[:b[0]], perm[b[0]:b[1]], perm[b[1]:])):
+                    parts[name].append(part)
+            out.append({k: np.sort(np.concatenate(v)) for k, v in parts.items()})
+        return out
+
+    @pytest.mark.parametrize("ratios,count,seed", [((0.6, 0.2, 0.2), 3, 1),
+                                                   ((0.6, 0.2, 0.2), 10, 0),
+                                                   ((0.5, 0.25, 0.25), 4, 7)])
+    def test_generator_calls_match_one_loop(self, ratios, count, seed):
+        # the 3-split and 10-split callers pin these draws
+        labels = np.array([0, 1, 2, 0, -1, 1, 1, 2, 0, 2, 1, 0, 2, 2, 1, 0, -1, 1, 0, 2] * 3)
+        ds = Dataset("signal", np.zeros((len(labels), 2, 1)), labels, 3)
+        rng = np.random.default_rng(seed)
+        got = [make_splits(ds, ratios, seed=rng) for _ in range(count)]
+        for g, want in zip(got, self.loop_splits(ds, ratios, count, seed), strict=True):
+            assert g.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(g[name], want[name])
+                assert g[name].dtype == want[name].dtype
 
     def test_unlabeled_excluded(self):
         labels = np.array([0, 0, 0, 1, 1, 1, -1, -1, 0, 1, 0, 1])
         ds = Dataset("signal", [np.zeros((2, 1))] * 12, labels, 2)
-        splits = make_splits(ds, (0.5, 0.25, 0.25), 1, seed=0)[0]
+        splits = make_splits(ds, (0.5, 0.25, 0.25), seed=0)
         merged = np.concatenate([splits[p] for p in ("train", "val", "test")])
         assert 6 not in merged and 7 not in merged
         assert len(merged) == 10
 
     def test_bad_ratios(self):
         with pytest.raises(ValueError):
-            make_splits(self.labeled_dataset(), (0.5, 0.4, 0.2), 1, 0)
+            make_splits(self.labeled_dataset(), (0.5, 0.4, 0.2), 0)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
-            make_splits(self.labeled_dataset(per_class=2), (0.8, 0.1, 0.1), 1, 0)
+            make_splits(self.labeled_dataset(per_class=2), (0.8, 0.1, 0.1), 0)
 
 
 class TestDatasetValidation:

@@ -201,12 +201,7 @@ class TestEvaluateAccuracy:
                                   for p, i in zip(preds, idx)]))
         assert acc == pytest.approx(expected)
 
-    def test_accepts_index_array(self):
-        idx = self.ds.splits["train"][:5]
-        acc = evaluate_accuracy(self.model, self.params, self.ds, idx, 0.5)
-        assert 0.0 <= acc <= 1.0
-
     def test_empty_split_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_accuracy(self.model, self.params, self.ds,
-                              np.array([], dtype=int), 0.5)
+        self.ds.splits["val"] = np.array([], dtype=int)
+        with pytest.raises(ValueError, match="^empty evaluation split$"):
+            evaluate_accuracy(self.model, self.params, self.ds, "val", 0.5)

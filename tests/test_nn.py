@@ -480,6 +480,15 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ds, g, cfg)
 
+    @pytest.mark.parametrize("split,name", [("val", "validation"), ("train", "training")])
+    def test_missing_split_rejected(self, split, name):
+        # a dataset without a val split is not validated on its train split
+        ds, g = tiny_ring_dataset()
+        del ds.splits[split]
+        cfg = TrainConfig(Schedule(1.0, 0.5, 5), hidden=(4,), k=2)
+        with pytest.raises(ValueError, match=f"^empty {name} split$"):
+            train(ds, g, cfg)
+
     def test_vertex_mode_training(self):
         g = build_grid_graph(3, 3)
         rng = np.random.default_rng(8)
@@ -940,7 +949,7 @@ def ring_benchmark_case():
 
 
 class TestKeepFreedPages:
-    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+    @pytest.mark.skipif(not hasattr(ctypes.pythonapi, "mallopt"),
                         reason="libc has no mallopt")
     def test_second_eval_pass_takes_no_page_faults(self):
         # under the CLI's allocator setting a pass's arrays come from the
