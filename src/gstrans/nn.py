@@ -15,6 +15,7 @@ import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 from .errors import TrainingDivergedError
 from .graph import Graph, write_edge_list
@@ -108,9 +109,16 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
     narrow layer stay in cache; a layer that is not blocked is one block of
     all N vertices. A block's rows get the bits of the same rows of the
     whole product (the tests check it). The pooled sum adds the vertices in
-    order, as z.mean(axis=0) does. A C_in = 1 layer computes its outer
-    products u_k W_k with np.dot, which BLAS runs faster than matmul's own
-    loop; the tests pin their bits, exact zeros of u included.
+    order, as z.mean(axis=0) does.
+
+    Each slice's product goes into the block in place through SciPy's BLAS:
+    GEMM (C <- A B + beta C), beta = 0 for slice 0 and 1 after it, or GEMV
+    for C_out = 1, which numpy also runs as a matrix-vector product. BLAS
+    adds each finished sum to the block, so the bits are those of
+    zb += u_k @ w_k while C_in fits OpenBLAS's K block (the tests pin them);
+    a wider layer, such as WebKB's 1703 channels, rounds otherwise. The
+    wrappers write C in place only if it is Fortran-contiguous, as zb.T and
+    zb[:, 0] are.
 
     The bias add and the ReLU see a block as rows of whole vertices,
     (vertices, B*C_out): the bias as one row of b tiled B times, the ReLU
@@ -129,8 +137,7 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
     # matrix-vector product, whose z numpy also averages pairwise); those
     # layers, on which blocking gains less, are computed whole
     whole = c >= 16 or c_out == 1
-    # numpy's matmul computes an inner dimension of 1 in its own loop, not in BLAS
-    product = np.dot if c == 1 else np.matmul
+    gemm, gemv = get_blas_funcs(("gemm", "gemv"), dtype=h.dtype)
     step = n if whole else min(n, max(1, BLOCK_BYTES // (b * c_out * h.itemsize)))
     rows = step * b
     if pool:
@@ -140,16 +147,19 @@ def _gsl(m, h: np.ndarray, layer: GSLayerParams, relu: bool, pool: bool = False)
         block = slabs[1:].reshape(rows, c_out)
     else:
         z = np.empty((n * b, c_out), h.dtype)
-    uw = np.empty((rows, c_out), h.dtype)
     # b tiled B times, in b's dtype so that the add is that of zb += b
     bias = np.tile(layer.b, b)
     zero = np.zeros(b * c_out, h.dtype) if relu else None
     for lo in range(0, n * b, rows):
         hi = min(lo + rows, n * b)
         zb = block[:hi - lo] if pool else z[lo:hi]
-        product(u[0, lo:hi], w[0], out=zb)
-        for u_k, w_k in zip(u[1:], w[1:]):
-            zb += product(u_k[lo:hi], w_k, out=uw[:hi - lo])
+        # zb = u_0 W_0, then zb += u_k W_k
+        for k, (u_k, w_k) in enumerate(zip(u[:, lo:hi], w)):
+            if c_out == 1:
+                gemv(1.0, u_k.T, w_k[:, 0], float(k > 0), zb[:, 0], trans=1,
+                     overwrite_y=True)
+            else:
+                gemm(1.0, w_k.T, u_k.T, float(k > 0), zb.T, overwrite_c=True)
         zv = zb.reshape(-1, b * c_out)
         zv += bias
         if relu:

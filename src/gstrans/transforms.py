@@ -220,6 +220,11 @@ class Schedule:
         if not all(math.isfinite(t) and t > 0 for t in (self.t_init, self.t_final)):
             raise ValueError(f"temperatures must be positive and finite, got "
                              f"t_init={self.t_init}, t_final={self.t_final}")
+        # temperature_at raises the ratio to powers in [0, 1]: at 0 or inf
+        # every temperature after step 0 would be 0 or inf
+        if not 0 < self.t_final / self.t_init < math.inf:
+            raise ValueError(f"temperature ratio t_final/t_init leaves float range, got "
+                             f"t_init={self.t_init}, t_final={self.t_final}")
         if self.s_total < 1:
             raise ValueError("s_total must be >= 1")
 

@@ -741,6 +741,20 @@ class TestErrors:
         assert len(errors) == 1 and value in errors[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("t_init,t_final", [("1e200", "1e-200"), ("1e-200", "1e200")],
+                             ids=["ratio-underflows", "ratio-overflows"])
+    def test_temperature_ratio_outside_float_range_rejected(self, tmp_path, capsys,
+                                                            t_init, t_final):
+        rc = exit_code(["train", "--out-dir", str(tmp_path / "o")] + FAST
+                       + ["--t-init", t_init, "--t-final", t_final])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"t_init={float(t_init)}" in errors[0] and f"t_final={float(t_final)}" in errors[0]
+        assert not (tmp_path / "o").exists()
+
 
 class TestLeanParser:
     """build_parser(command) gives options only to `command`; what a

@@ -715,43 +715,52 @@ def set_biases(model, seed):
     return model
 
 
-def kernel_case(mode, dtype, hidden=(4, 3), one_hot=False):
-    """A model in dtype on a 4x5 grid, with its batch; the weights and
-    biases are the same draws, rounded to dtype, whatever the dtype. With
-    one_hot, the transforms are one_hot_soft of random neighbour maps in
-    place of a softmax at t = 0.6."""
+def kernel_case(mode, dtype, hidden=(4, 3), one_hot=False, c_in=2):
+    """A model in dtype on a 4x5 grid, with its batch of c_in channels; the
+    weights and biases are the same draws, rounded to dtype, whatever the
+    dtype. With one_hot, the transforms are one_hot_soft of random
+    neighbour maps in place of a softmax at t = 0.6."""
     g = build_grid_graph(4, 5)
     rng = np.random.default_rng(20)
-    model = set_biases(build_model(2, hidden, 3, 5, mode, rng, dtype), 22)
+    model = set_biases(build_model(c_in, hidden, 3, 5, mode, rng, dtype), 22)
     params = EdgeLogits.init(g, 5, rng, scale=1.0)
     soft = soften(params, 0.6)
     if one_hot:
         pick, nbrs = np.random.default_rng(21), neighbors(g)
         soft = one_hot_soft(g, [[pick.choice(nbrs[i]) for i in range(g.n)]
                                 for _ in range(5)])
-    xb = rng.standard_normal((3, g.n, 2))
+    xb = rng.standard_normal((3, g.n, c_in))
     yb = (rng.integers(0, 3, size=3) if mode == "signal"
           else rng.integers(-1, 3, size=(3, g.n)))
     return model, params, soft, xb, yb
 
 
-# (mode, hidden, one_hot): signal mode at one, two and three layers, since
-# its last layer runs after the vertex mean, and both modes on one-hot rows
+# (mode, hidden, one_hot, C_in): signal mode at one, two and three layers,
+# since its last layer runs after the vertex mean, and both modes on
+# one-hot rows. The last two cases have a first layer wider than OpenBLAS's
+# K block (a few hundred channels), over which GEMM may sum each product in
+# parts; with beta = 1 it adds those parts to z one by one, where u_k W_k
+# computed apart and then added to z would add their sum. So their bits can
+# differ from the unblocked oracle's (at 1703 channels they do), and only
+# tolerances are checked: C_in = 600, and a 1703 -> 64 vertex-mode layer,
+# WebKB's width
 KERNEL_CASES = {
-    "signal": ("signal", (4, 3), False),
-    "vertex": ("vertex", (4, 3), False),
-    "signal-1-layer": ("signal", (4,), False),
-    "signal-3-layers": ("signal", (4, 3, 2), False),
-    "signal-one-hot": ("signal", (4, 3), True),
-    "vertex-one-hot": ("vertex", (4, 3), True),
+    "signal": ("signal", (4, 3), False, 2),
+    "vertex": ("vertex", (4, 3), False, 2),
+    "signal-1-layer": ("signal", (4,), False, 2),
+    "signal-3-layers": ("signal", (4, 3, 2), False, 2),
+    "signal-one-hot": ("signal", (4, 3), True, 2),
+    "vertex-one-hot": ("vertex", (4, 3), True, 2),
+    "signal-600-channels": ("signal", (4, 3), False, 600),
+    "vertex-webkb-width": ("vertex", (64, 3), False, 1703),
 }
 
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("case", KERNEL_CASES)
     def test_batched_matches_dense_oracle(self, case):
-        mode, hidden, one_hot = KERNEL_CASES[case]
-        model, _, soft, xb, yb = kernel_case(mode, np.float64, hidden, one_hot)
+        mode, hidden, one_hot, c_in = KERNEL_CASES[case]
+        model, _, soft, xb, yb = kernel_case(mode, np.float64, hidden, one_hot, c_in)
         probs, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
         loss, _, grads = _backward_batch(yb, soft, model, cache)
         probs_o, loss_o, grads_o = dense_oracle(xb, yb, soft, model)
@@ -766,8 +775,8 @@ class TestKernelEquivalence:
         # a float32 model computes every activation and weight gradient in
         # float32 (a float64 operator would upcast them); the logit gradient
         # stays float64
-        mode, hidden, one_hot = KERNEL_CASES[case]
-        model, _, soft, xb, yb = kernel_case(mode, np.float32, hidden, one_hot)
+        mode, hidden, one_hot, c_in = KERNEL_CASES[case]
+        model, _, soft, xb, yb = kernel_case(mode, np.float32, hidden, one_hot, c_in)
         probs, cache = _forward_batch(xb, soft.sparse(model.dtype), model)
         loss, _, grads = _backward_batch(yb, soft, model, cache)
         assert probs.dtype == cache["pooled"].dtype == np.float32
@@ -777,7 +786,7 @@ class TestKernelEquivalence:
         assert all(a.dtype == np.float32 for lc in cache["layers"] for a in lc)
         assert [a.dtype for a in grads] == [np.float32] * (len(grads) - 1) + [np.float64]
         probs_o, loss_o, grads_o = dense_oracle(
-            xb, yb, soft, kernel_case(mode, np.float64, hidden, one_hot)[0])
+            xb, yb, soft, kernel_case(mode, np.float64, hidden, one_hot, c_in)[0])
         assert np.allclose(probs, probs_o, rtol=1e-4, atol=1e-5)
         assert loss == pytest.approx(loss_o, rel=1e-4, abs=1e-5)
         for a, b in zip(grads, grads_o, strict=True):
@@ -822,10 +831,10 @@ BLOCK_SHAPES = {
     # a C_out = 1 layer, computed whole: blocked at B = 17, it would be cut
     # into blocks of 65 535 rows, the last of them ragged
     "c-out-1": (lambda: build_grid_graph(64, 64), 5, (8, 1, 3), 3, "signal"),
-    # C_in = 1, whose outer products go through np.dot; blocked at B >= 64
+    # C_in = 1, whose outer products GEMM adds to z; blocked at B >= 64
     "one-channel": (lambda: build_grid_graph(16, 16), 5, (32, 4), 1, "signal"),
     # a C_in = 1 layer on a ReLU'd C_out = 1 layer, whose u holds exact
-    # zeros (block_case), so that the np.dot outer products run over them;
+    # zeros (block_case), so that GEMM's outer products run over them;
     # the last layer of a vertex-mode model, since a signal-mode last layer
     # runs after the vertex mean; blocked at B >= 64
     "c-in-1-after-relu": (lambda: build_grid_graph(16, 16), 5, (8, 1, 6), 3, "vertex"),
@@ -876,7 +885,7 @@ class TestBlockedKernel:
     @pytest.mark.parametrize("batch", [1, 7, 64, 256])
     def test_c_in_1_layer_takes_exact_zeros(self, batch):
         # what c-in-1-after-relu pins: a u with exact zeros, where a whole
-        # neighbourhood of the ReLU'd layer below is zero, through np.dot
+        # neighbourhood of the ReLU'd layer below is zero, through GEMM
         model, m, xb = block_case("c-in-1-after-relu", batch, np.float32)
         u = _forward_batch(xb, m, model)[1]["layers"][2][1]
         assert np.count_nonzero(u == 0) > u.size // 10
@@ -908,6 +917,29 @@ class TestBlockedKernel:
             assert same_bits(z, z_o)
         assert same_bits(_forward_batch(xb, m, model, backward=False)[0], probs_o)
 
+    @pytest.mark.parametrize("shape,batch", [("ring", 64), ("grid", 32), ("wide", 33),
+                                             ("c-out-1", 17), ("c-in-1-after-relu", 64)])
+    def test_fortran_ordered_weights_same_bits(self, tmp_path, shape, batch):
+        # np.load returns a Fortran-ordered array for one saved that way,
+        # and SciPy's BLAS wrappers copy an operand that is not
+        # Fortran-contiguous; the kernel must still write z, not a copy
+        model, m, xb = block_case(shape, batch, np.float32)
+        make_graph, k = BLOCK_SHAPES[shape][:2]
+        params = EdgeLogits.init(make_graph(), k, np.random.default_rng(32))
+        fortran = Model([GSLayerParams(np.asfortranarray(layer.w), layer.b)
+                         for layer in model.gsl_layers],
+                        model.fc_weight, model.fc_bias, model.mode)
+        save_checkpoint(tmp_path / "f.npz", fortran, params, Schedule(1.0, 0.1, 10))
+        loaded = load_checkpoint(tmp_path / "f.npz", params.graph)[0]
+        assert all(layer.w.flags.f_contiguous and not layer.w.flags.c_contiguous
+                   for layer in loaded.gsl_layers)
+        probs, cache = _forward_batch(xb, m, model)
+        probs_f, cache_f = _forward_batch(xb, m, loaded)
+        assert same_bits(probs_f, probs)
+        for entry, entry_f in zip(cache["layers"], cache_f["layers"], strict=True):
+            assert all(same_bits(a_f, a) for a, a_f in zip(entry, entry_f, strict=True))
+        assert same_bits(_forward_batch(xb, m, loaded, backward=False)[0], probs)
+
     @pytest.mark.parametrize("shape", ["ring", "grid"])
     @np.errstate(invalid="ignore", over="ignore")
     def test_relu_of_non_finite_sums(self, shape):
@@ -932,8 +964,8 @@ class TestBlockedKernel:
         # evaluation's pooled layer
         total = nn._gsl(m, h, layer, True, pool=True)[1]
         assert same_bits(total, relu.mean(axis=0))
-        # numpy's matmul and np.dot sum their products from +0.0, so no sum
-        # the kernel makes is -0.0: the identity is checked on a row with one
+        # GEMM and GEMV start each block at +0.0 and add products to it, so
+        # no sum the kernel makes is -0.0: the identity is checked on a row with one
         row = np.tile(np.float32([-0.0, 0.0, np.nan, -np.inf, np.inf, -1.5, 2.5]), 100)
         assert same_bits(np.maximum(row, np.zeros_like(row)), np.maximum(row, 0.0))
 

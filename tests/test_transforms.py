@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -470,6 +472,18 @@ class TestTemperatureSchedule:
             Schedule(0.0, 1.0, 10)
         with pytest.raises(ValueError):
             Schedule(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("t_init,t_final", [(1e200, 1e-200), (1e-200, 1e200)],
+                             ids=["ratio-underflows", "ratio-overflows"])
+    def test_ratio_outside_float_range_rejected(self, t_init, t_final):
+        # each value is positive and finite, but t_final / t_init is 0 or
+        # inf, so every temperature after step 0 would be 0 or inf
+        with pytest.raises(ValueError, match="t_init=1e[-+]?200, t_final=1e[-+]?200"):
+            Schedule(t_init, t_final, 10)
+
+    def test_extreme_ratio_in_range_accepted(self):
+        sched = Schedule(1e150, 1e-150, 4)
+        assert all(0 < temperature_at(s, sched) < math.inf for s in range(5))
 
 
 class TestApplyHard:
