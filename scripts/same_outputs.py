@@ -6,11 +6,13 @@ OLD and NEW are source trees (each holds ``src/gstrans``); WORK is a
 directory for the inputs and the runs, created if missing. Relative paths
 are taken from the current directory. Every command runs as
 ``gstrans.cli.main`` in a fresh process of this Python, with the tree's
-``src`` on PYTHONPATH and one BLAS thread. The inputs are written
-once and shared: synthetic CIFAR-10 batches from ``bench/inputs.py``, one
-set per seed as the benchmark writes them, and a hub-heavy WebKB-shaped
-content/cites pair (877 pages, 1703 binary features at 2% density, a few
-pages cited by hundreds of others).
+``src`` on PYTHONPATH and one BLAS thread. A ``train``, ``sweep`` or
+``viz`` command gets its own out-dir as ``--out-dir``; ``eval`` and
+``export-graph`` take none. Both trees get the same argv. The inputs are
+written once and shared: synthetic CIFAR-10 batches from
+``bench/inputs.py``, one set per seed as the benchmark writes them, and a
+hub-heavy WebKB-shaped content/cites pair (877 pages, 1703 binary features
+at 2% density, a few pages cited by hundreds of others).
 
 Besides runs, the commands cover the CLI's own texts: the top-level and
 every subcommand's ``--help``, an unknown subcommand, an unknown flag and
@@ -43,6 +45,8 @@ import inputs  # noqa: E402  (bench/inputs.py)
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WEBKB_CLASSES = ("course", "faculty", "project", "staff", "student")
+# the subcommands that take --out-dir
+OUT_DIR_COMMANDS = ("train", "sweep", "viz")
 
 # the benchmark's command lines (bench/run.py) and more, with their inputs
 # under {inputs}; {runs} is the tree's run directory, each command's out-dir
@@ -134,9 +138,11 @@ def run_tree(tree: Path, runs: Path, work_inputs: Path,
         out = runs / name
         out.mkdir()     # for a command that writes a file it is given, not an out-dir
         argv = [a.format(inputs=work_inputs, runs=runs) for a in argv]
+        if argv[0] in OUT_DIR_COMMANDS:
+            argv += ["--out-dir", str(out)]
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from gstrans.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", *argv, "--out-dir", str(out)],
+             "sys.exit(main(sys.argv[1:]))", *argv],
             env=env, cwd=runs, capture_output=True, text=True)
         results[name] = (proc.returncode, *(
             text.replace(str(out), "<out>").replace(str(runs), "<runs>")

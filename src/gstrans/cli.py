@@ -36,24 +36,37 @@ def _read_config_file(path) -> list[tuple[int, str, str]]:
     return out
 
 
-def _with_config(args, argv: list[str]) -> list[str]:
-    """argv with the config file's entries spliced in as flags right after
-    the subcommand, so argparse types and checks them like flags typed on
-    the command line, and a flag typed there wins over the file."""
+def _with_config(argv: list[str], command: str | None) -> list[str]:
+    """argv with the entries of its --config file spliced in as flags right
+    after the subcommand, so argparse types and checks them like flags typed
+    on the command line, a flag typed there wins over the file, and the file
+    can give a required flag. argv itself when it names no config file, as
+    `--config=` names none."""
+    if command not in SUBCOMMANDS:
+        return argv
+    i = argv.index(command)
+    path = None
+    for j, arg in enumerate(argv[i + 1:], i + 1):
+        if arg.startswith("--config="):
+            path = arg[len("--config="):]
+        elif arg == "--config" and j + 1 < len(argv) and not argv[j + 1].startswith("-"):
+            path = argv[j + 1]
+    if not path:
+        return argv
+    dests = {kwargs.get("dest", flag[2:].replace("-", "_"))
+             for flag, kwargs in SUBCOMMANDS[command][2]} - {"config"}
     flags = []
-    for ln, key, value in _read_config_file(args.config):
+    for ln, key, value in _read_config_file(path):
         dest = key.replace("-", "_")
-        if dest in ("config", "command", "func") or not hasattr(args, dest):
-            raise ValueError(f"{args.config}:{ln}: unknown key {key!r} "
-                             f"for '{args.command}'")
+        if dest not in dests:
+            raise ValueError(f"{path}:{ln}: unknown key {key!r} for '{command}'")
         if dest == "downscale":
             if value.lower() not in TRUE_WORDS + FALSE_WORDS:
-                raise ValueError(f"{args.config}:{ln}: {key} = {value!r} is not a boolean")
+                raise ValueError(f"{path}:{ln}: {key} = {value!r} is not a boolean")
             if value.lower() in FALSE_WORDS:
                 flags.append("--no-downscale")
         else:
             flags.append(f"--{dest.replace('_', '-')}={value}")
-    i = argv.index(args.command)
     return argv[:i + 1] + flags + argv[i + 1:]
 
 
@@ -113,6 +126,8 @@ def _load_dataset(args):
                                     args.ring_samples, args.ring_noise, args.seed)
         grid = None
     elif args.dataset == "cifar10":
+        if args.data_dir is None:
+            raise ValueError("--dataset cifar10 needs --data-dir")
         if not args.data_dir or not Path(args.data_dir).is_dir():
             raise FileNotFoundError(
                 f"--data-dir {args.data_dir!r} does not exist or is not a directory")
@@ -121,7 +136,9 @@ def _load_dataset(args):
         grid = (16, 16) if args.downscale else (32, 32)
         g = None
     else:  # webkb
-        for p in (args.content, args.cites):
+        for flag, p in (("--content", args.content), ("--cites", args.cites)):
+            if p is None:
+                raise ValueError(f"--dataset webkb needs {flag}")
             if not p or not Path(p).is_file():
                 raise FileNotFoundError(f"WebKB input file {p!r} not found")
         ds, g = data.load_webkb(args.content, args.cites)
@@ -149,6 +166,8 @@ def _load_dataset(args):
         samples = ds.signals[ds.splits["train"]].mean(axis=2)
         g = graph_mod.build_knn_covariance_graph(samples, args.knn)
     elif args.graph == "edge-list":
+        if args.edge_list is None:
+            raise ValueError("--graph edge-list needs --edge-list")
         if not args.edge_list or not Path(args.edge_list).is_file():
             raise FileNotFoundError(f"edge list file {args.edge_list!r} not found")
         g = graph_mod.read_edge_list(Path(args.edge_list).read_text(), n)
@@ -202,8 +221,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.sweep_axis or not args.sweep_values:
-        raise ValueError("sweep needs --sweep-axis and --sweep-values")
     values = _comma_list(args.sweep_values, float, "--sweep-values")
     if not values:
         raise ValueError("empty sweep grid")
@@ -301,12 +318,11 @@ def cmd_export_graph(args) -> int:
 SHARED = (
     ("--config", dict(help="flat 'key = value' file of flag values; "
                            "a key is a flag name without the dashes")),
-    ("--out-dir", dict(default="out")),
     ("--height", dict(type=_positive_int)),
     ("--width", dict(type=_positive_int)),
 )
-# ...and those of the subcommands that load a dataset
-COMMON = SHARED + (
+# ...those that _load_dataset reads...
+DATA = SHARED + (
     ("--seed", dict(type=int, default=nn.TrainConfig.seed)),
     ("--dataset", dict(choices=["ring", "cifar10", "webkb"], default="ring")),
     ("--graph", dict(default="auto",
@@ -315,6 +331,16 @@ COMMON = SHARED + (
     ("--data-dir", dict(help="CIFAR-10 binary batch dir")),
     ("--content", dict(help="WebKB content file")),
     ("--cites", dict(help="WebKB cites file")),
+    ("--knn", dict(type=int, default=5, help="neighbors for the covariance graph")),
+    ("--no-downscale", dict(dest="downscale", action="store_false")),
+    ("--max-train", dict(type=_positive_int)),
+    ("--ring-n", dict(type=int, default=16)),
+    ("--ring-classes", dict(type=int, default=4)),
+    ("--ring-samples", dict(type=int, default=200)),
+    ("--ring-noise", dict(type=float, default=0.05)),
+)
+# ...those that _train_config reads...
+TRAINING = (
     ("--k", dict(type=int, default=nn.TrainConfig.k,
                   help="number of transformation slices")),
     ("--t-init", dict(type=float, default=10.0)),
@@ -326,29 +352,27 @@ COMMON = SHARED + (
     ("--batch-size", dict(type=_positive_int, default=nn.TrainConfig.batch_size)),
     ("--optimizer", dict(choices=["adam", "sgd"], default=nn.TrainConfig.optimizer)),
     ("--layers", dict(help="comma-separated GSL channel widths")),
-    ("--knn", dict(type=int, default=5, help="neighbors for the covariance graph")),
-    ("--no-downscale", dict(dest="downscale", action="store_false")),
-    ("--max-train", dict(type=_positive_int)),
-    ("--ring-n", dict(type=int, default=16)),
-    ("--ring-classes", dict(type=int, default=4)),
-    ("--ring-samples", dict(type=int, default=200)),
-    ("--ring-noise", dict(type=float, default=0.05)),
 )
+# ...and that of the subcommands that write into a directory
+OUT_DIR = ("--out-dir", dict(default="out"))
 # subcommand: (help, handler, options), in the order --help lists them
 SUBCOMMANDS = {
-    "train": ("train, harden, and write run artifacts", cmd_train, COMMON),
-    "sweep": ("one training run per temperature grid point", cmd_sweep, COMMON + (
-        ("--sweep-axis", dict(choices=["t-init", "t-final"])),
-        ("--sweep-values", dict(help="comma-separated grid values")),
+    "train": ("train, harden, and write run artifacts", cmd_train,
+              DATA + TRAINING + (OUT_DIR,)),
+    "sweep": ("one training run per temperature grid point", cmd_sweep, DATA + TRAINING + (
+        OUT_DIR,
+        ("--sweep-axis", dict(required=True, choices=["t-init", "t-final"])),
+        ("--sweep-values", dict(required=True, help="comma-separated grid values")),
         ("--repeats", dict(type=_positive_int, default=1)))),
     "viz": ("render hardened transforms as SVG/PPM", cmd_viz, SHARED + (
+        OUT_DIR,
         ("--transforms", dict(required=True, help="transforms JSON file")),
         ("--image", dict(help="P6 PPM image to transform")))),
-    "eval": ("evaluate a checkpoint on a dataset split", cmd_eval, COMMON + (
+    "eval": ("evaluate a checkpoint on a dataset split", cmd_eval, DATA + (
         ("--checkpoint", dict(required=True)),
         ("--split", dict(choices=["train", "val", "test"], default="val")))),
     "export-graph": ("write the graph as an edge list", cmd_export_graph,
-                     COMMON + (("--out", dict(required=True)),)),
+                     DATA + (("--out", dict(required=True)),)),
 }
 
 
@@ -356,12 +380,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """Registers every subcommand, so help and usage errors stay the same,
     but gives options only to `command` when one is named."""
     parser = argparse.ArgumentParser(
-        prog="gstrans",
+        prog="gstrans", allow_abbrev=False,
         description="Infer edge-constrained graph-signal pseudo-translations "
                     "by training an annealed weight-sharing classifier.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, options) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if command in (None, name):
             for flag, kwargs in options:
                 p.add_argument(flag, **kwargs)
@@ -394,11 +418,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser has no option that takes a value, so its first
     # token that is no option is the subcommand
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
-    args = parser.parse_args(argv)
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        if args.config:
-            args = parser.parse_args(_with_config(args, argv))
+        args = build_parser(command).parse_args(_with_config(argv, command))
         return args.func(args)
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,10 @@ from gstrans.transforms import (Schedule, temperature_at,
 from gstrans.viz import read_ppm
 from oracles import canonical_maps
 
-FAST = ["--ring-n", "8", "--ring-classes", "2", "--ring-samples", "10",
-        "--steps", "8", "--k", "2", "--layers", "4", "--batch-size", "8"]
+# data options, which every subcommand that loads a dataset takes...
+RING = ["--ring-n", "8", "--ring-classes", "2", "--ring-samples", "10"]
+# ...and with training options, for train and sweep
+FAST = RING + ["--steps", "8", "--k", "2", "--layers", "4", "--batch-size", "8"]
 
 
 def exit_code(argv):
@@ -199,8 +201,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("ring_n = 9\nbatch-size = 4\ndownscale = false\n")
         argv = ["train", "--config", str(cfg), "--ring-n", "8"]
-        parser = cli.build_parser()
-        args = parser.parse_args(cli._with_config(parser.parse_args(argv), argv))
+        args = cli.build_parser().parse_args(cli._with_config(argv, "train"))
         assert (args.ring_n, args.batch_size, args.downscale) == (8, 4, False)
         assert args.steps == 2000
 
@@ -211,9 +212,51 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"downscale = {word}\n")
         argv = ["train", "--config", str(cfg)]
-        parser = cli.build_parser()
-        args = parser.parse_args(cli._with_config(parser.parse_args(argv), argv))
+        args = cli.build_parser().parse_args(cli._with_config(argv, "train"))
         assert args.downscale is downscale
+
+    def test_splice_after_the_subcommand(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = 3\n")
+        argv = ["train", "--seed", "2", f"--config={cfg}"]
+        assert cli._with_config(argv, "train") == ["train", "--steps=3"] + argv[1:]
+        # a command without a config file keeps its argv
+        argv = ["train", "--seed", "2"]
+        assert cli._with_config(argv, "train") is argv
+
+    @pytest.mark.parametrize("command", ["eval", "viz", "export-graph", "sweep"])
+    def test_config_gives_required_flags(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        if command == "eval":
+            entries, argv = {"checkpoint": run_train(tmp_path) / "checkpoint.npz"}, RING
+        elif command == "viz":
+            tf = tmp_path / "transforms.json"
+            tf.write_text(transforms_to_json(np.arange(8)[None]))
+            entries = {"transforms": tf}
+            argv = ["--height", "2", "--width", "4", "--out-dir", str(out)]
+        elif command == "export-graph":
+            entries, argv = {"out": out}, RING
+        else:
+            entries = {"sweep-axis": "t-init", "sweep-values": "2"}
+            argv = FAST + ["--out-dir", str(out)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+        capsys.readouterr()
+        assert exit_code([command, "--config", str(cfg)] + argv) == 0
+        printed = {"eval": "val accuracy:", "viz": "wrote 1 files",
+                   "export-graph": "wrote 8 vertices", "sweep": "(1 grid points)"}
+        assert printed[command] in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["eval", "export-graph"])
+    @pytest.mark.parametrize("key", ["t-final", "k", "out-dir"])
+    def test_training_key_rejected(self, tmp_path, capsys, monkeypatch, command, key):
+        monkeypatch.setattr(cli, "_load_dataset", lambda args: pytest.fail("loaded"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 2\n{key} = 5\n")
+        required = ["--checkpoint", "c.npz"] if command == "eval" else ["--out", "g.txt"]
+        assert exit_code([command, "--config", str(cfg)] + required + RING) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}:2: unknown key {key!r} for '{command}'"]
 
     @pytest.mark.parametrize("word", ["ture", "flase", "", "2"])
     def test_misspelled_downscale_rejected(self, tmp_path, capsys, word):
@@ -232,26 +275,26 @@ class TestEvalCommand:
     def test_checkpoint_roundtrip(self, tmp_path, capsys):
         out = run_train(tmp_path)
         rc = main(["eval", "--checkpoint", str(out / "checkpoint.npz"),
-                   "--split", "val"] + FAST)
+                   "--split", "val"] + RING)
         assert rc == 0
         assert "val accuracy:" in capsys.readouterr().out
 
     def test_not_a_checkpoint(self, tmp_path, capsys):
         path = tmp_path / "other.npz"
         np.savez(path, x=np.zeros(3))
-        rc = main(["eval", "--checkpoint", str(path)] + FAST)
+        rc = main(["eval", "--checkpoint", str(path)] + RING)
         assert rc == 2
         assert "meta" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, tmp_path, capsys):
-        rc = main(["eval", "--checkpoint", str(tmp_path / "nope.npz")] + FAST)
+        rc = main(["eval", "--checkpoint", str(tmp_path / "nope.npz")] + RING)
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
     def test_class_count_mismatch(self, tmp_path, capsys):
-        out = run_train(tmp_path)                 # FAST has 2 ring classes
+        out = run_train(tmp_path)                 # RING has 2 classes
         capsys.readouterr()
-        rc = main(["eval", "--checkpoint", str(out / "checkpoint.npz")] + FAST
+        rc = main(["eval", "--checkpoint", str(out / "checkpoint.npz")] + RING
                   + ["--ring-classes", "3"])
         assert rc == 2
         err = capsys.readouterr().err
@@ -272,7 +315,7 @@ class TestEvalCommand:
             path.write_bytes({"empty": b"", "truncated": good[:len(good) // 2],
                               "bytes": bytes(range(256))}[name])
         capsys.readouterr()
-        rc = exit_code(["eval", "--checkpoint", str(path)] + FAST)
+        rc = exit_code(["eval", "--checkpoint", str(path)] + RING)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -288,7 +331,7 @@ class TestEvalCommand:
             del meta[key]
         replace_meta(path, json.dumps(meta).encode())
         capsys.readouterr()
-        rc = exit_code(["eval", "--checkpoint", str(path)] + FAST)
+        rc = exit_code(["eval", "--checkpoint", str(path)] + RING)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1 and str(path) in err
@@ -305,7 +348,7 @@ class TestEvalCommand:
         replace_meta(path, json.dumps(meta).encode()[:-1] if key == "not-json"
                      else json.dumps(meta).encode())
         capsys.readouterr()
-        rc = exit_code(["eval", "--checkpoint", str(path)] + FAST)
+        rc = exit_code(["eval", "--checkpoint", str(path)] + RING)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1 and str(path) in err
@@ -317,7 +360,7 @@ class TestEvalCommand:
         meta["mode"] = "vertex"
         replace_meta(path, json.dumps(meta).encode())
         capsys.readouterr()
-        rc = exit_code(["eval", "--checkpoint", str(path)] + FAST)
+        rc = exit_code(["eval", "--checkpoint", str(path)] + RING)
         assert rc == 2
         err = capsys.readouterr().err
         assert err == ("error: checkpoint is a vertex-mode model, "
@@ -331,7 +374,7 @@ class TestEvalCommand:
         arrays["fc_weight"] = arrays["fc_weight"].astype(np.float64)
         np.savez(path, **arrays)
         capsys.readouterr()
-        rc = main(["eval", "--checkpoint", str(path)] + FAST)
+        rc = main(["eval", "--checkpoint", str(path)] + RING)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "fc_weight has dtype float64" in err
@@ -345,7 +388,7 @@ class TestEvalCommand:
         arrays["logits"] = arrays["logits"].astype(dtype)
         np.savez(path, **arrays)
         capsys.readouterr()
-        rc = main(["eval", "--checkpoint", str(path)] + FAST)
+        rc = main(["eval", "--checkpoint", str(path)] + RING)
         assert rc == 2
         err = capsys.readouterr().err
         assert err == (f"error: {path}: logits has dtype {np.dtype(dtype)}, "
@@ -356,7 +399,7 @@ class TestEvalCommand:
         meta["version"] = 2
         replace_meta(path, json.dumps(meta).encode())
         capsys.readouterr()
-        assert exit_code(["eval", "--checkpoint", str(path)] + FAST) == 2
+        assert exit_code(["eval", "--checkpoint", str(path)] + RING) == 2
         assert capsys.readouterr().err == "error: unsupported checkpoint version 2\n"
 
     @pytest.mark.parametrize("case,message", [
@@ -378,7 +421,7 @@ class TestEvalCommand:
                 arrays[name] = np.full_like(arrays[name], 1e30)
         np.savez(path, **arrays)
         capsys.readouterr()
-        assert exit_code(["eval", "--checkpoint", str(path)] + FAST) == 2
+        assert exit_code(["eval", "--checkpoint", str(path)] + RING) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
@@ -546,14 +589,14 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_missing_axis(self, tmp_path, capsys):
-        rc = main(["sweep", "--out-dir", str(tmp_path)] + FAST)
+        rc = exit_code(["sweep", "--out-dir", str(tmp_path)] + FAST)
         assert rc == 2
 
 
 class TestExportGraph:
     def test_edge_list_written(self, tmp_path):
         out = tmp_path / "graph.txt"
-        rc = main(["export-graph", "--out", str(out)] + FAST)
+        rc = main(["export-graph", "--out", str(out)] + RING)
         assert rc == 0
         lines = out.read_text().splitlines()
         assert "0 0" in lines        # self-looped ring
@@ -571,11 +614,11 @@ class TestErrors:
         target = blocker / "x" if inside else blocker
         if command == "train":
             monkeypatch.setattr(cli.nn, "train", lambda *a: pytest.fail("trained"))
-            argv = ["train", "--out-dir", str(target)]
+            argv = ["train", "--out-dir", str(target)] + FAST
         else:
             argv = ["export-graph", "--out", str(target / "graph.txt" if inside
-                                                  else tmp_path)]
-        assert exit_code(argv + FAST) == 2
+                                                  else tmp_path)] + RING
+        assert exit_code(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
@@ -607,6 +650,21 @@ class TestErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert lines[0].endswith(f"{str(missing)!r} not found")
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--dataset", "webkb"], "--dataset webkb needs --content"),
+        (["--dataset", "webkb", "--content", "x.content"], "--dataset webkb needs --cites"),
+        (["--dataset", "cifar10"], "--dataset cifar10 needs --data-dir"),
+        (["--graph", "edge-list"], "--graph edge-list needs --edge-list"),
+    ], ids=["webkb-content", "webkb-cites", "cifar10", "edge-list"])
+    def test_missing_flag_named(self, tmp_path, capsys, monkeypatch, extra, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.content").write_text("")
+        out = tmp_path / "o"
+        rc = exit_code(["train", "--out-dir", str(out)] + FAST + extra)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_blank_webkb_content(self, tmp_path, capsys):
         content, cites = tmp_path / "x.content", tmp_path / "x.cites"
@@ -821,6 +879,45 @@ class TestLeanParser:
             assert [a.option_strings for a in p._actions] == \
                 [a.option_strings for a in wanted._actions], name
             assert p.get_default("func") is cli.SUBCOMMANDS[name][1]
+
+
+class TestOptionTables:
+    """A subcommand takes the options its code reads, each spelled in full."""
+
+    TRAINING_FLAGS = [("--k", "3"), ("--t-init", "1"), ("--t-final", "5"), ("--steps", "5"),
+                      ("--epochs", "1"), ("--lr", "0.1"), ("--logit-lr", "0.1"),
+                      ("--batch-size", "4"), ("--optimizer", "sgd"), ("--layers", "4"),
+                      ("--out-dir", "o")]
+
+    @pytest.mark.parametrize("command", ["eval", "export-graph"])
+    @pytest.mark.parametrize("flag,value", TRAINING_FLAGS)
+    def test_training_flag_rejected(self, capsys, monkeypatch, command, flag, value):
+        # eval --k 3 is no --knn 3
+        monkeypatch.setattr(cli, "_load_dataset", lambda args: pytest.fail("loaded"))
+        required = ["--checkpoint", "c.npz"] if command == "eval" else ["--out", "g.txt"]
+        assert exit_code([command] + required + RING + [flag, value]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"gstrans: error: unrecognized arguments: {flag} {value}"]
+
+    @pytest.mark.parametrize("command,abbrev", [
+        (command, abbrev) for command, (_, _, options) in cli.SUBCOMMANDS.items()
+        for abbrev, flag in (("--ring-cl", "--ring-classes"), ("--lay", "--layers"))
+        if flag in dict(options)])
+    def test_abbreviation_rejected(self, capsys, monkeypatch, command, abbrev):
+        monkeypatch.setattr(cli, "_load_dataset", lambda args: pytest.fail("loaded"))
+        argv = TestLeanParser.TYPICAL[command] + [abbrev, "2"]
+        assert exit_code(argv) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"gstrans: error: unrecognized arguments: {abbrev} 2"]
+
+    @pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
+    def test_no_prefix_spelling(self, command):
+        parser = cli.build_parser(command)
+        flags = [flag for flag, _ in cli.SUBCOMMANDS[command][2]] + ["--help"]
+        prefixes = {flag[:i] for flag in flags for i in range(3, len(flag))} - set(flags)
+        for prefix in sorted(prefixes):
+            _, unknown = parser.parse_known_args(TestLeanParser.TYPICAL[command] + [prefix])
+            assert unknown == [prefix]
 
 
 # records per file of the small CIFAR-10 directory: 70 train records, of
